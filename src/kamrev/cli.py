@@ -4,8 +4,9 @@ Loads a JSON config, validates it against the shipped schema for the chosen
 subcommand, dispatches to the library, and writes a JSON report (plus
 optional CSV plot data).  Exit codes: 0 success, 2 config/validation error
 (nothing is computed), 3 computational failure (the error is embedded in
-the report).  Reports are byte-identical for identical config + seed;
-wall-clock timestamps live in the separate "metadata" field.
+the report); any other exception is a bug and keeps its traceback.
+Reports are byte-identical for identical config + seed; wall-clock
+timestamps live in the separate "metadata" field.
 """
 from __future__ import annotations
 
@@ -36,11 +37,9 @@ from .fourier import FourierSeries
 from .normalizer import NormalizerConfig, normalize, normalize_augmented
 from .revmat import (MiniversalNilpotent, RevMatrix, Unfolding, fix_spaces,
                      is_versal, kernel_condition)
-from .revsystem import (ReversibleFamily, ToyNoSolution, ToySolution, toy_ex1,
-                        toy_ex2, toy_linear)
+from .revsystem import ReversibleFamily, ToySolution, toy_ex1, toy_ex2, toy_linear
 from .ruessmann import (FrequencyCurve, diophantine_fraction,
-                        is_ruessmann_nondegenerate, persistence_pipeline,
-                        uniform_grid)
+                        is_ruessmann_nondegenerate, persistence_pipeline)
 
 log = logging.getLogger("kamrev")
 
@@ -116,13 +115,31 @@ def _write_csv(out_dir, command, rows):
     return path
 
 
-def _family_from_config(config, config_dir):
-    doc = config["family"]
-    if isinstance(doc, str):
-        path = doc if os.path.isabs(doc) else os.path.join(config_dir, doc)
-        with open(path) as fh:
-            doc = json.load(fh)
-    fam = ReversibleFamily.from_json(doc)
+def _decode(command, config, config_path):
+    """The config with its documents decoded into library objects, so that a
+    value the library rejects is a configuration error, found before any
+    computation starts."""
+    cfg = dict(config)
+    try:
+        if "family" in cfg:
+            doc = cfg["family"]
+            if isinstance(doc, str):
+                base = os.path.dirname(os.path.abspath(config_path))
+                with open(os.path.join(base, doc)) as fh:
+                    doc = json.load(fh)
+            cfg["family"] = ReversibleFamily.from_json(doc)
+        if "rhs" in cfg:
+            cfg["rhs"] = FourierSeries.from_json(cfg["rhs"])
+        if command in ("dioph-check", "cohomology-solve", "ruessmann"):
+            cfg["params"] = DiophantineParams(cfg["tau"], cfg["gamma"], cfg["kmax"])
+            if "omega" in cfg:
+                cfg["params"].validate_for(len(cfg["omega"]))
+    except (OSError, ValueError, KeyError) as exc:
+        raise ConfigError(f"invalid configuration: {exc}") from exc
+    return cfg
+
+
+def _reversible(fam):
     viol = fam.check_reversibility()
     if viol:
         raise NotAntiInvariant(f"family is not reversible: {viol[0]!r}")
@@ -156,8 +173,7 @@ def _mat(M):
 
 def _run_dioph_check(config, seed, threads):
     omega = np.asarray(config["omega"], dtype=float)
-    params = DiophantineParams(config["tau"], config["gamma"], config["kmax"])
-    params.validate_for(len(omega))
+    params = config["params"]
     Q = None
     if config.get("Q") is not None:
         R = np.asarray(config["R"], dtype=float)
@@ -191,8 +207,7 @@ def _run_dioph_measure(config, seed, threads):
 
 def _run_cohomology_solve(config, seed, threads):
     omega = np.asarray(config["omega"], dtype=float)
-    params = DiophantineParams(config["tau"], config["gamma"], config["kmax"])
-    rhs = FourierSeries.from_json(config["rhs"])
+    params, rhs = config["params"], config["rhs"]
     kind = config["kind"]
     Q = None
     if config.get("Q") is not None:
@@ -308,16 +323,16 @@ def _normalize_result_json(res):
     }
 
 
-def _run_normalize(config, seed, threads, config_dir):
-    fam = _family_from_config(config, config_dir)
+def _run_normalize(config, seed, threads):
+    fam = _reversible(config["family"])
     cfg = _normalizer_config(config)
     res = normalize(fam, np.asarray(config["omega0"], dtype=float),
                     np.asarray(config.get("mu0", []), dtype=float), cfg)
     return _normalize_result_json(res), None
 
 
-def _run_normalize_augmented(config, seed, threads, config_dir):
-    fam = _family_from_config(config, config_dir)
+def _run_normalize_augmented(config, seed, threads):
+    fam = _reversible(config["family"])
     cfg = _normalizer_config(config)
     aug = normalize_augmented(fam, np.asarray(config["omega0"], dtype=float),
                               np.asarray(config.get("mu0", []), dtype=float), cfg)
@@ -348,10 +363,10 @@ def _curve_from_config(doc):
     return FrequencyCurve(F, box=box, n=n, m=m)
 
 
-def _run_ruessmann(config, seed, threads, config_dir):
-    fam = _family_from_config(config, config_dir)
+def _run_ruessmann(config, seed, threads):
+    fam = _reversible(config["family"])
     curve = _curve_from_config(config["curve"])
-    params = DiophantineParams(config["tau"], config["gamma"], config["kmax"])
+    params = config["params"]
     nd = is_ruessmann_nondegenerate(curve, int(config.get("rankSamples", 64)),
                                     seed=seed)
     result = {"nondegeneracy": nd.to_json()}
@@ -381,14 +396,11 @@ def _run_ruessmann(config, seed, threads, config_dir):
 # -- dispatch ----------------------------------------------------------------------
 
 _HANDLERS = {
-    "dioph-check": (_run_dioph_check, "dioph-check"),
-    "dioph-measure": (_run_dioph_measure, "dioph-measure"),
-    "cohomology-solve": (_run_cohomology_solve, "cohomology-solve"),
-    "versal-check": (_run_versal_check, "versal-check"),
-    "miniversal-nilpotent": (_run_miniversal, "miniversal-nilpotent"),
-}
-
-_FAMILY_HANDLERS = {
+    "dioph-check": _run_dioph_check,
+    "dioph-measure": _run_dioph_measure,
+    "cohomology-solve": _run_cohomology_solve,
+    "versal-check": _run_versal_check,
+    "miniversal-nilpotent": _run_miniversal,
     "normalize": _run_normalize,
     "normalize-augmented": _run_normalize_augmented,
     "ruessmann": _run_ruessmann,
@@ -439,6 +451,7 @@ def main(argv=None) -> int:
         schema = "toy-" + args.variant if command == "toy" else command
         _validate(config, schema)
         seed = _effective_seed(config, args)
+        decoded = _decode(command, config, args.config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -446,22 +459,15 @@ def main(argv=None) -> int:
     report_name = command + ("-" + args.variant if command == "toy" else "")
     try:
         if command == "toy":
-            result, csv_rows = _run_toy(config, seed, args.threads, args.variant)
-        elif command in _FAMILY_HANDLERS:
-            config_dir = os.path.dirname(os.path.abspath(args.config))
-            result, csv_rows = _FAMILY_HANDLERS[command](
-                config, seed, args.threads, config_dir)
+            result, csv_rows = _run_toy(decoded, seed, args.threads, args.variant)
         else:
-            result, csv_rows = _HANDLERS[command][0](config, seed, args.threads)
+            result, csv_rows = _HANDLERS[command](decoded, seed, args.threads)
     except KamrevError as exc:
         log.error("%s failed: %s", command, exc)
         path = _write_report(args.out, report_name, config, seed, None,
                              error={"type": type(exc).__name__, "message": str(exc)})
         print(path)
         return 3
-    except (ValueError, KeyError) as exc:
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
-        return 2
 
     path = _write_report(args.out, report_name, config, seed, result)
     if csv_rows and config.get("csv", True):

@@ -20,59 +20,65 @@ import numpy as np
 
 from .diophantine import DiophantineParams
 from .errors import NonzeroAverage, SingularMode, SmallDivisor, ZeroModeObstruction
-from .fourier import FourierSeries, _canonical_half, order1
+from .fourier import FourierSeries, canonical_half
 from .revmat import RevMatrix, solve_fix_range
 
 COND_LIMIT = 1e12
 
 
-def _half_modes(F: FourierSeries):
-    """Canonical representatives of the nonzero +-k pairs of F."""
-    return [k for k in F.coeffs if order1(k) > 0 and _canonical_half(k)]
+def _half(F: FourierSeries):
+    """Mask of the rows of F that represent a nonzero +-k pair."""
+    return canonical_half(F.K) & F.K.any(axis=1)
 
 
-def _mirror(out: dict, k, val):
-    out[k] = val
-    mk = tuple(-c for c in k)
-    if mk != k:
-        out[mk] = np.conj(val)
+def _mirrored(F: FourierSeries, half, vals, zero=None) -> FourierSeries:
+    """Series with ``vals`` on the rows ``half`` of F, their conjugates at
+    the negated modes, and ``zero`` (if any) at k = 0."""
+    K = [F.K[half], -F.K[half]]
+    V = [vals, np.conj(vals)]
+    if zero is not None:
+        K.append(np.zeros((1, F.n), dtype=np.int64))
+        V.append(zero[None])
+    K, V = np.concatenate(K), np.concatenate(V)
+    rows = np.lexsort(K.T[::-1])
+    return FourierSeries(F.n, F.shape, F.order, trunc_loss=F.trunc_loss, K=K[rows], V=V[rows])
 
 
 def solve_scalar(F: FourierSeries, omega, params: DiophantineParams,
                  avg_tol: float = 1e-12) -> FourierSeries:
     """Invert the derivative along the constant flow on zero-average series."""
     omega = np.asarray(omega, dtype=float)
-    avg = float(np.max(np.abs(F.average()))) if F.coeffs else 0.0
+    avg = float(np.max(np.abs(F.average()))) if len(F.K) else 0.0
     if avg > avg_tol * max(F.majorant(), 1e-300):
         raise NonzeroAverage(f"average has magnitude {avg:.3e}")
-    out = {}
-    for k in _half_modes(F):
-        div = float(np.dot(k, omega))
-        bound = params.gamma * order1(k) ** (-params.tau)
-        if abs(div) < bound:
-            raise SmallDivisor(k, abs(div), bound)
-        _mirror(out, k, F.coeffs[k] / (1j * div))
-    return FourierSeries(F.n, F.shape, F.order, out, trunc_loss=F.trunc_loss, validate=False)
+    half = _half(F)
+    Kh = F.K[half]
+    div = Kh @ omega
+    bound = params.gamma * np.abs(Kh).sum(axis=1) ** (-params.tau)
+    small = np.abs(div) < bound
+    if small.any():
+        i = int(np.argmax(small))
+        raise SmallDivisor(Kh[i], abs(div[i]), bound[i])
+    vals = F.V[half] / (1j * div).reshape((-1,) + (1,) * len(F.shape))
+    return _mirrored(F, half, vals)
 
 
 def _mode_solve(F: FourierSeries, omega, build_matrix, solve_zero, vec=None):
     """Shared driver: per-mode linear solves with a condition-number guard."""
     omega = np.asarray(omega, dtype=float)
-    out = {}
-    for k in _half_modes(F):
+    half = _half(F)
+    sols = []
+    for k, rhs in zip(F.K[half], F.V[half]):
         A = build_matrix(float(np.dot(k, omega)))
         cond = np.linalg.cond(A)
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise SingularMode(k, cond)
-        rhs = F.coeffs[k] if vec is None else vec(F.coeffs[k])
-        sol = np.linalg.solve(A, rhs)
-        _mirror(out, k, sol if vec is None else vec(sol, back=True))
-    k0 = (0,) * F.n
-    if k0 in F.coeffs:
-        z = solve_zero(F.coeffs[k0])
-        if z is not None:
-            out[k0] = z
-    return FourierSeries(F.n, F.shape, F.order, out, trunc_loss=F.trunc_loss, validate=False)
+        sol = np.linalg.solve(A, rhs if vec is None else vec(rhs))
+        sols.append(sol if vec is None else vec(sol, back=True))
+    k0 = np.flatnonzero(~F.K.any(axis=1))
+    zero = solve_zero(F.V[k0[0]]) if len(k0) else None
+    vals = np.array(sols, dtype=complex).reshape((len(sols),) + F.shape)
+    return _mirrored(F, half, vals, zero)
 
 
 def solve_normal(F: FourierSeries, omega, Q: RevMatrix,

@@ -68,7 +68,7 @@ class RootFindFailure(KamrevError):
 
 
 class StepFailure(KamrevError):
-    """A Newton step of the normalizer could not be completed."""
+    """The ODE integrator behind torus verification failed to finish."""
 
 
 class VersalObstruction(KamrevError):

@@ -1,15 +1,30 @@
 """Truncated Fourier series on the n-torus with vector or matrix values.
 
-The representation is a sparse map from integer modes k to complex
-coefficient arrays.  Reality of the represented function is an invariant:
-the coefficient at -k is the complex conjugate of the coefficient at k for
-every stored k.  All arithmetic preserves the invariant exactly because
-complex multiplication commutes with conjugation flop for flop.
+A series keeps its stored modes in two arrays: ``K``, an int64 ``(M, n)``
+array of multi-indices in strictly increasing lexicographic order, and
+``V``, a complex ``(M,) + shape`` array whose row i is the coefficient of
+exp(i<K[i], x>).  Coefficients below ``PRUNE_TOL`` are never stored.  Every
+operation is a fixed handful of numpy expressions over the two arrays; the
+``coeffs`` property is a read-only k -> array view for callers that think
+in single modes.
 
-No grid transforms are used anywhere; products are sparse convolutions
-over the stored modes, vectorized with numpy.
+Reality of the represented function is an invariant: the coefficient at -k
+is the complex conjugate of the coefficient at k for every stored k.  All
+arithmetic preserves the invariant exactly because complex multiplication
+commutes with conjugation flop for flop.
+
+Products are sparse convolutions over the stored modes.  Because the rows
+are always in lexicographic order, a product meets its mode pairs in one
+fixed order and sums coinciding output modes with ``np.add.at`` in that
+order, so its mode set and coefficients are bit for bit those of a
+mode-by-mode product over the sorted modes, whatever built the operands.
+No grid transforms are used.
 """
 from __future__ import annotations
+
+import math
+from collections.abc import Mapping
+from functools import cached_property
 
 import numpy as np
 
@@ -27,14 +42,51 @@ def order1(k) -> int:
     return int(sum(abs(int(c)) for c in k))
 
 
-def _canonical_half(k) -> bool:
-    """True when the first nonzero entry of k is positive (or k = 0)."""
-    for c in k:
-        if c > 0:
-            return True
-        if c < 0:
-            return False
-    return True
+def canonical_half(K) -> np.ndarray:
+    """Mask of the rows of K whose first nonzero entry is positive, or that are 0."""
+    return K[np.arange(len(K)), np.argmax(K != 0, axis=1)] >= 0
+
+
+def _norms(V) -> np.ndarray:
+    """Largest coefficient magnitude of each stored mode."""
+    return np.abs(V).reshape(len(V), math.prod(V.shape[1:])).max(axis=1, initial=0.0)
+
+
+def _codes(K, span) -> np.ndarray:
+    """Integer codes of the rows of K (entries within +-span), increasing in
+    lexicographic order, so that sorting and merging modes are 1-d."""
+    base = 2 * span + 1
+    if base ** K.shape[1] < 2 ** 62:
+        return (K + span) @ (base ** np.arange(K.shape[1] - 1, -1, -1, dtype=np.int64))
+    return np.unique(K, axis=0, return_inverse=True)[1].ravel()  # pragma: no cover
+
+
+def _union(*Ks):
+    """Sorted union of mode arrays, and the union row each input row lands on."""
+    cat = np.concatenate(Ks)
+    span = int(np.abs(cat).max()) if cat.size else 0
+    _, first, inv = np.unique(_codes(cat, span), return_index=True, return_inverse=True)
+    return cat[first], np.split(np.ravel(inv), np.cumsum([len(K) for K in Ks[:-1]]))
+
+
+class _ModeView(Mapping):
+    """Read-only k -> coefficient view of a series' arrays."""
+
+    def __init__(self, s):
+        self._s = s
+
+    def __len__(self):
+        return len(self._s.K)
+
+    def __iter__(self):
+        return iter(map(tuple, self._s.K.tolist()))
+
+    @cached_property
+    def _rows(self):
+        return {k: i for i, k in enumerate(self)}
+
+    def __getitem__(self, k):
+        return self._s.V[self._rows[tuple(int(c) for c in k)]]
 
 
 class FourierSeries:
@@ -45,51 +97,57 @@ class FourierSeries:
     ``order`` is the truncation order; modes with |k| > order are not
     representable and binary operations drop them, recording the dropped
     l1 mass in ``trunc_loss``.
+
+    Build from a mapping ``coeffs`` (k -> array; modes, shapes, order and
+    reality are checked) or from arrays ``K`` (unique rows in lexicographic
+    order) and ``V``, which are taken as they are.  Either way coefficients
+    below ``PRUNE_TOL`` are pruned.
     """
 
-    def __init__(self, n, shape, order, coeffs, trunc_loss=0.0, validate=True,
-                 trusted=False):
+    def __init__(self, n, shape, order, coeffs=None, trunc_loss=0.0, K=None, V=None):
         self.n = int(n)
         self.shape = tuple(int(s) for s in shape)
         self.order = int(order)
         self.trunc_loss = float(trunc_loss)
-        self._cache = None
         self._majorant = None
-        if trusted:
-            # internal fast path: keys canonical, values pre-pruned in-order
-            self.coeffs = coeffs
-            return
-        clean = {}
-        for k, v in coeffs.items():
-            kk = tuple(int(c) for c in k)
-            if len(kk) != self.n:
-                raise ValueError(f"mode {kk} has wrong length for n={self.n}")
-            arr = np.asarray(v, dtype=complex)
-            if arr.shape != self.shape:
-                raise ValueError(f"coefficient at {kk} has shape {arr.shape}, expected {self.shape}")
-            if order1(kk) > self.order:
-                if validate:
-                    raise ValueError(f"mode {kk} beyond truncation order {self.order}")
-                self.trunc_loss += float(np.max(np.abs(arr)))
-                continue
-            if arr.size == 0 or np.max(np.abs(arr)) < PRUNE_TOL:
-                continue
-            clean[kk] = arr
-        self.coeffs = clean
-        if validate:
+        if coeffs is not None:
+            K, V = self._checked_arrays(coeffs)
+        elif K is None:
+            K = np.zeros((0, self.n), dtype=np.int64)
+            V = np.zeros((0,) + self.shape, dtype=complex)
+        norms = _norms(V)
+        dead = norms < PRUNE_TOL
+        if dead.any():
+            K, V, norms = K[~dead], V[~dead], norms[~dead]
+        self.K, self.V, self.norms = K, V, norms
+        if coeffs is not None:
             self._check_reality()
+
+    def _checked_arrays(self, coeffs):
+        items = sorted(((tuple(int(c) for c in k), v) for k, v in coeffs.items()),
+                       key=lambda kv: kv[0])
+        for k, v in items:
+            if len(k) != self.n:
+                raise ValueError(f"mode {k} has wrong length for n={self.n}")
+            if np.shape(v) != self.shape:
+                raise ValueError(f"coefficient at {k} has shape {np.shape(v)}, expected {self.shape}")
+            if order1(k) > self.order:
+                raise ValueError(f"mode {k} beyond truncation order {self.order}")
+        K = np.array([k for k, _ in items], dtype=np.int64).reshape(len(items), self.n)
+        V = np.array([v for _, v in items], dtype=complex).reshape((len(items),) + self.shape)
+        return K, V
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
     def zero(cls, n, shape, order):
-        return cls(n, shape, order, {}, validate=False)
+        return cls(n, shape, order)
 
     @classmethod
     def constant(cls, n, value, order):
         value = np.asarray(value, dtype=complex)
-        k0 = (0,) * n
-        return cls(n, value.shape, order, {k0: value}, validate=False)
+        return cls(n, value.shape, order, K=np.zeros((1, n), dtype=np.int64),
+                   V=value.reshape((1,) + value.shape))
 
     @classmethod
     def cosine(cls, n, k, value, order):
@@ -115,37 +173,28 @@ class FourierSeries:
         scale = self.majorant()
         if scale == 0.0:
             return
-        for k, v in self.coeffs.items():
-            mk = tuple(-c for c in k)
-            w = self.coeffs.get(mk)
-            if w is None:
-                bad = np.max(np.abs(v))
-            else:
-                bad = np.max(np.abs(np.conj(w) - v))
-            if bad > tol * scale:
-                raise ValueError(f"reality violated at mode {k} by {bad:.3e} (scale {scale:.3e})")
-
-    def _arrays(self):
-        """Stacked (K, V) arrays of the stored modes, cached."""
-        if self._cache is None:
-            if self.coeffs:
-                keys = sorted(self.coeffs)
-                K = np.array(keys, dtype=np.int64).reshape(len(keys), self.n)
-                V = np.stack([self.coeffs[k] for k in keys])
-            else:
-                K = np.zeros((0, self.n), dtype=np.int64)
-                V = np.zeros((0,) + self.shape, dtype=complex)
-            self._cache = (K, V)
-        return self._cache
+        M = len(self.K)
+        span = int(np.abs(self.K).max())
+        codes = _codes(np.concatenate([self.K, -self.K]), span)
+        pos = np.minimum(np.searchsorted(codes[:M], codes[M:]), M - 1)
+        found = (codes[:M][pos] == codes[M:]).reshape((M,) + (1,) * len(self.shape))
+        bad = _norms(self.V - np.where(found, np.conj(self.V[pos]), 0.0))
+        if bad.max() > tol * scale:
+            i = int(np.argmax(bad))
+            raise ValueError(f"reality violated at mode {tuple(self.K[i].tolist())} "
+                             f"by {bad[i]:.3e} (scale {scale:.3e})")
 
     # -- basic queries ---------------------------------------------------------
+
+    @cached_property
+    def coeffs(self) -> Mapping:
+        """Read-only k -> coefficient view of the stored modes."""
+        return _ModeView(self)
 
     def majorant(self) -> float:
         """l1 coefficient norm: an upper bound for sup |f| on the real torus."""
         if self._majorant is None:
-            self._majorant = float(
-                sum(np.max(np.abs(v)) for v in self.coeffs.values())
-            ) if self.coeffs else 0.0
+            self._majorant = float(self.norms.sum())
         return self._majorant
 
     def strip_norm(self, rho) -> float:
@@ -153,25 +202,22 @@ class FourierSeries:
         rho = float(rho)
         if rho <= 0.0:
             raise ValueError("strip width rho must be positive")
-        return float(
-            sum(np.max(np.abs(v)) * np.exp(order1(k) * rho) for k, v in self.coeffs.items())
-        )
+        return float((self.norms * np.exp(np.abs(self.K).sum(axis=1) * rho)).sum())
 
     def average(self):
         """Torus average: the k = 0 coefficient as a real array."""
-        v = self.coeffs.get((0,) * self.n)
-        if v is None:
+        zero = np.flatnonzero(~self.K.any(axis=1))
+        if not len(zero):
             return np.zeros(self.shape)
-        return np.real(v).copy()
+        return np.real(self.V[zero[0]]).copy()
 
     def eval(self, x):
         """Evaluate at a point x of the torus; the result must be real."""
         x = np.asarray(x, dtype=float)
-        K, V = self._arrays()
-        if len(K) == 0:
+        if len(self.K) == 0:
             return np.zeros(self.shape)
-        phases = np.exp(1j * (K @ x))
-        out = np.tensordot(phases, V, axes=([0], [0]))
+        phases = np.exp(1j * (self.K @ x))
+        out = np.tensordot(phases, self.V, axes=([0], [0]))
         mag = self.majorant()
         resid = float(np.max(np.abs(out.imag))) if out.size else 0.0
         if resid > 1e-10 * mag:
@@ -180,31 +226,36 @@ class FourierSeries:
 
     # -- linear operations -----------------------------------------------------
 
-    def _like(self, coeffs, order=None, loss=0.0):
-        return FourierSeries(
-            self.n, self.shape, self.order if order is None else order, coeffs,
-            trunc_loss=self.trunc_loss + loss, validate=False,
-        )
+    def _like(self, V, K=None, order=None, loss=0.0):
+        """Series on the modes K (default: these) with values V, whose value
+        shape is read off V."""
+        return FourierSeries(self.n, V.shape[1:], self.order if order is None else order,
+                             trunc_loss=self.trunc_loss + loss,
+                             K=self.K if K is None else K, V=V)
+
+    def _scaled(self, factors):
+        """V with row i multiplied by factors[i]."""
+        return self.V * factors.reshape((-1,) + (1,) * len(self.shape))
 
     def __add__(self, other):
         if not isinstance(other, FourierSeries):
             return NotImplemented
         if other.n != self.n or other.shape != self.shape:
             raise ValueError("series mismatch in + ")
-        order = max(self.order, other.order)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            w = out.get(k)
-            out[k] = v if w is None else w + v
-        res = FourierSeries(self.n, self.shape, order, out,
-                            trunc_loss=self.trunc_loss + other.trunc_loss, validate=False)
-        return res._pruned()
+        if len(self.K) == len(other.K) and np.array_equal(self.K, other.K):
+            K, V = self.K, self.V + other.V
+        else:
+            K, (rows_a, rows_b) = _union(self.K, other.K)
+            V = np.zeros((len(K),) + self.shape, dtype=complex)
+            V[rows_a] = self.V
+            V[rows_b] += other.V
+        return self._like(V, K=K, order=max(self.order, other.order), loss=other.trunc_loss)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._like({k: -v for k, v in self.coeffs.items()})
+        return self._like(-self.V)
 
     def __mul__(self, scalar):
         if isinstance(scalar, FourierSeries):
@@ -212,61 +263,36 @@ class FourierSeries:
         s = complex(scalar)
         if s.imag == 0.0:
             s = s.real
-        return self._like({k: v * s for k, v in self.coeffs.items()})._pruned()
+        return self._like(self.V * s)
 
     __rmul__ = __mul__
-
-    def _pruned(self):
-        dead = [k for k, v in self.coeffs.items() if np.max(np.abs(v)) < PRUNE_TOL]
-        for k in dead:
-            del self.coeffs[k]
-        self._cache = None
-        return self
 
     def truncate(self, order):
         """Drop modes beyond ``order``, recording the dropped l1 mass."""
         order = int(order)
         if order == self.order:
             return self
-        out, loss = {}, 0.0
-        for k, v in self.coeffs.items():
-            if order1(k) <= order:
-                out[k] = v
-            else:
-                loss += float(np.max(np.abs(v)))
-        return FourierSeries(self.n, self.shape, order, out,
-                             trunc_loss=self.trunc_loss + loss, validate=False)
+        keep = np.abs(self.K).sum(axis=1) <= order
+        return self._like(self.V[keep], K=self.K[keep], order=order,
+                          loss=float(self.norms[~keep].sum()))
 
     # -- calculus and symmetry -------------------------------------------------
 
     def directional_derivative(self, omega):
         """Coefficientwise map c_k -> i <k, omega> c_k (derivative along the flow)."""
-        omega = np.asarray(omega, dtype=float)
-        out = {}
-        for k, v in self.coeffs.items():
-            fac = 1j * float(np.dot(k, omega))
-            if fac != 0.0:
-                out[k] = fac * v
-        return self._like(out)._pruned()
+        return self._like(self._scaled(1j * (self.K @ np.asarray(omega, dtype=float))))
 
     def deriv_x(self, j):
         """Partial derivative in the j-th angle: c_k -> i k_j c_k."""
-        out = {}
-        for k, v in self.coeffs.items():
-            if k[j] != 0:
-                out[k] = (1j * k[j]) * v
-        return self._like(out)._pruned()
+        return self._like(self._scaled(1j * self.K[:, j]))
 
     def reflect(self):
         """Pullback under x -> -x; by reality this conjugates coefficients."""
-        return self._like({k: np.conj(v) for k, v in self.coeffs.items()})
+        return self._like(np.conj(self.V))
 
     def phase_shift(self, alpha):
         """Pullback under x -> x + alpha for a constant alpha."""
-        alpha = np.asarray(alpha, dtype=float)
-        return self._like(
-            {k: np.exp(1j * float(np.dot(k, alpha))) * v for k, v in self.coeffs.items()}
-        )
+        return self._like(self._scaled(np.exp(1j * (self.K @ np.asarray(alpha, dtype=float)))))
 
     def parity_decompose(self):
         """Split into the even part and the odd part in x.
@@ -274,40 +300,28 @@ class FourierSeries:
         Even coefficients are Re c_k, odd ones i Im c_k; the two parts sum
         back to the series exactly.
         """
-        even = {k: np.real(v).astype(complex) for k, v in self.coeffs.items()}
-        odd = {k: 1j * np.imag(v) for k, v in self.coeffs.items()}
-        return self._like(even)._pruned(), self._like(odd)._pruned()
+        return self._like(np.real(self.V).astype(complex)), self._like(1j * np.imag(self.V))
 
-    def realified(self):
-        """Exact reality enforcement: average the +-k pair of each mode."""
-        out = {}
-        for k, v in self.coeffs.items():
-            mk = tuple(-c for c in k)
-            w = self.coeffs.get(mk)
-            out[k] = v if w is None else 0.5 * (v + np.conj(w))
-        return self._like(out)._pruned()
+    def map_stack(self, fn):
+        """Apply ``fn`` to the stacked coefficients V (modes on axis 0).
+
+        ``fn`` must be linear and real and act on the value axes only, e.g.
+        ``lambda V: V[:, :m]``; the value shape is read off its output."""
+        return self._like(fn(self.V))
 
     def map_values(self, fn, shape=None):
         """Apply ``fn`` to every coefficient array (must be linear and real)."""
         shape = self.shape if shape is None else tuple(shape)
-        out = {k: np.asarray(fn(v), dtype=complex) for k, v in self.coeffs.items()}
-        return FourierSeries(self.n, shape, self.order, out,
-                             trunc_loss=self.trunc_loss, validate=False)._pruned()
+        return self.map_stack(lambda V: np.array([fn(v) for v in V], dtype=complex)
+                              .reshape((len(V),) + shape))
 
     # -- serialization ---------------------------------------------------------
 
     def to_json(self):
         """Schema: one entry per +-k pair, canonical representative stored."""
-        entries = []
-        for k in sorted(self.coeffs):
-            if not _canonical_half(k):
-                continue
-            v = self.coeffs[k]
-            entries.append({
-                "k": list(k),
-                "re": np.real(v).ravel().tolist(),
-                "im": np.imag(v).ravel().tolist(),
-            })
+        half = canonical_half(self.K)
+        entries = [{"k": k, "re": np.real(v).ravel().tolist(), "im": np.imag(v).ravel().tolist()}
+                   for k, v in zip(self.K[half].tolist(), self.V[half])]
         d = int(np.prod(self.shape)) if self.shape else 1
         doc = {"n": self.n, "d": d, "N": self.order, "coeffs": entries}
         if len(self.shape) != 1:
@@ -332,7 +346,7 @@ class FourierSeries:
 
     def __repr__(self):
         return (f"FourierSeries(n={self.n}, shape={self.shape}, order={self.order}, "
-                f"modes={len(self.coeffs)})")
+                f"modes={len(self.K)})")
 
 
 # -- products ------------------------------------------------------------------
@@ -342,39 +356,24 @@ def _convolve(a: FourierSeries, b: FourierSeries, vcombine, out_shape):
     """Sparse convolution of stored modes with a vectorized value combiner."""
     order = max(a.order, b.order)
     loss = a.trunc_loss + b.trunc_loss
-    if not a.coeffs or not b.coeffs:
-        return FourierSeries(a.n, out_shape, order, {}, trunc_loss=loss, validate=False)
+    if not len(a.K) or not len(b.K):
+        return FourierSeries(a.n, out_shape, order, trunc_loss=loss)
     if a.majorant() * b.majorant() < DROP_TOL:
-        return FourierSeries(a.n, out_shape, order, {},
-                             trunc_loss=loss + a.majorant() * b.majorant(), validate=False)
-    Ka, Va = a._arrays()
-    Kb, Vb = b._arrays()
-    keys = (Ka[:, None, :] + Kb[None, :, :]).reshape(-1, a.n)
-    vals = vcombine(Va, Vb)
-    vals = vals.reshape((-1,) + out_shape)
-    span = int(np.abs(Ka).max() + np.abs(Kb).max())
-    if (2 * span + 1) ** a.n < 2 ** 62:
-        # scalar-encode rows so the dedup is a single 1-d sort
-        base = 2 * span + 1
-        powers = base ** np.arange(a.n - 1, -1, -1, dtype=np.int64)
-        _, first, inv = np.unique((keys + span) @ powers,
-                                  return_index=True, return_inverse=True)
-        uk = keys[first]
-    else:  # pragma: no cover - astronomically wide mode spans
-        uk, inv = np.unique(keys, axis=0, return_inverse=True)
-    inv = np.ravel(inv)  # numpy >= 2.1 returns a shaped inverse
-    acc = np.zeros((len(uk),) + out_shape, dtype=complex)
-    np.add.at(acc, inv, vals)
-    norms = np.abs(acc).reshape(len(uk), -1).max(axis=1) if acc.size else np.zeros(len(uk))
-    orders = np.abs(uk).sum(axis=1)
-    live = norms >= PRUNE_TOL
-    over = live & (orders > order)
-    loss += float(norms[over].sum())
-    coeffs = {}
-    for i in np.nonzero(live & ~over)[0]:
-        coeffs[tuple(int(c) for c in uk[i])] = acc[i]
-    return FourierSeries(a.n, out_shape, order, coeffs, trunc_loss=loss,
-                         validate=False, trusted=True)
+        return FourierSeries(a.n, out_shape, order,
+                             trunc_loss=loss + a.majorant() * b.majorant())
+    keys = (a.K[:, None, :] + b.K[None, :, :]).reshape(-1, a.n)
+    vals = vcombine(a.V, b.V).reshape((-1,) + out_shape)
+    span = int(np.abs(a.K).max() + np.abs(b.K).max())
+    _, first, inv = np.unique(_codes(keys, span), return_index=True, return_inverse=True)
+    K = keys[first]
+    V = np.zeros((len(K),) + out_shape, dtype=complex)
+    np.add.at(V, np.ravel(inv), vals)
+    over = np.abs(K).sum(axis=1) > order
+    if over.any():
+        dropped = _norms(V[over])
+        loss += float(dropped[dropped >= PRUNE_TOL].sum())
+        K, V = K[~over], V[~over]
+    return FourierSeries(a.n, out_shape, order, trunc_loss=loss, K=K, V=V)
 
 
 def fs_mul(a: FourierSeries, b: FourierSeries) -> FourierSeries:
@@ -416,19 +415,31 @@ def fs_matmul(a: FourierSeries, b: FourierSeries) -> FourierSeries:
 def fs_stack(series, axis=0):
     """Stack equally shaped series along a new value axis (like np.stack)."""
     series = list(series)
-    n = series[0].n
-    order = max(s.order for s in series)
-    keys = set()
-    for s in series:
-        keys.update(s.coeffs)
-    shape = series[0].shape
-    out = {}
-    for k in keys:
-        parts = [s.coeffs.get(k, np.zeros(shape, dtype=complex)) for s in series]
-        out[k] = np.stack(parts, axis=axis)
-    loss = sum(s.trunc_loss for s in series)
-    out_shape = np.stack([np.zeros(shape) for _ in series], axis=axis).shape
-    return FourierSeries(n, out_shape, order, out, trunc_loss=loss, validate=False)
+    first = series[0]
+    if all(len(s.K) == len(first.K) and np.array_equal(s.K, first.K) for s in series):
+        K, parts = first.K, [s.V for s in series]
+    else:
+        K, rows = _union(*(s.K for s in series))
+        parts = []
+        for s, r in zip(series, rows):
+            part = np.zeros((len(K),) + first.shape, dtype=complex)
+            part[r] = s.V
+            parts.append(part)
+    V = np.stack(parts, axis=axis + 1 if axis >= 0 else axis)
+    return FourierSeries(first.n, V.shape[1:], max(s.order for s in series),
+                         trunc_loss=sum(s.trunc_loss for s in series), K=K, V=V)
+
+
+def _chain(memo, beta, step):
+    """memo[beta], built as step(memo[beta - e_j], j) for the last j with
+    beta_j > 0, so each entry costs one step from a memoized one."""
+    got = memo.get(beta)
+    if got is None:
+        j = max(i for i, e in enumerate(beta) if e > 0)
+        prev = list(beta)
+        prev[j] -= 1
+        got = memo[beta] = step(_chain(memo, tuple(prev), step), j)
+    return got
 
 
 class AngleShift:
@@ -438,7 +449,8 @@ class AngleShift:
     expansion g(x + a) = sum_beta d^beta g(x) a(x)^beta / beta!, truncated
     adaptively once a layer's majorant falls below ``tol`` relative to the
     operand.  Powers of a are memoized so the expansion is shared by every
-    series composed with the same shift.
+    series composed with the same shift; the derivatives of g are memoized
+    within one composition.
     """
 
     def __init__(self, a: FourierSeries, tol=1e-17, max_degree=60):
@@ -452,24 +464,16 @@ class AngleShift:
         self.trivial = a.majorant() == 0.0
         one = FourierSeries.constant(a.n, np.array(1.0 + 0j), a.order)
         self._pow = {(0,) * a.n: one}
-        self._comp = [a.map_values(lambda v, j=j: v[j], shape=()) for j in range(a.n)]
+        self._comp = [a.map_stack(lambda V, j=j: V[:, j]) for j in range(a.n)]
 
     def _power(self, beta):
-        got = self._pow.get(beta)
-        if got is not None:
-            return got
-        j = max(i for i, e in enumerate(beta) if e > 0)
-        prev = list(beta)
-        prev[j] -= 1
-        base = self._power(tuple(prev))
-        out = fs_mul(base, self._comp[j])
-        self._pow[beta] = out
-        return out
+        return _chain(self._pow, beta, lambda p, j: fs_mul(p, self._comp[j]))
 
     def apply(self, s: FourierSeries) -> FourierSeries:
-        if self.trivial or not s.coeffs:
+        if self.trivial or not len(s.K):
             return s
         scale = s.majorant() + 1e-300
+        derivs = {(0,) * self.n: s}
         acc = s
         degree = 0
         while degree < self.max_degree:
@@ -479,11 +483,9 @@ class AngleShift:
                 p = self._power(beta)
                 if p.majorant() == 0.0:
                     continue
-                ds = s
+                ds = _chain(derivs, beta, lambda d, j: d.deriv_x(j))
                 fact = 1.0
-                for j, e in enumerate(beta):
-                    for _ in range(e):
-                        ds = ds.deriv_x(j)
+                for e in beta:
                     for i in range(2, e + 1):
                         fact *= i
                 term = fs_mul(p, ds) * (1.0 / fact)

@@ -47,7 +47,7 @@ class FourierTaylor:
                 continue
             if s.shape != self.shape or s.n != self.n:
                 raise ValueError(f"coefficient at {alpha}: shape {s.shape} != {self.shape}")
-            if s.coeffs:
+            if len(s.K):
                 clean[alpha] = s
         self.terms = clean
 
@@ -90,7 +90,7 @@ class FourierTaylor:
         for alpha, s in other.terms.items():
             t = out.get(alpha)
             out[alpha] = s if t is None else t + s
-        out = {a: s for a, s in out.items() if s.coeffs}
+        out = {a: s for a, s in out.items() if len(s.K)}
         return FourierTaylor(self.n, self.q, self.shape, max(self.order, other.order),
                              max(self.degree, other.degree), out,
                              trunc_loss=self.trunc_loss + other.trunc_loss)
@@ -183,12 +183,6 @@ class FourierTaylor:
 
     # -- structure maps ------------------------------------------------------------
 
-    def map_series(self, fn):
-        """Apply ``fn`` (FourierSeries -> FourierSeries, same shape) to every term."""
-        out = {a: fn(s) for a, s in self.terms.items()}
-        out = {a: s for a, s in out.items() if s.coeffs}
-        return self._like(out)
-
     def map_values(self, fn, shape):
         """Apply a linear value-space map to every coefficient array."""
         return FourierTaylor(self.n, self.q, tuple(shape), self.order, self.degree,
@@ -204,11 +198,6 @@ class FourierTaylor:
                 loss += s.majorant()
         return FourierTaylor(self.n, self.q, self.shape, self.order, int(degree), out,
                              trunc_loss=self.trunc_loss + loss)
-
-    def truncate_order(self, order):
-        return FourierTaylor(self.n, self.q, self.shape, int(order), self.degree,
-                             {a: s.truncate(order) for a, s in self.terms.items()},
-                             trunc_loss=self.trunc_loss)
 
     def drop_below(self, floor):
         """Remove whole terms whose majorant is below ``floor`` (loss-accounted)."""
@@ -261,7 +250,7 @@ def _ft_product(a: FourierTaylor, b: FourierTaylor, series_op, out_shape):
             loss += prod.trunc_loss - sa.trunc_loss - sb.trunc_loss
             got = acc.get(gamma)
             acc[gamma] = prod if got is None else got + prod
-    acc = {g: s for g, s in acc.items() if s.coeffs}
+    acc = {g: s for g, s in acc.items() if len(s.K)}
     return FourierTaylor(a.n, a.q, out_shape, order, degree, acc, trunc_loss=max(loss, 0.0))
 
 
@@ -310,12 +299,12 @@ class WSubstitution:
         for j in range(self.q):
             terms = {}
             if W0 is not None:
-                s0 = W0.map_values(lambda v, j=j: v[j], shape=())
-                if s0.coeffs:
+                s0 = W0.map_stack(lambda V, j=j: V[:, j])
+                if len(s0.K):
                     terms[(0,) * self.q] = s0
             for i in range(self.q):
-                s1 = W1.map_values(lambda v, j=j, i=i: v[j, i], shape=())
-                if s1.coeffs:
+                s1 = W1.map_stack(lambda V, j=j, i=i: V[:, j, i])
+                if len(s1.K):
                     terms[_unit(self.q, i)] = s1
             gens.append(FourierTaylor(self.n, self.q, (), self.order, self.degree, terms))
         self._gen = gens
@@ -339,7 +328,7 @@ class WSubstitution:
         out = FourierTaylor.zero(F.n, self.q, F.shape, max(F.order, self.order), self.degree)
         for alpha, s in F.terms.items():
             c = s if coeff_map is None else coeff_map(s)
-            if not c.coeffs:
+            if not len(c.K):
                 continue
             lifted = FourierTaylor.from_series(c, self.q, self.degree)
             out = out + ft_mul(lifted, self.monomial(alpha))
@@ -358,11 +347,19 @@ def involution_pullback(F: FourierTaylor, S) -> FourierTaylor:
 
 
 def fs_neumann_solve(M: FourierSeries, rhs: FourierSeries, tol=1e-16, max_iter=400):
-    """Solve (I + M(x)) u(x) = rhs(x) by fixed point; M must be a contraction."""
+    """Solve (I + M(x)) u(x) = rhs(x) by fixed point; M must be a contraction.
+
+    The result carries the losses of M and rhs once, plus the Fourier tail
+    the last product dropped: earlier iterates are discarded, and the fixed
+    point of the truncated map misses the exact one by (I + M)^{-1} applied
+    to that tail."""
     u = rhs
     scale = rhs.majorant() + 1e-300
     for _ in range(max_iter):
-        nxt = rhs - fs_matmul(M, u)
+        prod = fs_matmul(M, u)
+        nxt = rhs - prod
+        nxt.trunc_loss = rhs.trunc_loss + M.trunc_loss + max(
+            prod.trunc_loss - M.trunc_loss - u.trunc_loss, 0.0)
         delta = (nxt - u).majorant()
         u = nxt
         if delta <= tol * scale:

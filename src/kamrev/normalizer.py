@@ -61,36 +61,6 @@ class NormalizerConfig:
 # -- series plumbing ---------------------------------------------------------------
 
 
-def _fs_embed(s: FourierSeries, total: int, offset: int) -> FourierSeries:
-    d = s.shape[0]
-
-    def pad(v):
-        out = np.zeros(total, dtype=complex)
-        out[offset:offset + d] = v
-        return out
-
-    return s.map_values(pad, shape=(total,))
-
-
-def _fs_place_block(s: FourierSeries, q: int, r0: int, c0: int) -> FourierSeries:
-    rows, cols = s.shape
-
-    def pad(v):
-        out = np.zeros((q, q), dtype=complex)
-        out[r0:r0 + rows, c0:c0 + cols] = v
-        return out
-
-    return s.map_values(pad, shape=(q, q))
-
-
-def _fs_slice(s: FourierSeries, rows, cols=None) -> FourierSeries:
-    if cols is None:
-        sample = np.zeros(s.shape)[rows]
-        return s.map_values(lambda v: v[rows], shape=sample.shape)
-    sample = np.zeros(s.shape)[rows, cols]
-    return s.map_values(lambda v: v[rows, cols], shape=sample.shape)
-
-
 def _deriv_matrix(s: FourierSeries) -> FourierSeries:
     """Jacobian in x of a vector-valued series, as a (d, n) series."""
     return fs_stack([s.deriv_x(j) for j in range(s.n)], axis=-1)
@@ -99,12 +69,9 @@ def _deriv_matrix(s: FourierSeries) -> FourierSeries:
 def _drop_k0(s: FourierSeries) -> FourierSeries:
     """Remove the constant mode exactly (subtracting its average would leave
     reality-violating dust of order eps in the k = 0 coefficient)."""
-    k0 = (0,) * s.n
-    if k0 not in s.coeffs:
-        return s
-    coeffs = {k: v for k, v in s.coeffs.items() if k != k0}
-    return FourierSeries(s.n, s.shape, s.order, coeffs,
-                         trunc_loss=s.trunc_loss, validate=False, trusted=True)
+    keep = s.K.any(axis=1)
+    return FourierSeries(s.n, s.shape, s.order, trunc_loss=s.trunc_loss,
+                         K=s.K[keep], V=s.V[keep])
 
 
 def conjugate_field(Xx: FourierTaylor, Xw: FourierTaylor, a: FourierSeries,
@@ -123,10 +90,10 @@ def conjugate_field(Xx: FourierTaylor, Xw: FourierTaylor, a: FourierSeries,
     Da = _deriv_matrix(a)
     Xx_bar = ft_neumann_solve(Da, XxT)
 
-    terms = {(0,) * q: W0} if W0.coeffs else {}
+    terms = {(0,) * q: W0} if len(W0.K) else {}
     for i in range(q):
-        col = W1.map_values(lambda v, i=i: v[:, i], shape=(q,))
-        if col.coeffs:
+        col = W1.map_stack(lambda V, i=i: V[:, :, i])
+        if len(col.K):
             e = [0] * q
             e[i] = 1
             terms[tuple(e)] = col
@@ -169,26 +136,26 @@ class NormalizationResult:
 
     # transform blocks in the (y, z) splitting
     def b0(self):
-        return _fs_slice(self.W0, slice(0, self.m))
+        return self.W0.map_stack(lambda V: V[:, :self.m])
 
     def c0(self):
-        return _fs_slice(self.W0, slice(self.m, None))
+        return self.W0.map_stack(lambda V: V[:, self.m:])
 
     def _C(self):
         eye = FourierSeries.constant(self.W1.n, np.eye(self.W1.shape[0]), self.W1.order)
         return self.W1 - eye
 
     def b1(self):
-        return _fs_slice(self._C(), slice(0, self.m), slice(0, self.m))
+        return self._C().map_stack(lambda V: V[:, :self.m, :self.m])
 
     def b2(self):
-        return _fs_slice(self._C(), slice(0, self.m), slice(self.m, None))
+        return self._C().map_stack(lambda V: V[:, :self.m, self.m:])
 
     def c1(self):
-        return _fs_slice(self._C(), slice(self.m, None), slice(0, self.m))
+        return self._C().map_stack(lambda V: V[:, self.m:, :self.m])
 
     def c2(self):
-        return _fs_slice(self._C(), slice(self.m, None), slice(self.m, None))
+        return self._C().map_stack(lambda V: V[:, self.m:, self.m:])
 
     def residual(self):
         return self.residual_history[-1]
@@ -204,11 +171,7 @@ class NormalizationResult:
         L = self.config.smallness_order
         out = {}
         for name, s in (("a", self.a), ("W0", self.W0), ("W1 - I", self._C())):
-            bound = 0.0
-            for k, vcoef in s.coeffs.items():
-                kl1 = sum(abs(int(c)) for c in k)
-                bound += float(np.max(np.abs(vcoef))) * (1 + kl1) ** L
-            out[name] = bound
+            out[name] = float((s.norms * (1 + np.abs(s.K).sum(axis=1)) ** L).sum())
         out["eps"] = self.config.smallness_eps
         out["ok"] = all(val <= self.config.smallness_eps
                         for key, val in out.items() if key not in ("eps", "ok"))
@@ -263,8 +226,8 @@ def _solve_sweep(family, inst, Xx, Xw, res: _Residual, omega0, Q, Qrev,
     d = family.d
     N, D = family.order, family.degree
 
-    r_y0 = _fs_slice(res.r_w0, slice(0, m))
-    r_z0 = _fs_slice(res.r_w0, slice(m, None))
+    r_y0 = res.r_w0.map_stack(lambda V: V[:, :m])
+    r_z0 = res.r_w0.map_stack(lambda V: V[:, m:])
 
     if m:
         dv = -r_y0.average()
@@ -276,7 +239,8 @@ def _solve_sweep(family, inst, Xx, Xw, res: _Residual, omega0, Q, Qrev,
         c0 = solve_normal(r_z0, omega0, Qrev, params=dioph)
     else:
         c0 = FourierSeries.zero(n, (0,), N)
-    psi0 = _fs_embed(b0, q, 0) + _fs_embed(c0, q, m)
+    psi0 = (b0.map_stack(lambda V: np.pad(V, [(0, 0), (0, d)]))
+            + c0.map_stack(lambda V: np.pad(V, [(0, 0), (m, 0)])))
     coupling = fs_matmul(res.Axw, psi0)
     du = -(res.r_x0 + coupling).average()
     da = solve_scalar(res.r_x0 + coupling + FourierSeries.constant(n, du, N),
@@ -296,10 +260,10 @@ def _solve_sweep(family, inst, Xx, Xw, res: _Residual, omega0, Q, Qrev,
         if dv[j] != 0.0:
             R_lin = R_lin + inst.jacobians[n + j][1].linear_w() * dv[j]
 
-    R_yy = _fs_slice(R_lin, slice(0, m), slice(0, m))
-    R_yz = _fs_slice(R_lin, slice(0, m), slice(m, None))
-    R_zy = _fs_slice(R_lin, slice(m, None), slice(0, m))
-    R_zz = _fs_slice(R_lin, slice(m, None), slice(m, None))
+    R_yy = R_lin.map_stack(lambda V: V[:, :m, :m])
+    R_yz = R_lin.map_stack(lambda V: V[:, :m, m:])
+    R_zy = R_lin.map_stack(lambda V: V[:, m:, :m])
+    R_zz = R_lin.map_stack(lambda V: V[:, m:, m:])
 
     b1 = b2 = c1 = c2 = None
     if m:
@@ -314,11 +278,8 @@ def _solve_sweep(family, inst, Xx, Xw, res: _Residual, omega0, Q, Qrev,
     if d:
         if m:
             c1 = solve_normal(R_zy, omega0, Qrev, params=dioph)
-        M0 = R_zz.coeffs.get((0,) * n)
-        M0 = np.zeros((d, d), dtype=complex) if M0 is None else M0
-        R_zz_osc = _drop_k0(R_zz)
-        c2_osc = solve_commutator(R_zz_osc, omega0, Qrev)
-        M0r = np.real(M0)
+        M0r = R_zz.average()
+        c2_osc = solve_commutator(_drop_k0(R_zz), omega0, Qrev)
         if np.any(M0r):
             gap = float(np.linalg.norm(family.R @ M0r + M0r @ family.R))
             gap /= float(np.linalg.norm(M0r))
@@ -342,14 +303,10 @@ def _solve_sweep(family, inst, Xx, Xw, res: _Residual, omega0, Q, Qrev,
         c2 = c2_osc + FourierSeries.constant(n, c2_0, N)
 
     dW1 = FourierSeries.constant(n, np.eye(q), N)
-    if b1 is not None and b1.coeffs:
-        dW1 = dW1 + _fs_place_block(b1, q, 0, 0)
-    if b2 is not None and b2.coeffs:
-        dW1 = dW1 + _fs_place_block(b2, q, 0, m)
-    if c1 is not None and c1.coeffs:
-        dW1 = dW1 + _fs_place_block(c1, q, m, 0)
-    if c2 is not None and c2.coeffs:
-        dW1 = dW1 + _fs_place_block(c2, q, m, m)
+    for blk, r, c in ((b1, 0, 0), (b2, 0, m), (c1, m, 0), (c2, m, m)):
+        if blk is not None and len(blk.K):
+            pad = [(0, 0), (r, q - r - blk.shape[0]), (c, q - c - blk.shape[1])]
+            dW1 = dW1 + blk.map_stack(lambda V: np.pad(V, pad))
 
     return _Increment(da, psi0, dW1, du, dv, dw)
 
@@ -481,12 +438,12 @@ class AugmentedNormalizationResult:
     def block0(self, group):
         ry, rs, rz = self.rows()
         sel = {"y": ry, "sigma": rs, "z": rz}[group]
-        return _fs_slice(self.core.W0, sel)
+        return self.core.W0.map_stack(lambda V: V[:, sel])
 
     def block1(self, group, colgroup):
         ry, rs, rz = self.rows()
         sel = {"y": ry, "sigma": rs, "z": rz}
-        return _fs_slice(self.core._C(), sel[group], sel[colgroup])
+        return self.core._C().map_stack(lambda V: V[:, sel[group], sel[colgroup]])
 
     def sigma_value(self):
         """The drift offset recovered from the sigma rows: the invariant
@@ -536,7 +493,7 @@ def normalize_augmented(family: ReversibleFamily, omega0, mu0,
     # averaging the y-linear coefficient of the promoted sigma rows must
     # reproduce the shift itself (both are zero in exact arithmetic)
     ry, _, _ = res.rows()
-    chi1 = _fs_slice(core.Xx.linear_w(), slice(None), ry)
+    chi1 = core.Xx.linear_w().map_stack(lambda V: V[:, :, ry])
     dc0 = _deriv_matrix(c0)
     lhs = fs_matmul(dc0, chi1).average()
     W_formula = lhs @ np.linalg.inv(np.eye(m) + b1.average())

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import GOLDEN, make_curve_family, make_golden_family
+from kamrev import cli
 from kamrev.cli import main
 from kamrev.fourier import FourierSeries
 
@@ -87,6 +88,30 @@ def test_unreadable_and_malformed_configs_exit_2(tmp_path):
     assert main(["dioph-check", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert main(["dioph-check", "--out", str(tmp_path)]) == 2  # no --config at all
     assert not (tmp_path / "dioph-check-report.json").exists()
+
+
+def test_undecodable_series_exits_2_without_report(tmp_path):
+    rhs = FourierSeries.cosine(2, (1, 0), np.array([1.0]), 8).to_json()
+    rhs["N"] = 0                   # its modes now lie beyond the order
+    cfg = write_cfg(tmp_path, {
+        "omega": [1.0, GOLDEN], "tau": 1.5, "gamma": 5e-3, "kmax": 8,
+        "kind": "scalar", "rhs": rhs,
+    })
+    assert main(["cohomology-solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "cohomology-solve-report.json").exists()
+
+
+def test_value_error_in_computation_is_not_a_config_error(tmp_path, monkeypatch):
+    def broken(config, seed, threads):
+        raise ValueError("internal bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "versal-check", broken)
+    cfg = write_cfg(tmp_path, {
+        "Q": [[0.0, 1.0], [0.0, 0.0]], "R": R2,
+        "directions": [[[0.0, 0.0], [1.0, 0.0]]],
+    })
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["versal-check", "--config", cfg, "--out", str(tmp_path)])
 
 
 def test_resonant_normalize_exits_3_with_error_in_report(tmp_path):

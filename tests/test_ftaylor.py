@@ -6,8 +6,9 @@ the arithmetic on the evaluated values.
 import numpy as np
 import pytest
 
+from kamrev import ftaylor
 from kamrev.errors import ImplicitSolveFailure
-from kamrev.fourier import FourierSeries
+from kamrev.fourier import FourierSeries, fs_matmul
 from kamrev.ftaylor import (FourierTaylor, WSubstitution, fs_neumann_solve,
                             ft_matmul, ft_mul, ft_neumann_solve, ft_series_matmul,
                             involution_pullback)
@@ -193,6 +194,32 @@ def test_neumann_solves_small_perturbation():
     for x, w in SAMPLES:
         lhs = um.eval(x, w) + M3.eval(x) @ um.eval(x, w)
         assert np.allclose(lhs, rhs_m.eval(x, w), atol=1e-9)
+
+
+def test_neumann_carries_input_losses_once(monkeypatch):
+    # slowly contracting M whose tail beyond ORDER was cut off: the solve
+    # takes 75 iterations, and M's recorded loss must enter the result once
+    eye = np.eye(2)
+    hi = 3 * ORDER
+    M_full = (FourierSeries.constant(N_ANGLE, 0.6 * eye, hi)
+              + FourierSeries.cosine(N_ANGLE, (1, 0), 0.05 * eye, hi)
+              + FourierSeries.cosine(N_ANGLE, (ORDER + 1, 0), 2e-6 * eye, hi))
+    M = M_full.truncate(ORDER)
+    assert M.trunc_loss == pytest.approx(2e-6)
+    rhs = FourierSeries.cosine(N_ANGLE, (0, 1), np.array([1.0, 0.5]), ORDER)
+    products = []
+
+    def counting(a, b):
+        products.append(1)
+        return fs_matmul(a, b)
+
+    monkeypatch.setattr(ftaylor, "fs_matmul", counting)
+    u = fs_neumann_solve(M, rhs, tol=1e-14)
+    assert len(products) >= 50
+    assert u.trunc_loss < 2 * M.trunc_loss
+    # the recorded loss still bounds the change against the untruncated solve
+    u_hi = fs_neumann_solve(M_full, rhs.truncate(hi), tol=1e-14)
+    assert (u - u_hi).majorant() <= u.trunc_loss
 
 
 def test_neumann_rejects_expansion():
