@@ -29,9 +29,9 @@ from .revmat import (InvolutionStructure, KernelReport, MiniversalNilpotent,
 from .revsystem import (AugmentedFamily, InstantiatedField, ReversibleFamily,
                         ToyEx1Result, ToyNoSolution, ToySolution, Violation,
                         check_transform_commutes, classify_context, integrate,
-                        invert_angle_shift, reversibility_diagnostic,
-                        symmetrize_w_rows, symmetrize_x_row, torus_fixed_points,
-                        toy_ex1, toy_ex2, toy_linear, verify_torus)
+                        invert_angle_shift, symmetrize_w_rows, symmetrize_x_row,
+                        torus_fixed_points, toy_ex1, toy_ex2, toy_linear,
+                        verify_torus)
 from .normalizer import (AugmentedNormalizationResult, NormalizationResult,
                          NormalizerConfig, conjugate_field, newton_step,
                          normalize, normalize_augmented)

@@ -17,15 +17,12 @@ import logging
 import os
 import sys
 from datetime import datetime, timezone
-
-import numpy as np
-
-try:
-    from importlib.resources import files as _res_files
-except ImportError:  # pragma: no cover - py<3.9
-    _res_files = None
+from importlib.resources import files
 
 import jsonschema
+import numpy as np
+from referencing import Registry
+from referencing.jsonschema import DRAFT202012
 
 from . import __version__
 from .cohomology import (solve_commutator, solve_normal, solve_right,
@@ -52,7 +49,7 @@ class ConfigError(Exception):
 
 
 def _load_schema(name):
-    res = _res_files("kamrev") / "schemas" / f"{name}.json"
+    res = files("kamrev") / "schemas" / f"{name}.json"
     return json.loads(res.read_text())
 
 
@@ -68,12 +65,20 @@ def _load_config(path):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
-def _validate(config, schema_name):
-    schema = _load_schema(schema_name)
+def _schema_registry():
+    """The shared definitions, which the schemas reference as `defs.json`."""
+    defs = DRAFT202012.create_resource(_load_schema("defs"))
+    return Registry().with_resource("defs.json", defs)
+
+
+def _validate(config, name):
+    # normalize-augmented takes the same config as normalize
+    schema = _load_schema("normalize" if name == "normalize-augmented" else name)
     try:
-        jsonschema.validate(config, schema)
+        jsonschema.validate(config, schema, cls=jsonschema.Draft202012Validator,
+                            registry=_schema_registry())
     except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected by schema {schema_name}: "
+        raise ConfigError(f"config rejected by schema {name}: "
                           f"{exc.message} (at {list(exc.absolute_path)})") from exc
 
 
@@ -116,9 +121,9 @@ def _write_csv(out_dir, command, rows):
 
 
 def _decode(command, config, config_path):
-    """The config with its documents decoded into library objects, so that a
-    value the library rejects is a configuration error, found before any
-    computation starts."""
+    """The config with its documents decoded into library objects and its
+    parts checked against one another, so that a value the library rejects is
+    a configuration error, found before any computation starts."""
     cfg = dict(config)
     try:
         if "family" in cfg:
@@ -134,6 +139,29 @@ def _decode(command, config, config_path):
             cfg["params"] = DiophantineParams(cfg["tau"], cfg["gamma"], cfg["kmax"])
             if "omega" in cfg:
                 cfg["params"].validate_for(len(cfg["omega"]))
+        if cfg.get("Q") is not None:
+            Q, R = np.asarray(cfg["Q"], dtype=float), np.asarray(cfg["R"], dtype=float)
+            if Q.ndim != 2 or Q.shape != R.shape or Q.shape[0] != Q.shape[1]:
+                raise ValueError("Q and R must be square matrices of one size")
+        if command == "cohomology-solve":
+            kind, shape = cfg["kind"], cfg["rhs"].shape
+            if kind != "scalar":
+                d = len(cfg["Q"])
+                fits = {"normal": shape[:1] == (d,), "right": shape[-1:] == (d,),
+                        "commutator": shape == (d, d)}[kind]
+                if not fits:
+                    raise ValueError(f"rhs shape {shape} does not fit a {kind} solve "
+                                     f"with a {d}x{d} Q")
+            rho = cfg.get("rho")
+            if rho is not None and not 0 < cfg.get("rhoPrime", rho / 2.0) < rho:
+                raise ValueError("rhoPrime must lie in (0, rho)")
+        if command == "ruessmann":
+            n, dim = len(cfg["curve"]["components"]), len(cfg["curve"]["box"])
+            if cfg.setdefault("rankSamples", 64) < n:
+                raise ValueError(f"rankSamples must be at least the curve's n = {n}")
+            if cfg["family"].s not in (0, dim):
+                raise ValueError(f"family has s = {cfg['family'].s} parameters; "
+                                 f"need 0 or the curve box dimension {dim}")
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
     return cfg
@@ -367,8 +395,7 @@ def _run_ruessmann(config, seed, threads):
     fam = _reversible(config["family"])
     curve = _curve_from_config(config["curve"])
     params = config["params"]
-    nd = is_ruessmann_nondegenerate(curve, int(config.get("rankSamples", 64)),
-                                    seed=seed)
+    nd = is_ruessmann_nondegenerate(curve, int(config["rankSamples"]), seed=seed)
     result = {"nondegeneracy": nd.to_json()}
     if not nd.nondegenerate:
         result["pipeline"] = None

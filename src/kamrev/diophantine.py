@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from .revmat import RevMatrix
 # Fixed chunk schedule so the Monte-Carlo fraction is reproducible for a
 # given seed regardless of how many workers execute the chunks.
 MEASURE_CHUNKS = 64
+# Sample rows the divisor kernel scans at once; bounds its (rows, modes)
+# temporaries (0.3 MB each for two frequencies at kmax 16).
+SCAN_ROWS = 128
 
 
 @dataclass
@@ -100,40 +104,30 @@ class DiophantineParams:
             raise ValueError(f"tau must exceed n-1 = {n - 1}")
 
 
+def _l1_ball(n: int, radius: int) -> np.ndarray:
+    """All integer vectors of length n with |k|_1 <= radius, in lexicographic
+    order: each prefix in order, then the next entry ascending."""
+    rows = [((), radius)]
+    for _ in range(n):
+        rows = [(row + (c,), left - abs(c)) for row, left in rows
+                for c in range(-left, left + 1)]
+    return np.array([row for row, _ in rows], dtype=np.int64).reshape(len(rows), n)
+
+
 def enumerate_modes(n: int, kmax: int) -> np.ndarray:
     """All k with 0 < |k|_1 <= kmax and positive first nonzero entry.
 
     One representative per +-k pair; sufficient for divisor scans because
-    the normal-shift set K is symmetric.
+    the normal-shift set K is symmetric.  These are the vectors after k = 0
+    in the lexicographically ordered (and symmetric) l1 ball.
     """
-    out = []
-
-    def rec(prefix, budget, started):
-        if len(prefix) == n:
-            if started:
-                out.append(tuple(prefix))
-            return
-        lo = 0 if not started else -budget
-        for c in range(lo, budget + 1):
-            rec(prefix + [c], budget - abs(c), started or c != 0)
-
-    rec([], kmax, False)
-    return np.array(out, dtype=np.int64).reshape(len(out), n)
+    ball = _l1_ball(n, kmax)
+    return ball[len(ball) // 2 + 1:]
 
 
 def normal_shifts(n_beta: int, top: int = 2) -> np.ndarray:
     """All integer K of length n_beta with |K|_1 <= top (K = 0 included)."""
-    out = []
-
-    def rec(prefix, budget):
-        if len(prefix) == n_beta:
-            out.append(tuple(prefix))
-            return
-        for c in range(-budget, budget + 1):
-            rec(prefix + [c], budget - abs(c))
-
-    rec([], top)
-    return np.array(out, dtype=np.int64).reshape(len(out), n_beta)
+    return _l1_ball(n_beta, top)
 
 
 @dataclass
@@ -154,26 +148,48 @@ class DiophantineReport:
         }
 
 
+def _sample_box(box, count, rng):
+    return np.column_stack([rng.uniform(lo, hi, count) for lo, hi in box]) \
+        if box else np.zeros((count, 0))
+
+
+@lru_cache(maxsize=8)
+def _divisor_table(n, n_beta, tau, kmax):
+    modes = enumerate_modes(n, kmax)
+    return modes, np.abs(modes).sum(axis=1).astype(float) ** tau, normal_shifts(n_beta)
+
+
+def _min_divisors(W, B, tau, kmax):
+    """Per sample row of W (S, n) and B (S, p): the minimum over the horizon
+    of |<k,w> + <K,b>| * |k|_1^tau, and the k (S, n) and K (S, p) where it is
+    met -- the first strict minimum in normal_shifts order, then the first in
+    enumerate_modes order."""
+    modes, weights, shifts = _divisor_table(W.shape[1], B.shape[1], tau, kmax)
+    best = np.full(len(W), np.inf)
+    at_k, at_K = np.zeros((2, len(W)), dtype=np.int64)
+    for lo in range(0, len(W), SCAN_ROWS):
+        block = slice(lo, lo + SCAN_ROWS)
+        low, ik, iK = best[block], at_k[block], at_K[block]     # views
+        # (M, rows) product, transposed so each row's modes are contiguous
+        dots = np.ascontiguousarray((modes @ W[block].T).T)
+        for j, K in enumerate(shifts):
+            vals = dots + (B[block] @ K)[:, None]
+            vals = np.multiply(np.abs(vals, out=vals), weights, out=vals)
+            i = vals.argmin(axis=1)
+            v = np.take_along_axis(vals, i[:, None], axis=1)[:, 0]
+            better = v < low
+            low[better], ik[better], iK[better] = v[better], i[better], j
+    return best, modes[at_k], shifts[at_K]
+
+
 def scan_divisors(omega, beta, tau: float, kmax: int):
     """Minimum of |<k,omega> + <K,beta>| * |k|^tau over the horizon.
 
     Returns (minimum, worst_k, worst_K).
     """
-    omega = np.asarray(omega, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    modes = enumerate_modes(len(omega), kmax)
-    weights = np.abs(modes).sum(axis=1).astype(float) ** tau
-    dots = modes @ omega
-    best = np.inf
-    worst_k, worst_K = None, None
-    for K in normal_shifts(len(beta)):
-        shift = float(K @ beta) if len(beta) else 0.0
-        vals = np.abs(dots + shift) * weights
-        i = int(np.argmin(vals))
-        if vals[i] < best:
-            best = float(vals[i])
-            worst_k, worst_K = tuple(int(c) for c in modes[i]), tuple(int(c) for c in K)
-    return best, worst_k, worst_K
+    best, k, K = _min_divisors(np.asarray(omega, dtype=float).reshape(1, -1),
+                               np.asarray(beta, dtype=float).reshape(1, -1), tau, kmax)
+    return float(best[0]), tuple(int(c) for c in k[0]), tuple(int(c) for c in K[0])
 
 
 def is_diophantine_pair(omega, Q: RevMatrix | None, params: DiophantineParams,
@@ -201,12 +217,8 @@ def complement_measure_estimate(box_omega, box_beta, tau: float, gamma: float,
     """
     box_omega = [tuple(map(float, iv)) for iv in box_omega]
     box_beta = [tuple(map(float, iv)) for iv in box_beta]
-    n = len(box_omega)
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    modes = enumerate_modes(n, kmax)
-    weights = np.abs(modes).sum(axis=1).astype(float) ** tau
-    shifts = normal_shifts(len(box_beta))
     sizes = [sample_count // MEASURE_CHUNKS] * MEASURE_CHUNKS
     for i in range(sample_count % MEASURE_CHUNKS):
         sizes[i] += 1
@@ -214,20 +226,10 @@ def complement_measure_estimate(box_omega, box_beta, tau: float, gamma: float,
 
     def run_chunk(args):
         size, child = args
-        if size == 0:
-            return 0
         rng = np.random.default_rng(child)
-        W = np.column_stack([rng.uniform(lo, hi, size) for lo, hi in box_omega])
-        if box_beta:
-            B = np.column_stack([rng.uniform(lo, hi, size) for lo, hi in box_beta])
-        else:
-            B = np.zeros((size, 0))
-        dots = modes @ W.T                      # (M, size)
-        minima = np.full(size, np.inf)
-        for K in shifts:
-            shift = B @ K if B.shape[1] else np.zeros(size)
-            vals = np.abs(dots + shift[None, :]) * weights[:, None]
-            minima = np.minimum(minima, vals.min(axis=0))
+        W = _sample_box(box_omega, size, rng)
+        B = _sample_box(box_beta, size, rng)
+        minima, _, _ = _min_divisors(W, B, tau, kmax)
         return int(np.sum(minima < gamma))
 
     jobs = list(zip(sizes, children))

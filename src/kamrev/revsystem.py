@@ -507,18 +507,6 @@ def integrate(rhs, y0, T, rtol=1e-12, atol=1e-12, t_eval=None, max_step=np.inf):
     return sol
 
 
-def reversibility_diagnostic(rhs, involution_pt, y0, T, samples=33, rtol=1e-12):
-    """Integrate forward from P and from G(P(T)); the second trajectory must
-    retrace the G-image of the first one backwards."""
-    ts = np.linspace(0.0, float(T), samples)
-    fwd = integrate(rhs, y0, T, rtol=rtol, t_eval=ts)
-    start = involution_pt(fwd.y[:, -1])
-    back = integrate(rhs, start, T, rtol=rtol, t_eval=ts)
-    mirrored = np.stack([involution_pt(fwd.y[:, samples - 1 - i])
-                         for i in range(samples)], axis=1)
-    return float(np.max(np.abs(back.y - mirrored)))
-
-
 def invert_angle_shift(a: FourierSeries, x, tol=1e-14, max_iter=100):
     """Solve xbar + a(xbar) = x for xbar (fixed point; a is small)."""
     xbar = np.asarray(x, dtype=float).copy()

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diophantine import DiophantineParams, enumerate_modes, is_diophantine_pair
+from .diophantine import (DiophantineParams, _min_divisors, _sample_box,
+                          is_diophantine_pair)
 from .errors import (ImplicitSolveFailure, NoConvergence, SmallDivisor,
                      StepFailure)
 from .normalizer import NormalizerConfig, normalize
@@ -68,11 +69,6 @@ class NondegeneracyReport:
         }
 
 
-def _sample_box(box, count, rng):
-    return np.column_stack([rng.uniform(lo, hi, count) for lo, hi in box]) \
-        if box else np.zeros((count, 0))
-
-
 def is_ruessmann_nondegenerate(curve: FrequencyCurve, sample_count: int,
                                seed: int = 0, rel_tol: float = 1e-9) -> NondegeneracyReport:
     """Value-rank test: the curve is nondegenerate when its sampled values
@@ -97,14 +93,9 @@ def diophantine_fraction(curve: FrequencyCurve, tau: float, gamma: float,
     classical Diophantine condition at (tau, gamma) up to the horizon."""
     rng = np.random.default_rng(seed)
     mus = _sample_box(curve.box, samples, rng)
-    modes = enumerate_modes(curve.n, kmax)
-    weights = np.abs(modes).sum(axis=1).astype(float) ** tau
-    bad = 0
-    for mu in mus:
-        vals = np.abs(modes @ curve.at(mu)) * weights
-        if float(vals.min()) < gamma:
-            bad += 1
-    return bad / float(samples)
+    W = np.fromiter(map(curve.at, mus), dtype=(float, curve.n), count=samples)
+    minima, _, _ = _min_divisors(W, np.zeros((samples, 0)), tau, kmax)
+    return int(np.sum(minima < gamma)) / float(samples)
 
 
 def uniform_grid(box, count: int) -> np.ndarray:
@@ -159,16 +150,6 @@ class PersistenceReport:
 
     def accepted(self):
         return [pt for pt in self.points if pt.accepted]
-
-    def w0_samples(self):
-        """Accepted parameter values with their Diophantine margins."""
-        return [(pt.mu, pt.margin) for pt in self.accepted()]
-
-    def theta_values(self):
-        return [pt.theta for pt in self.accepted()]
-
-    def fsharp_values(self):
-        return [pt.fsharp for pt in self.accepted()]
 
     def to_json(self):
         return {

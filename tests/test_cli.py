@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
 import pytest
+from referencing.jsonschema import DRAFT202012
 
 from conftest import GOLDEN, make_curve_family, make_golden_family
 from kamrev import cli
@@ -99,6 +101,118 @@ def test_undecodable_series_exits_2_without_report(tmp_path):
     })
     assert main(["cohomology-solve", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "cohomology-solve-report.json").exists()
+
+
+Q2 = [[0.0, 1.04], [-1.0, 0.0]]      # anti-commutes with R2
+
+
+def _cohomology_doc(kind, value, **extra):
+    rhs = FourierSeries.cosine(2, (1, 0), np.asarray(value, dtype=float), 8)
+    doc = {"omega": [1.0, GOLDEN], "tau": 1.5, "gamma": 5e-3, "kmax": 8,
+           "kind": kind, "rhs": rhs.to_json(), "Q": Q2, "R": R2}
+    doc.update(extra)
+    return doc
+
+
+def _ruessmann_doc(fam, box, **extra):
+    doc = {"family": fam.to_json(),
+           "curve": {"box": box,
+                     "components": [{"muPoly": [1.0]}, {"muPoly": [1.55, 1.0]}]},
+           "tau": 1.5, "gamma": 5e-3, "kmax": 12}
+    doc.update(extra)
+    return doc
+
+
+@pytest.mark.parametrize("command,make_doc", [
+    ("cohomology-solve", lambda: _cohomology_doc("normal", [1.0, 0.0, 0.0])),
+    ("cohomology-solve", lambda: _cohomology_doc("right", np.ones((2, 3)))),
+    ("cohomology-solve", lambda: _cohomology_doc("commutator", [1.0, 0.0])),
+    ("cohomology-solve", lambda: _cohomology_doc("scalar", [1.0], rho=0.5,
+                                                 rhoPrime=0.5)),
+    ("dioph-check", lambda: {"omega": [1.0, GOLDEN], "tau": 1.5, "gamma": 5e-3,
+                             "kmax": 8, "Q": Q2, "R": np.eye(3).tolist()}),
+    ("ruessmann", lambda: _ruessmann_doc(make_curve_family(delta=1e-4, order=8),
+                                         [[0.0, 0.1]], rankSamples=1)),
+    ("ruessmann", lambda: _ruessmann_doc(make_golden_family(delta=1e-4, order=8),
+                                         [[0.0, 0.1], [0.0, 0.1]])),
+], ids=["rhs-normal", "rhs-right", "rhs-commutator", "rho-prime", "Q-vs-R",
+        "rank-samples", "family-s"])
+def test_config_parts_that_disagree_exit_2_without_report(tmp_path, capsys,
+                                                          command, make_doc):
+    cfg = write_cfg(tmp_path, make_doc())
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}-report.json").exists()
+
+
+def _family_doc(fam, **extra):
+    doc = {"family": fam.to_json(), "omega0": [1.0, GOLDEN], "mu0": [0.04],
+           "tau": 1.5, "gamma": 5e-3, "horizon": 8}
+    doc.update(extra)
+    return doc
+
+
+def _with(doc, path, value):
+    """doc with the entry at `path` (keys and indices) replaced by value."""
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("command,make_doc", [
+    ("normalize", lambda: _with(
+        _family_doc(make_golden_family(delta=1e-4, order=8)),
+        ["family", "degree"], 0)),
+    ("normalize-augmented", lambda: _with(
+        _family_doc(make_golden_family(delta=1e-4, order=8)),
+        ["family", "QTerms", 0, "powers", 0], -1)),
+    ("ruessmann", lambda: _with(
+        _ruessmann_doc(make_curve_family(delta=1e-4, order=8), [[0.0, 0.1]]),
+        ["family", "eta", "terms", 0, "series", "n"], 0)),
+    ("cohomology-solve", lambda: _with(
+        _cohomology_doc("scalar", [1.0]), ["rhs", "n"], 0)),
+])
+def test_nested_schema_violations_exit_2_without_report(tmp_path, capsys,
+                                                        command, make_doc):
+    cfg = write_cfg(tmp_path, make_doc())
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"rejected by schema {command}:" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}-report.json").exists()
+
+
+def _shipped_schemas():
+    return sorted(p.name[:-len(".json")]
+                  for p in (files("kamrev") / "schemas").iterdir()
+                  if p.name.endswith(".json"))
+
+
+def _refs(node):
+    if isinstance(node, dict):
+        if "$ref" in node:
+            yield node["$ref"]
+        for value in node.values():
+            yield from _refs(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _refs(value)
+
+
+def test_shared_schema_definitions_live_only_in_defs():
+    shared = {"matrix", "series", "taylor", "family"}
+    names = _shipped_schemas()
+    assert "defs" in names and "normalize-augmented" not in names
+    registry = cli._schema_registry()
+    for name in names:
+        schema = cli._load_schema(name)
+        own = set(schema.get("$defs", {}))
+        assert own >= shared if name == "defs" else not own & shared, name
+        uri = f"{name}.json"
+        resolver = registry.with_resource(
+            uri, DRAFT202012.create_resource(schema)).resolver(base_uri=uri)
+        for ref in _refs(schema):
+            resolver.lookup(ref)       # raises Unresolvable on a dangling $ref
 
 
 def test_value_error_in_computation_is_not_a_config_error(tmp_path, monkeypatch):

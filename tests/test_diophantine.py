@@ -63,6 +63,37 @@ def test_scan_divisors_against_double_loop():
     assert np.isclose(achieved, best, rtol=1e-12)
 
 
+@pytest.mark.parametrize("omega,beta", [
+    ([1.0, GOLDEN], []),
+    ([1.0, GOLDEN], [np.sqrt(1.04)]),
+    ([1.0, 2.0], []),                      # exact resonances: ties at zero
+    ([1.0, 2.0], [0.5]),
+    ([1.0, GOLDEN, np.sqrt(2.0)], [0.3, 0.7]),
+])
+def test_scan_divisors_worst_modes_are_first_strict_minimum(omega, beta):
+    """The reported (k, K) is the double loop's first strict minimum: shifts
+    in normal_shifts order outside, modes in enumerate_modes order inside."""
+    tau, kmax = 1.5, 6
+    best, worst_k, worst_K = scan_divisors(np.array(omega), np.array(beta), tau, kmax)
+    want, want_k, want_K = np.inf, None, None
+    for K in normal_shifts(len(beta)):
+        for k in enumerate_modes(len(omega), kmax):
+            val = (abs(float(np.dot(k, omega)) + float(np.dot(K, beta)))
+                   * sum(abs(int(c)) for c in k) ** tau)
+            if val < want:
+                want, want_k, want_K = val, tuple(k), tuple(K)
+    assert (worst_k, worst_K) == (want_k, want_K)
+    assert np.isclose(best, want, rtol=1e-12, atol=1e-15)
+
+
+def test_divisor_row_blocks_do_not_change_results(monkeypatch):
+    from kamrev import diophantine
+    kw = dict(tau=1.5, gamma=0.05, sample_count=900, kmax=8, seed=5)
+    whole = complement_measure_estimate(BOX, [(0.5, 1.5)], **kw)
+    monkeypatch.setattr(diophantine, "SCAN_ROWS", 4)
+    assert complement_measure_estimate(BOX, [(0.5, 1.5)], **kw) == whole
+
+
 def test_classify_spectrum_elliptic_and_mixed():
     Q = RevMatrix(np.array([[0.0, 1.04], [-1.0, 0.0]]), INV2)
     sp = classify_spectrum(Q)

@@ -85,6 +85,25 @@ def test_diophantine_fraction_matches_replayed_sampling():
     assert got == bad / samples
 
 
+def test_diophantine_fraction_replay_spans_several_row_blocks():
+    from kamrev.diophantine import SCAN_ROWS
+    curve = drift_curve()
+    tau, gamma, kmax, samples, seed = 1.5, 5e-2, 6, 1500, 4
+    assert samples > 2 * SCAN_ROWS
+    got = diophantine_fraction(curve, tau, gamma, kmax, samples, seed=seed)
+    rng = np.random.default_rng(seed)
+    mus = np.column_stack([rng.uniform(lo, hi, samples) for lo, hi in curve.box])
+    modes = [k for k in itertools.product(range(-kmax, kmax + 1), repeat=2)
+             if 0 < sum(abs(c) for c in k) <= kmax]
+    bad = 0
+    for mu in mus:
+        omega = curve.at(mu)
+        if min(abs(np.dot(k, omega)) * sum(abs(c) for c in k) ** tau
+               for k in modes) < gamma:
+            bad += 1
+    assert got == bad / samples
+
+
 def test_fraction_grows_with_gamma():
     curve = drift_curve()
     fs = [diophantine_fraction(curve, 1.5, g, 16, 300, seed=5)
