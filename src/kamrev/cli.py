@@ -71,9 +71,11 @@ def _schema_registry():
     return Registry().with_resource("defs.json", defs)
 
 
-def _validate(config, name):
-    # normalize-augmented takes the same config as normalize
-    schema = _load_schema("normalize" if name == "normalize-augmented" else name)
+def _validate(config, name, schema=None):
+    """Check config against ``schema``, by default the command's own."""
+    if schema is None:
+        # normalize-augmented takes the same config as normalize
+        schema = _load_schema("normalize" if name == "normalize-augmented" else name)
     try:
         jsonschema.validate(config, schema, cls=jsonschema.Draft202012Validator,
                             registry=_schema_registry())
@@ -132,6 +134,8 @@ def _decode(command, config, config_path):
                 base = os.path.dirname(os.path.abspath(config_path))
                 with open(os.path.join(base, doc)) as fh:
                     doc = json.load(fh)
+                _validate(doc, f"{command} (family file {cfg['family']})",
+                          {"$ref": "defs.json#/$defs/family"})
             cfg["family"] = ReversibleFamily.from_json(doc)
         if "rhs" in cfg:
             cfg["rhs"] = FourierSeries.from_json(cfg["rhs"])
@@ -162,6 +166,9 @@ def _decode(command, config, config_path):
             if cfg["family"].s not in (0, dim):
                 raise ValueError(f"family has s = {cfg['family'].s} parameters; "
                                  f"need 0 or the curve box dimension {dim}")
+            # the sweep normalizes with divisors up to kmax
+            if cfg.setdefault("horizon", cfg["kmax"]) != cfg["kmax"]:
+                raise ValueError(f"horizon {cfg['horizon']} must equal kmax {cfg['kmax']}")
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
     return cfg
@@ -174,18 +181,27 @@ def _reversible(fam):
     return fam
 
 
+# config key -> (NormalizerConfig field, type); absent keys keep its defaults
+_NORMALIZER_KEYS = {
+    "tau": ("tau", float), "gamma": ("gamma", float), "horizon": ("horizon", int),
+    "tol": ("tol", float), "maxIter": ("max_iter", int),
+    "versalTol": ("versal_tol", float), "cancelTol": ("cancel_tol", float),
+    "lossBudget": ("loss_budget", float), "solverGamma": ("solver_gamma", float),
+}
+
+
 def _normalizer_config(config):
-    return NormalizerConfig(
-        tau=float(config["tau"]), gamma=float(config["gamma"]),
-        horizon=int(config["horizon"]),
-        tol=float(config.get("tol", 1e-10)),
-        max_iter=int(config.get("maxIter", 12)),
-        versal_tol=float(config.get("versalTol", 1e-8)),
-        cancel_tol=float(config.get("cancelTol", 1e-9)),
-        loss_budget=float(config.get("lossBudget", 1e-8)),
-        solver_gamma=(None if config.get("solverGamma") is None
-                      else float(config["solverGamma"])),
-    )
+    return NormalizerConfig(**{field: kind(config[key])
+                               for key, (field, kind) in _NORMALIZER_KEYS.items()
+                               if config.get(key) is not None})
+
+
+def _rev_matrix(config):
+    """The config's Q over the involution R, or None if it has no Q."""
+    if config.get("Q") is None:
+        return None
+    R = np.asarray(config["R"], dtype=float)
+    return RevMatrix(np.asarray(config["Q"], dtype=float), fix_spaces(R))
 
 
 def _vec(v):
@@ -202,10 +218,7 @@ def _mat(M):
 def _run_dioph_check(config, seed, threads):
     omega = np.asarray(config["omega"], dtype=float)
     params = config["params"]
-    Q = None
-    if config.get("Q") is not None:
-        R = np.asarray(config["R"], dtype=float)
-        Q = RevMatrix(np.asarray(config["Q"], dtype=float), fix_spaces(R))
+    Q = _rev_matrix(config)
     report = is_diophantine_pair(omega, Q, params)
     return report.to_json(), None
 
@@ -237,10 +250,7 @@ def _run_cohomology_solve(config, seed, threads):
     omega = np.asarray(config["omega"], dtype=float)
     params, rhs = config["params"], config["rhs"]
     kind = config["kind"]
-    Q = None
-    if config.get("Q") is not None:
-        R = np.asarray(config["R"], dtype=float)
-        Q = RevMatrix(np.asarray(config["Q"], dtype=float), fix_spaces(R))
+    Q = _rev_matrix(config)
     if kind == "scalar":
         sol = solve_scalar(rhs, omega, params)
     elif kind == "normal":
@@ -259,9 +269,7 @@ def _run_cohomology_solve(config, seed, threads):
 
 
 def _run_versal_check(config, seed, threads):
-    R = np.asarray(config["R"], dtype=float)
-    inv = fix_spaces(R)
-    Q = RevMatrix(np.asarray(config["Q"], dtype=float), inv)
+    Q = _rev_matrix(config)
     directions = [np.asarray(D, dtype=float) for D in config["directions"]]
     rep = is_versal(Unfolding(Q, directions))
     kc = kernel_condition(Q)
@@ -351,19 +359,18 @@ def _normalize_result_json(res):
     }
 
 
+def _normalize_args(config):
+    """(family, omega0, mu0, normalizer config) of a normalize config."""
+    return (_reversible(config["family"]), np.asarray(config["omega0"], dtype=float),
+            np.asarray(config.get("mu0", []), dtype=float), _normalizer_config(config))
+
+
 def _run_normalize(config, seed, threads):
-    fam = _reversible(config["family"])
-    cfg = _normalizer_config(config)
-    res = normalize(fam, np.asarray(config["omega0"], dtype=float),
-                    np.asarray(config.get("mu0", []), dtype=float), cfg)
-    return _normalize_result_json(res), None
+    return _normalize_result_json(normalize(*_normalize_args(config))), None
 
 
 def _run_normalize_augmented(config, seed, threads):
-    fam = _reversible(config["family"])
-    cfg = _normalizer_config(config)
-    aug = normalize_augmented(fam, np.asarray(config["omega0"], dtype=float),
-                              np.asarray(config.get("mu0", []), dtype=float), cfg)
+    aug = normalize_augmented(*_normalize_args(config))
     return {
         "core": _normalize_result_json(aug.core),
         "u": _vec(aug.u), "v": _vec(aug.v),
@@ -407,12 +414,9 @@ def _run_ruessmann(config, seed, threads):
     grid = config.get("grid")
     if grid is not None:
         grid = np.asarray(grid, dtype=float)
-    ncfg = None
-    if "horizon" in config:
-        ncfg = _normalizer_config(config)
     report = persistence_pipeline(
         fam, curve, params, grid=grid,
-        grid_count=int(config.get("gridCount", 20)), config=ncfg,
+        grid_count=int(config.get("gridCount", 20)), config=_normalizer_config(config),
         T=float(config.get("T", 100.0)),
         deviation_tol=float(config.get("deviationTol", 1e-6)),
         verify=bool(config.get("verify", True)))

@@ -14,6 +14,7 @@ which is legitimate because Q is real.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,21 +64,25 @@ def solve_scalar(F: FourierSeries, omega, params: DiophantineParams,
     return _mirrored(F, half, vals)
 
 
-def _mode_solve(F: FourierSeries, omega, build_matrix, solve_zero, vec=None):
-    """Shared driver: per-mode linear solves with a condition-number guard."""
-    omega = np.asarray(omega, dtype=float)
+def _mode_solve(F: FourierSeries, omega, L, layout, solve_zero):
+    """Solve (i<k,omega> I + L) X_k = F_k on every nonzero +-k representative
+    of F at once, with a condition-number guard, and the k = 0 mode by
+    ``solve_zero``.  ``layout`` is a pair of maps from the stacked
+    coefficients to (M, r, c) column stacks and back."""
+    to_cols, from_cols = layout
     half = _half(F)
-    sols = []
-    for k, rhs in zip(F.K[half], F.V[half]):
-        A = build_matrix(float(np.dot(k, omega)))
-        cond = np.linalg.cond(A)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise SingularMode(k, cond)
-        sol = np.linalg.solve(A, rhs if vec is None else vec(rhs))
-        sols.append(sol if vec is None else vec(sol, back=True))
+    Kh = F.K[half]
+    # one dot product per mode, as a stack of (1, n) rows, so each divisor
+    # is rounded as a lone np.dot(k, omega) would round it
+    div = (Kh[:, None, :] @ np.asarray(omega, dtype=float))[:, 0]
+    A = 1j * div[:, None, None] * np.eye(len(L)) + L
+    cond = np.linalg.cond(A)
+    bad = np.flatnonzero(~np.isfinite(cond) | (cond > COND_LIMIT))
+    if len(bad):
+        raise SingularMode(Kh[bad[0]], cond[bad[0]])
+    vals = from_cols(np.linalg.solve(A, to_cols(F.V[half]))).reshape((len(Kh),) + F.shape)
     k0 = np.flatnonzero(~F.K.any(axis=1))
     zero = solve_zero(F.V[k0[0]]) if len(k0) else None
-    vals = np.array(sols, dtype=complex).reshape((len(sols),) + F.shape)
     return _mirrored(F, half, vals, zero)
 
 
@@ -88,10 +93,6 @@ def solve_normal(F: FourierSeries, omega, Q: RevMatrix,
     d = Qm.shape[0]
     if F.shape[0] != d:
         raise ValueError("leading dimension of F must match Q")
-    Id = np.eye(d)
-
-    def build(div):
-        return 1j * div * Id - Qm
 
     def zero(f0):
         f0 = np.real(f0)
@@ -106,7 +107,9 @@ def solve_normal(F: FourierSeries, omega, Q: RevMatrix,
             raise ZeroModeObstruction(f"constant mode unsolvable: {exc}") from exc
         return np.stack(sols, axis=1).reshape(f0.shape).astype(complex)
 
-    return _mode_solve(F, omega, build, zero)
+    c = math.prod(F.shape) // d
+    layout = (lambda V: V.reshape(len(V), d, c), lambda X: X)
+    return _mode_solve(F, omega, -Qm, layout, zero)
 
 
 def solve_right(F: FourierSeries, omega, Q: RevMatrix) -> FourierSeries:
@@ -115,11 +118,6 @@ def solve_right(F: FourierSeries, omega, Q: RevMatrix) -> FourierSeries:
     d = Qm.shape[0]
     if F.shape[-1] != d:
         raise ValueError("trailing dimension of F must match Q")
-    Id = np.eye(d)
-
-    def build(div):
-        # transpose the row equation: (i div I + Q^T) Phi_k^T = F_k^T
-        return 1j * div * Id + Qm.T
 
     def zero(f0):
         f0 = np.real(f0)
@@ -128,10 +126,11 @@ def solve_right(F: FourierSeries, omega, Q: RevMatrix) -> FourierSeries:
             raise ZeroModeObstruction("constant mode needs invertible Q on the right")
         return np.asarray(np.linalg.solve(Qm.T, f0.T).T, dtype=complex)
 
-    def vec(arr, back=False):
-        return arr.T
-
-    return _mode_solve(F, omega, build, zero, vec=vec)
+    # transpose the row equation: (i div I + Q^T) Phi_k^T = F_k^T
+    r = math.prod(F.shape) // d
+    layout = (lambda V: V.reshape(len(V), r, d).transpose(0, 2, 1),
+              lambda X: X.transpose(0, 2, 1))
+    return _mode_solve(F, omega, Qm.T, layout, zero)
 
 
 def commutator_operator(div: float, Qm: np.ndarray) -> np.ndarray:
@@ -154,9 +153,6 @@ def solve_commutator(F: FourierSeries, omega, Q: RevMatrix,
     if F.shape != (d, d):
         raise ValueError("F must be (d, d)-valued")
 
-    def build(div):
-        return commutator_operator(div, Qm)
-
     def zero(f0):
         if skip_zero_mode:
             if np.max(np.abs(f0)) > 1e-12 * max(F.majorant(), 1e-300):
@@ -164,12 +160,10 @@ def solve_commutator(F: FourierSeries, omega, Q: RevMatrix,
             return None
         raise ZeroModeObstruction("constant commutator mode is never invertible")
 
-    def vec(arr, back=False):
-        if back:
-            return arr.reshape(d, d, order="F")
-        return arr.ravel(order="F")
-
-    return _mode_solve(F, omega, build, zero, vec=vec)
+    # column-major vec(X) of each mode as one column
+    layout = (lambda V: V.transpose(0, 2, 1).reshape(len(V), d * d, 1),
+              lambda X: X.reshape(-1, d, d).transpose(0, 2, 1))
+    return _mode_solve(F, omega, commutator_operator(0.0, Qm), layout, zero)
 
 
 @dataclass

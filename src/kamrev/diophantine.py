@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UnpairedSpectrum
+from .fourier import _l1_ball
 from .revmat import RevMatrix
 
 # Fixed chunk schedule so the Monte-Carlo fraction is reproducible for a
@@ -102,16 +103,6 @@ class DiophantineParams:
     def validate_for(self, n: int):
         if self.tau <= n - 1:
             raise ValueError(f"tau must exceed n-1 = {n - 1}")
-
-
-def _l1_ball(n: int, radius: int) -> np.ndarray:
-    """All integer vectors of length n with |k|_1 <= radius, in lexicographic
-    order: each prefix in order, then the next entry ascending."""
-    rows = [((), radius)]
-    for _ in range(n):
-        rows = [(row + (c,), left - abs(c)) for row, left in rows
-                for c in range(-left, left + 1)]
-    return np.array([row for row, _ in rows], dtype=np.int64).reshape(len(rows), n)
 
 
 def enumerate_modes(n: int, kmax: int) -> np.ndarray:

@@ -19,12 +19,16 @@ fixed order and sums coinciding output modes with ``np.add.at`` in that
 order, so its mode set and coefficients are bit for bit those of a
 mode-by-mode product over the sorted modes, whatever built the operands.
 No grid transforms are used.
+
+``_l1_ball`` is the one enumerator of integer vectors by l1 radius: the
+angle shift takes its Taylor exponents of each degree from it, and
+``diophantine`` its divisor-scan modes and normal shifts.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -59,6 +63,20 @@ def _codes(K, span) -> np.ndarray:
     if base ** K.shape[1] < 2 ** 62:
         return (K + span) @ (base ** np.arange(K.shape[1] - 1, -1, -1, dtype=np.int64))
     return np.unique(K, axis=0, return_inverse=True)[1].ravel()  # pragma: no cover
+
+
+@lru_cache(maxsize=64)
+def _l1_ball(n: int, radius: int) -> np.ndarray:
+    """All integer vectors of length n with |k|_1 <= radius, in lexicographic
+    order: each prefix in order, then the next entry ascending.  Cached, so
+    the array is read-only."""
+    rows = [((), radius)]
+    for _ in range(n):
+        rows = [(row + (c,), left - abs(c)) for row, left in rows
+                for c in range(-left, left + 1)]
+    ball = np.array([row for row, _ in rows], dtype=np.int64).reshape(len(rows), n)
+    ball.flags.writeable = False
+    return ball
 
 
 def _union(*Ks):
@@ -456,9 +474,7 @@ class AngleShift:
     def __init__(self, a: FourierSeries, tol=1e-17, max_degree=60):
         if a.shape != (a.n,):
             raise ValueError("angle shift needs an (n,)-valued series")
-        self.a = a
         self.n = a.n
-        self.order = a.order
         self.tol = float(tol)
         self.max_degree = int(max_degree)
         self.trivial = a.majorant() == 0.0
@@ -475,40 +491,19 @@ class AngleShift:
         scale = s.majorant() + 1e-300
         derivs = {(0,) * self.n: s}
         acc = s
-        degree = 0
-        while degree < self.max_degree:
-            degree += 1
+        for degree in range(1, self.max_degree + 1):
             layer_mag = 0.0
-            for beta in _exponents(self.n, degree, degree):
+            ball = _l1_ball(self.n, degree)
+            for beta in map(tuple, ball[(ball >= 0).all(axis=1)
+                                        & (ball.sum(axis=1) == degree)].tolist()):
                 p = self._power(beta)
                 if p.majorant() == 0.0:
                     continue
                 ds = _chain(derivs, beta, lambda d, j: d.deriv_x(j))
-                fact = 1.0
-                for e in beta:
-                    for i in range(2, e + 1):
-                        fact *= i
-                term = fs_mul(p, ds) * (1.0 / fact)
+                term = fs_mul(p, ds) * (1.0 / math.prod(map(math.factorial, beta)))
                 layer_mag += term.majorant()
                 acc = acc + term
             if layer_mag <= self.tol * scale:
                 break
         return acc.truncate(s.order)
 
-
-def _exponents(q, lo, hi):
-    """All exponent tuples of length q with lo <= total degree <= hi."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            for d in range(remaining + 1):
-                out.append(prefix + (d,))
-            return
-        for d in range(remaining + 1):
-            rec(prefix + (d,), remaining - d, slots - 1)
-
-    if q == 0:
-        return [()] if lo <= 0 <= hi else []
-    rec((), hi, q)
-    return [e for e in out if lo <= sum(e) <= hi]

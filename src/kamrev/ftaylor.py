@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ImplicitSolveFailure
-from .fourier import FourierSeries, fs_matmul, fs_mul, fs_stack
+from .fourier import FourierSeries, _chain, fs_matmul, fs_mul, fs_stack
 
 
 def _exp_add(a, b):
@@ -183,6 +183,12 @@ class FourierTaylor:
 
     # -- structure maps ------------------------------------------------------------
 
+    def map_stack(self, fn):
+        """Apply ``fn`` to the stacked coefficients of every term, as
+        ``FourierSeries.map_stack`` does; the value shape is read off its output."""
+        shape = fn(np.zeros((0,) + self.shape, dtype=complex)).shape[1:]
+        return self._like({a: s.map_stack(fn) for a, s in self.terms.items()}, shape=shape)
+
     def map_values(self, fn, shape):
         """Apply a linear value-space map to every coefficient array."""
         return FourierTaylor(self.n, self.q, tuple(shape), self.order, self.degree,
@@ -190,14 +196,9 @@ class FourierTaylor:
                              trunc_loss=self.trunc_loss)
 
     def truncate_degree(self, degree):
-        out, loss = {}, 0.0
-        for a, s in self.terms.items():
-            if sum(a) <= degree:
-                out[a] = s
-            else:
-                loss += s.majorant()
-        return FourierTaylor(self.n, self.q, self.shape, self.order, int(degree), out,
-                             trunc_loss=self.trunc_loss + loss)
+        """Drop the terms above ``degree``; the constructor records their mass."""
+        return FourierTaylor(self.n, self.q, self.shape, self.order, degree, self.terms,
+                             trunc_loss=self.trunc_loss)
 
     def drop_below(self, floor):
         """Remove whole terms whose majorant is below ``floor`` (loss-accounted)."""
@@ -283,9 +284,11 @@ def ft_series_matmul(M: FourierSeries, F: FourierTaylor) -> FourierTaylor:
 class WSubstitution:
     """Monomial table for the affine substitution w = W0(x) + W1(x) wbar.
 
-    Monomials w^alpha become scalar Fourier-Taylor polynomials in wbar,
-    built incrementally and memoized so that substituting into many fields
-    with the same transform shares all the products.
+    ``affine`` is the (q,)-valued field W0 + W1 wbar itself; its rows are
+    the generators.  Monomials w^alpha become scalar Fourier-Taylor
+    polynomials in wbar, built incrementally and memoized so that
+    substituting into many fields with the same transform shares all the
+    products.
     """
 
     def __init__(self, W0, W1: FourierSeries, degree):
@@ -295,32 +298,16 @@ class WSubstitution:
         self.n = W1.n
         self.order = W1.order
         self.degree = int(degree)
-        gens = []
-        for j in range(self.q):
-            terms = {}
-            if W0 is not None:
-                s0 = W0.map_stack(lambda V, j=j: V[:, j])
-                if len(s0.K):
-                    terms[(0,) * self.q] = s0
-            for i in range(self.q):
-                s1 = W1.map_stack(lambda V, j=j, i=i: V[:, j, i])
-                if len(s1.K):
-                    terms[_unit(self.q, i)] = s1
-            gens.append(FourierTaylor(self.n, self.q, (), self.order, self.degree, terms))
-        self._gen = gens
+        terms = {} if W0 is None else {(0,) * self.q: W0}
+        for i in range(self.q):
+            terms[_unit(self.q, i)] = W1.map_stack(lambda V, i=i: V[:, :, i])
+        self.affine = FourierTaylor(self.n, self.q, (self.q,), self.order, self.degree, terms)
+        self._gen = [self.affine.map_stack(lambda V, j=j: V[:, j]) for j in range(self.q)]
         one = FourierSeries.constant(self.n, np.array(1.0), self.order)
         self._mono = {(0,) * self.q: FourierTaylor.from_series(one, self.q, self.degree)}
 
     def monomial(self, alpha) -> FourierTaylor:
-        got = self._mono.get(alpha)
-        if got is not None:
-            return got
-        j = max(i for i, e in enumerate(alpha) if e > 0)
-        prev = list(alpha)
-        prev[j] -= 1
-        out = ft_mul(self.monomial(tuple(prev)), self._gen[j])
-        self._mono[alpha] = out
-        return out
+        return _chain(self._mono, alpha, lambda p, j: ft_mul(p, self._gen[j]))
 
     def apply(self, F: FourierTaylor, coeff_map=None) -> FourierTaylor:
         """Substitute into F; ``coeff_map`` transforms each coefficient series first
@@ -337,8 +324,7 @@ class WSubstitution:
 
 def involution_pullback(F: FourierTaylor, S) -> FourierTaylor:
     """Pullback of F under (x, w) -> (-x, S w) for a constant linear S."""
-    S = np.asarray(S, dtype=float)
-    W1 = FourierSeries.constant(F.n, S, F.order)
+    W1 = FourierSeries.constant(F.n, np.asarray(S, dtype=float), F.order)
     sub = WSubstitution(None, W1, F.degree)
     return sub.apply(F, coeff_map=lambda s: s.reflect())
 

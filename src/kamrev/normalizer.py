@@ -45,7 +45,6 @@ class NormalizerConfig:
     smallness_order: int = 2
     smallness_eps: float = 0.1
     loss_budget: float = 1e-8
-    check_pair: bool = True
     # solver bound may be slacker than the certification bound: parameter
     # continuation probes nearby frequencies that need not be certified
     solver_gamma: float | None = None
@@ -90,16 +89,7 @@ def conjugate_field(Xx: FourierTaylor, Xw: FourierTaylor, a: FourierSeries,
     Da = _deriv_matrix(a)
     Xx_bar = ft_neumann_solve(Da, XxT)
 
-    terms = {(0,) * q: W0} if len(W0.K) else {}
-    for i in range(q):
-        col = W1.map_stack(lambda V, i=i: V[:, :, i])
-        if len(col.K):
-            e = [0] * q
-            e[i] = 1
-            terms[tuple(e)] = col
-    W_affine = FourierTaylor(n, q, (q,), W1.order, Xw.degree, terms)
-    DW = W_affine.grad_x()
-    rhs = XwT - ft_matmul(DW, Xx_bar)
+    rhs = XwT - ft_matmul(sub.affine.grad_x(), Xx_bar)
     Xw_bar = ft_neumann_solve(W1 - eye, rhs)
 
     scale = max(Xx_bar.majorant(), Xw_bar.majorant(), 1.0)
@@ -181,11 +171,19 @@ class NormalizationResult:
 # -- one linearized solve -----------------------------------------------------------
 
 
-def _target_linear(n, q, m, Q, order) -> FourierSeries:
-    T = np.zeros((q, q))
-    if Q.size:
-        T[m:, m:] = Q
-    return FourierSeries.constant(n, T, order)
+class _Setup(NamedTuple):
+    """What every sweep of one normalization shares: the base point, the limit
+    matrix Q and its reversible form, the solver bound, the unfolding
+    directions and the targets of the residual."""
+    omega0: np.ndarray
+    mu0: np.ndarray
+    Q: np.ndarray
+    Qrev: RevMatrix | None
+    dioph: DiophantineParams
+    directions: list
+    plus_basis: list
+    omega_const: FourierSeries
+    target_lin: FourierSeries
 
 
 class _Residual(NamedTuple):
@@ -205,17 +203,17 @@ class _Increment(NamedTuple):
     dw: np.ndarray
 
 
-def _measure(Xx, Xw, omega_const, target_lin) -> _Residual:
-    r_x0 = Xx.taylor0() - omega_const
+def _measure(Xx, Xw, ctx: _Setup) -> _Residual:
+    r_x0 = Xx.taylor0() - ctx.omega_const
     Axw = Xx.linear_w()
     r_w0 = Xw.taylor0()
-    r_ww = Xw.linear_w() - target_lin
+    r_ww = Xw.linear_w() - ctx.target_lin
     value = max(r_x0.majorant(), r_w0.majorant(), r_ww.majorant())
     return _Residual(r_x0, Axw, r_w0, r_ww, value)
 
 
-def _solve_sweep(family, inst, Xx, Xw, res: _Residual, omega0, Q, Qrev,
-                 dioph, directions, plus_basis, config, diagnostics) -> _Increment:
+def _solve_sweep(family, inst, Xx, Xw, res: _Residual, ctx: _Setup,
+                 config, diagnostics) -> _Increment:
     """One pass through the linearized conjugacy equations at the current
     residual.  Solve order: constant y/z blocks with the drift shift, then
     the x block with the frequency shift (the degree-0 generator feeds back
@@ -225,6 +223,7 @@ def _solve_sweep(family, inst, Xx, Xw, res: _Residual, omega0, Q, Qrev,
     n, m, q, s = family.n, family.m, family.q, family.s
     d = family.d
     N, D = family.order, family.degree
+    omega0, Q, Qrev, dioph = ctx.omega0, ctx.Q, ctx.Qrev, ctx.dioph
 
     r_y0 = res.r_w0.map_stack(lambda V: V[:, :m])
     r_z0 = res.r_w0.map_stack(lambda V: V[:, m:])
@@ -285,8 +284,9 @@ def _solve_sweep(family, inst, Xx, Xw, res: _Residual, omega0, Q, Qrev,
             gap /= float(np.linalg.norm(M0r))
             diagnostics["zero_block_parity_gap"] = max(
                 diagnostics.get("zero_block_parity_gap", 0.0), gap)
+        plus_basis = ctx.plus_basis
         cols = [(P @ Q - Q @ P).ravel() for P in plus_basis]
-        cols += [-np.asarray(Dj, dtype=float).ravel() for Dj in directions]
+        cols += [-np.asarray(Dj, dtype=float).ravel() for Dj in ctx.directions]
         if cols:
             A = np.stack(cols, axis=1)
             sol, *_ = np.linalg.lstsq(A, M0r.ravel(), rcond=None)
@@ -321,18 +321,24 @@ def _compose(a, W0, W1, inc: _Increment):
     return a_new, W0_new, W1_new
 
 
-def _setup(family, omega0, mu0, config):
+def _setup(family, omega0, mu0, config) -> _Setup:
     omega0 = np.asarray(omega0, dtype=float).reshape(family.n)
     mu0 = np.asarray(mu0, dtype=float).reshape(family.s)
     Q = family.Q_at(omega0, mu0)
     Qrev = RevMatrix(Q, family.inv) if family.d else None
-    if config.check_pair:
-        report = is_diophantine_pair(omega0, Qrev if family.d else None, config.dioph())
-        if not report.holds:
-            raise SmallDivisor(report.worst_k, report.margin + config.gamma, config.gamma)
+    report = is_diophantine_pair(omega0, Qrev, config.dioph())
+    if not report.holds:
+        raise SmallDivisor(report.worst_k, report.margin + config.gamma, config.gamma)
     directions = family.unfolding_directions(omega0, mu0)
     plus_basis = family.inv.gl_plus_basis() if family.d else []
-    return omega0, mu0, Q, Qrev, directions, plus_basis
+    dioph = config.solver_dioph()
+    omega_const = FourierSeries.constant(family.n, omega0, family.order)
+    T = np.zeros((family.q, family.q))
+    if Q.size:
+        T[family.m:, family.m:] = Q
+    target_lin = FourierSeries.constant(family.n, T, family.order)
+    return _Setup(omega0, mu0, Q, Qrev, dioph, directions, plus_basis,
+                  omega_const, target_lin)
 
 
 # -- public operations ---------------------------------------------------------------
@@ -342,26 +348,21 @@ def newton_step(family: ReversibleFamily, omega0, mu0, config: NormalizerConfig)
     """A single linearized solve from the unperturbed transform.  Returns
     (increment as a NormalizationResult, residual before, residual after);
     the residual drop should be quadratic."""
-    n, m, q = family.n, family.m, family.q
-    N = family.order
-    omega0, mu0, Q, Qrev, directions, plus_basis = _setup(family, omega0, mu0, config)
-    dioph = config.solver_dioph()
-    omega_const = FourierSeries.constant(n, omega0, N)
-    target_lin = _target_linear(n, q, m, Q, N)
+    ctx = _setup(family, omega0, mu0, config)
+    omega0, mu0 = ctx.omega0, ctx.mu0
     diagnostics = {}
 
-    inst = family.instantiate(omega0, np.zeros(m), mu0)
-    res = _measure(inst.Xx, inst.Xw, omega_const, target_lin)
-    inc = _solve_sweep(family, inst, inst.Xx, inst.Xw, res, omega0, Q, Qrev,
-                       dioph, directions, plus_basis, config, diagnostics)
+    inst = family.instantiate(omega0, np.zeros(family.m), mu0)
+    res = _measure(inst.Xx, inst.Xw, ctx)
+    inc = _solve_sweep(family, inst, inst.Xx, inst.Xw, res, ctx, config, diagnostics)
 
     inst2 = family.instantiate(omega0 + inc.du, inc.dv, mu0 + inc.dw)
     Xx2, Xw2 = conjugate_field(inst2.Xx, inst2.Xw, inc.da, inc.psi0, inc.dW1,
                                loss_budget=config.loss_budget)
-    after = _measure(Xx2, Xw2, omega_const, target_lin)
+    after = _measure(Xx2, Xw2, ctx)
 
     result = NormalizationResult(family, omega0, mu0, inc.du, inc.dv, inc.dw,
-                                 inc.da, inc.psi0, inc.dW1, Xx2, Xw2, Q,
+                                 inc.da, inc.psi0, inc.dW1, Xx2, Xw2, ctx.Q,
                                  [res.value, after.value], config, diagnostics)
     return result, res.value, after.value
 
@@ -373,10 +374,8 @@ def normalize(family: ReversibleFamily, omega0, mu0,
     by parameter shifts (u, v, w) and a fibered near-identity transform."""
     n, m, q, s = family.n, family.m, family.q, family.s
     N = family.order
-    omega0, mu0, Q, Qrev, directions, plus_basis = _setup(family, omega0, mu0, config)
-    dioph = config.solver_dioph()
-    omega_const = FourierSeries.constant(n, omega0, N)
-    target_lin = _target_linear(n, q, m, Q, N)
+    ctx = _setup(family, omega0, mu0, config)
+    omega0, mu0 = ctx.omega0, ctx.mu0
 
     u = np.zeros(n)
     v = np.zeros(m)
@@ -392,7 +391,7 @@ def normalize(family: ReversibleFamily, omega0, mu0,
         inst = family.instantiate(omega0 + u, v, mu0 + w)
         Xx, Xw = conjugate_field(inst.Xx, inst.Xw, a, W0, W1,
                                  loss_budget=config.loss_budget)
-        res = _measure(Xx, Xw, omega_const, target_lin)
+        res = _measure(Xx, Xw, ctx)
         history.append(res.value)
         if res.value <= config.tol:
             break
@@ -401,15 +400,14 @@ def normalize(family: ReversibleFamily, omega0, mu0,
         if len(history) >= 2 and res.value >= history[-2]:
             raise NoConvergence(history)
 
-        inc = _solve_sweep(family, inst, Xx, Xw, res, omega0, Q, Qrev,
-                           dioph, directions, plus_basis, config, diagnostics)
+        inc = _solve_sweep(family, inst, Xx, Xw, res, ctx, config, diagnostics)
         a, W0, W1 = _compose(a, W0, W1, inc)
         u = u + inc.du
         v = v + inc.dv
         w = w + inc.dw
 
     result = NormalizationResult(family, omega0, mu0, u, v, w, a, W0, W1,
-                                 Xx, Xw, Q, history, config, diagnostics)
+                                 Xx, Xw, ctx.Q, history, config, diagnostics)
     viol = check_transform_commutes(a, W0, W1, family.S_w)
     if viol:
         raise CancellationFailure(
@@ -436,13 +434,11 @@ class AugmentedNormalizationResult:
     # block0 is the x-dependent offset, block1 the deviation of the linear
     # factor from the identity
     def block0(self, group):
-        ry, rs, rz = self.rows()
-        sel = {"y": ry, "sigma": rs, "z": rz}[group]
+        sel = dict(zip(("y", "sigma", "z"), self.rows()))[group]
         return self.core.W0.map_stack(lambda V: V[:, sel])
 
     def block1(self, group, colgroup):
-        ry, rs, rz = self.rows()
-        sel = {"y": ry, "sigma": rs, "z": rz}
+        sel = dict(zip(("y", "sigma", "z"), self.rows()))
         return self.core._C().map_stack(lambda V: V[:, sel[group], sel[colgroup]])
 
     def sigma_value(self):
@@ -487,7 +483,7 @@ def normalize_augmented(family: ReversibleFamily, omega0, mu0,
         "q1_residual": c1.directional_derivative(omega0).majorant(),
         "q2_residual": (c1 + c2.directional_derivative(omega0)).majorant(),
         "q3_residual": (c3.directional_derivative(omega0)
-                        + c3.map_values(lambda v: v @ Qbase, shape=c3.shape)).majorant(),
+                        + c3.map_stack(lambda V: V @ Qbase)).majorant(),
     }
     # independent recovery of the unfolding shift from the normalized field:
     # averaging the y-linear coefficient of the promoted sigma rows must

@@ -51,13 +51,8 @@ def classify_context(dim_fix_g: int, codim_t: int) -> str:
 def ft_embed(F: FourierTaylor, total: int, offset: int) -> FourierTaylor:
     """Embed a (d,)-valued field into (total,)-valued rows [offset, offset+d)."""
     d = F.shape[0]
-
-    def pad(v):
-        out = np.zeros(total, dtype=complex)
-        out[offset:offset + d] = v
-        return out
-
-    return F.map_values(pad, shape=(total,))
+    return F.map_stack(lambda V: np.concatenate(
+        [np.zeros((len(V), offset)), V, np.zeros((len(V), total - offset - d))], axis=1))
 
 
 def ft_permute_vars(F: FourierTaylor, perm, q_new: int) -> FourierTaylor:
@@ -91,6 +86,26 @@ def ft_fix_tail(F: FourierTaylor, q_main: int, values) -> FourierTaylor:
                          trunc_loss=F.trunc_loss)
 
 
+def _rows_times(V, X):
+    """V applied to the rows of every coefficient in the stack X: one
+    matrix-vector or matrix product per coefficient, so the sums round as
+    V @ x does for each coefficient x."""
+    return (V @ X[..., None])[..., 0] if X.ndim == 2 else V @ X
+
+
+def _parity_defect(pulled, F, V=None):
+    """How far F is from its parity class, given its pullback ``pulled`` by
+    the involution (x, w) -> (-x, Sw): pulled - F for an x-row field, which
+    must be even, or pulled + V F for a field whose rows V reverses."""
+    return pulled - F if V is None else pulled + F.map_stack(lambda X: _rows_times(V, X))
+
+
+def _violations(checks, tol):
+    """A Violation for each (error, scale, identity) whose error exceeds
+    tol * max(scale, 1)."""
+    return [Violation(name, err) for err, scale, name in checks if err > tol * max(scale, 1.0)]
+
+
 def symmetrize_x_row(F: FourierTaylor, S) -> FourierTaylor:
     """Project onto fields with F(-x, Sw) = F(x, w) (x-row parity class)."""
     return (F + involution_pullback(F, S)) * 0.5
@@ -99,7 +114,7 @@ def symmetrize_x_row(F: FourierTaylor, S) -> FourierTaylor:
 def symmetrize_w_rows(F: FourierTaylor, S) -> FourierTaylor:
     """Project onto fields with F(-x, Sw) = -S F(x, w) (w-row parity class)."""
     S = np.asarray(S, dtype=float)
-    pulled = involution_pullback(F, S).map_values(lambda v: S @ v, shape=F.shape)
+    pulled = involution_pullback(F, S).map_stack(lambda X: _rows_times(S, X))
     return (F - pulled) * 0.5
 
 
@@ -208,53 +223,36 @@ class ReversibleFamily:
 
     def check_reversibility(self, tol=1e-12):
         """All structural identities, coefficient-wise; returns violations."""
-        out = []
-
-        def rel(err, scale, name):
-            if err > tol * max(scale, 1.0):
-                out.append(Violation(name, err))
-
         R = self.R
-        rel(float(np.linalg.norm(R @ R - np.eye(self.d))), 1.0, "R^2 = I")
+        checks = [(float(np.linalg.norm(R @ R - np.eye(self.d))), 1.0, "R^2 = I")]
         for powers, M in self.Q_terms.items():
-            rel(float(np.linalg.norm(R @ M + M @ R)), float(np.linalg.norm(M)),
-                f"anti-commutation of Q term {powers}")
+            checks.append((float(np.linalg.norm(R @ M + M @ R)), float(np.linalg.norm(M)),
+                           f"anti-commutation of Q term {powers}"))
         S_ext, S_w = self.S_ext, self.S_w
-        Rm = R
-
-        def even_ext(F, name):
-            dmaj = (involution_pullback(F, S_ext) - F).majorant()
-            rel(dmaj, F.majorant(), name)
-
-        even_ext(self.xi, "xi(-y, Rz, sigma) = xi")
-        even_ext(self.eta, "eta(-y, Rz, sigma) = eta")
-        dz = (involution_pullback(self.zeta, S_ext)
-              + self.zeta.map_values(lambda v: Rm @ v, shape=(self.d,))).majorant()
-        rel(dz, self.zeta.majorant(), "zeta(-y, Rz, sigma) = -R zeta")
-
-        df = (involution_pullback(self.f, S_w) - self.f).majorant()
-        rel(df, self.f.majorant(), "f(-x, -y, Rz) = f")
-        dg = (involution_pullback(self.g, S_w) - self.g).majorant()
-        rel(dg, self.g.majorant(), "g(-x, -y, Rz) = g")
-        dh = (involution_pullback(self.h, S_w)
-              + self.h.map_values(lambda v: Rm @ v, shape=(self.d,))).majorant()
-        rel(dh, self.h.majorant(), "h(-x, -y, Rz) = -R h")
+        for F, S, V, name in ((self.xi, S_ext, None, "xi(-y, Rz, sigma) = xi"),
+                              (self.eta, S_ext, None, "eta(-y, Rz, sigma) = eta"),
+                              (self.zeta, S_ext, R, "zeta(-y, Rz, sigma) = -R zeta"),
+                              (self.f, S_w, None, "f(-x, -y, Rz) = f"),
+                              (self.g, S_w, None, "g(-x, -y, Rz) = g"),
+                              (self.h, S_w, R, "h(-x, -y, Rz) = -R h")):
+            defect = _parity_defect(involution_pullback(F, S), F, V)
+            checks.append((defect.majorant(), F.majorant(), name))
 
         # order conditions: xi = O(y,z), eta = O2(y,z), zeta = O2(y,z,sigma)
         for alpha, sr in self.xi.terms.items():
             if sum(alpha[:self.q]) < 1:
-                rel(sr.majorant(), 0.0, f"xi term {alpha} has no (y,z) factor")
+                checks.append((sr.majorant(), 0.0, f"xi term {alpha} has no (y,z) factor"))
         for alpha, sr in self.eta.terms.items():
             if sum(alpha[:self.q]) < 2:
-                rel(sr.majorant(), 0.0, f"eta term {alpha} below order 2 in (y,z)")
+                checks.append((sr.majorant(), 0.0, f"eta term {alpha} below order 2 in (y,z)"))
         for alpha, sr in self.zeta.terms.items():
             if sum(alpha) < 2:
-                rel(sr.majorant(), 0.0, f"zeta term {alpha} below total order 2")
+                checks.append((sr.majorant(), 0.0, f"zeta term {alpha} below total order 2"))
         for F, name in ((self.xi, "xi"), (self.eta, "eta"), (self.zeta, "zeta")):
             for alpha, sr in F.terms.items():
                 if sr.K.any():
-                    rel(sr.majorant(), 0.0, f"{name} term {alpha} depends on x")
-        return out
+                    checks.append((sr.majorant(), 0.0, f"{name} term {alpha} depends on x"))
+        return _violations(checks, tol)
 
     # -- evaluation ------------------------------------------------------------------
 
@@ -467,10 +465,8 @@ class InstantiatedField:
 
     def reversibility_errors(self):
         S = self.family.S_w
-        ex = (involution_pullback(self.Xx, S) - self.Xx).majorant()
-        pulled = involution_pullback(self.Xw, S).map_values(
-            lambda v: S @ v, shape=self.Xw.shape)
-        ew = (pulled + self.Xw).majorant()
+        ex = _parity_defect(involution_pullback(self.Xx, S), self.Xx).majorant()
+        ew = _parity_defect(involution_pullback(self.Xw, S), self.Xw, S).majorant()
         scale = max(self.Xx.majorant(), self.Xw.majorant(), 1.0)
         return ex / scale, ew / scale
 
@@ -480,19 +476,11 @@ def check_transform_commutes(a, W0, W1, S, tol=1e-10):
     involution (x, w) -> (-x, Sw): a must be odd, W0 must be S-twisted even,
     and W1(-x) S = S W1(x).  Returns violations."""
     S = np.asarray(S, dtype=float)
-    out = []
-
-    def rel(err, scale, name):
-        if err > tol * max(scale, 1.0):
-            out.append(Violation(name, err))
-
-    rel((a.reflect() + a).majorant(), a.majorant(), "a(-x) = -a(x)")
-    tw0 = W0.reflect() - W0.map_values(lambda v: S @ v, shape=W0.shape)
-    rel(tw0.majorant(), W0.majorant(), "W0(-x) = S W0(x)")
-    tw1 = (W1.reflect().map_values(lambda v: v @ S, shape=W1.shape)
-           - W1.map_values(lambda v: S @ v, shape=W1.shape))
-    rel(tw1.majorant(), W1.majorant(), "W1(-x) S = S W1(x)")
-    return out
+    return _violations([
+        (_parity_defect(a.reflect(), a, np.eye(a.n)).majorant(), a.majorant(), "a(-x) = -a(x)"),
+        (_parity_defect(W0.reflect(), W0, -S).majorant(), W0.majorant(), "W0(-x) = S W0(x)"),
+        (_parity_defect(W1.reflect().map_stack(lambda X: X @ S), W1, -S).majorant(),
+         W1.majorant(), "W1(-x) S = S W1(x)")], tol)
 
 
 # -- integration ------------------------------------------------------------------

@@ -124,21 +124,20 @@ class GridPointResult:
         def arr(v):
             return None if v is None else [float(c) for c in np.atleast_1d(v)]
 
+        def num(v):
+            return None if v is None else float(v)
+
         return {
             "mu": arr(self.mu),
             "accepted": bool(self.accepted),
             "reason": self.reason,
             "fsharp": arr(self.fsharp),
             "theta": arr(self.theta),
-            "margin": None if self.margin is None else float(self.margin),
-            "torusDeviation": (None if self.torus_deviation is None
-                               else float(self.torus_deviation)),
-            "rotationError": (None if self.rotation_error is None
-                              else float(self.rotation_error)),
-            "phiResidual": (None if self.phi_residual is None
-                            else float(self.phi_residual)),
-            "upsilonResidual": (None if self.upsilon_residual is None
-                                else float(self.upsilon_residual)),
+            "margin": num(self.margin),
+            "torusDeviation": num(self.torus_deviation),
+            "rotationError": num(self.rotation_error),
+            "phiResidual": num(self.phi_residual),
+            "upsilonResidual": num(self.upsilon_residual),
         }
 
 
@@ -160,19 +159,16 @@ class PersistenceReport:
         }
 
     def to_csv_rows(self):
+        def flat(v):
+            return "" if v is None else ";".join(f"{float(c):.17g}"
+                                                 for c in np.atleast_1d(v))
+
         head = ["mu", "accepted", "fsharp", "theta", "margin",
                 "torus_deviation", "reason"]
         rows = [head]
         for pt in self.points:
-            def flat(v):
-                return "" if v is None else ";".join(f"{float(c):.17g}"
-                                                     for c in np.atleast_1d(v))
-
             rows.append([flat(pt.mu), str(int(pt.accepted)), flat(pt.fsharp),
-                         flat(pt.theta),
-                         "" if pt.margin is None else f"{pt.margin:.17g}",
-                         "" if pt.torus_deviation is None
-                         else f"{pt.torus_deviation:.17g}",
+                         flat(pt.theta), flat(pt.margin), flat(pt.torus_deviation),
                          pt.reason])
         return rows
 
@@ -226,8 +222,7 @@ def persistence_pipeline(family: ReversibleFamily, curve: FrequencyCurve,
 
     base = config or NormalizerConfig(params.tau, params.gamma, params.kmax)
     work = dataclasses.replace(base, tau=params.tau, gamma=params.gamma / 4.0,
-                               horizon=params.kmax, solver_gamma=None,
-                               check_pair=True)
+                               horizon=params.kmax, solver_gamma=None)
 
     points = []
     for mu_curve in grid:

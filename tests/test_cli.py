@@ -182,6 +182,49 @@ def test_nested_schema_violations_exit_2_without_report(tmp_path, capsys,
     assert not (tmp_path / f"{command}-report.json").exists()
 
 
+def test_family_file_is_checked_against_the_family_schema(tmp_path, capsys):
+    doc = _with(make_golden_family(delta=1e-4, order=8).to_json(), ["degree"], 0)
+    (tmp_path / "family.json").write_text(json.dumps(doc))
+    cfg = write_cfg(tmp_path, _family_doc(make_curve_family(delta=1e-4, order=8),
+                                          family="family.json"))
+    assert main(["normalize", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "rejected by schema normalize" in err and "family.json" in err
+    assert not (tmp_path / "normalize-report.json").exists()
+
+
+def _sweep_doc(**extra):
+    return _ruessmann_doc(make_curve_family(delta=1e-4, order=8), [[0.0, 0.1]],
+                          tol=1e-11, gridCount=2, T=10.0, rankSamples=16, **extra)
+
+
+def test_ruessmann_applies_normalizer_keys_without_horizon(tmp_path):
+    results = []
+    for extra in ({}, {"horizon": 12}):
+        out = tmp_path / f"out{len(extra)}"
+        cfg = write_cfg(tmp_path, _sweep_doc(maxIter=1, **extra), name=f"cfg{len(extra)}.json")
+        assert main(["ruessmann", "--config", cfg, "--out", str(out)]) == 0
+        results.append(read_report(out, "ruessmann")["result"])
+    points = results[0]["pipeline"]["points"]
+    assert points and all(not p["accepted"] and p["reason"].startswith("NoConvergence")
+                          for p in points)
+    assert results[0] == results[1]
+
+
+def test_ruessmann_horizon_other_than_kmax_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, _sweep_doc(horizon=3))
+    assert main(["ruessmann", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "horizon 3 must equal kmax 12" in capsys.readouterr().err
+    assert not (tmp_path / "ruessmann-report.json").exists()
+
+
+def test_ruessmann_rejects_solver_gamma(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, _sweep_doc(horizon=12, solverGamma=1e-9))
+    assert main(["ruessmann", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "rejected by schema ruessmann" in capsys.readouterr().err
+    assert not (tmp_path / "ruessmann-report.json").exists()
+
+
 def _shipped_schemas():
     return sorted(p.name[:-len(".json")]
                   for p in (files("kamrev") / "schemas").iterdir()

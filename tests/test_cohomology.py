@@ -4,16 +4,20 @@ Oracle: stack every stored mode coefficient into one vector, assemble the
 full (block-diagonal) operator on that space with numpy.kron, and solve the
 whole system at once with numpy.linalg.lstsq.  The production solvers work
 mode-by-mode, so agreement is a real cross-check.
+
+A second oracle is the per-mode loop the coupled solvers used before they
+were batched (one condition number and one solve per mode); the batched
+solvers must reproduce it bit for bit.
 """
 import numpy as np
 import pytest
 
-from kamrev.cohomology import (commutator_operator, solve_commutator, solve_normal,
-                               solve_right, solve_scalar, verify_estimate)
+from kamrev.cohomology import (COND_LIMIT, commutator_operator, solve_commutator,
+                               solve_normal, solve_right, solve_scalar, verify_estimate)
 from kamrev.diophantine import DiophantineParams
 from kamrev.errors import (NonzeroAverage, SingularMode, SmallDivisor,
                            ZeroModeObstruction)
-from kamrev.fourier import FourierSeries, order1
+from kamrev.fourier import FourierSeries, canonical_half, order1
 from kamrev.revmat import RevMatrix, fix_spaces
 
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -203,3 +207,82 @@ def test_verify_estimate_reports_finite_constant():
                       rep.implied_c * rep.rhs_factor / (PARAMS.gamma * gap))
     with pytest.raises(ValueError):
         verify_estimate(F, phi, OMEGA, PARAMS, rho=0.2, rho_prime=0.4)
+
+
+# -- the batched coupled solves against the former per-mode loop ----------------
+
+
+def per_mode_oracle(F, omega, build, vec=lambda a: a, back=lambda a: a):
+    """One np.linalg.cond and one np.linalg.solve per nonzero +-k
+    representative, in lexicographic order; returns k -> solution."""
+    half = canonical_half(F.K) & F.K.any(axis=1)
+    out = {}
+    for k, rhs in zip(F.K[half], F.V[half]):
+        A = build(float(np.dot(k, omega)))
+        cond = np.linalg.cond(A)
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            raise SingularMode(k, cond)
+        out[tuple(int(c) for c in k)] = back(np.linalg.solve(A, vec(rhs)))
+    return out
+
+
+def assert_bitwise(phi, oracle):
+    assert oracle
+    for k, want in oracle.items():
+        got = phi.coeffs[k]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), k
+
+
+INV4 = fix_spaces(np.diag([1.0, 1.0, -1.0, -1.0]))
+
+
+def _q4(rng):
+    """A random 4x4 matrix anti-commuting with diag(1, 1, -1, -1)."""
+    Q = np.zeros((4, 4))
+    Q[:2, 2:] = rng.standard_normal((2, 2))
+    Q[2:, :2] = rng.standard_normal((2, 2))
+    return RevMatrix(Q, INV4)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("d", [2, 4])
+def test_batched_coupled_solves_match_per_mode_loop_bitwise(seed, d):
+    rng = np.random.default_rng(300 + 10 * d + seed)
+    Q = Q_ELLIPTIC if d == 2 else _q4(rng)
+    Qm = Q.Q
+    Id = np.eye(d)
+    omega = OMEGA + rng.uniform(-0.1, 0.1, 2)
+
+    def normal(div):
+        return 1j * div * Id - Qm
+
+    for shape in [(d,), (d, 3)]:
+        F = random_rhs(rng, 2, shape, 10)
+        assert_bitwise(solve_normal(F, omega, Q), per_mode_oracle(F, omega, normal))
+
+    F = random_rhs(rng, 2, (3, d), 10)
+    assert_bitwise(solve_right(F, omega, Q),
+                   per_mode_oracle(F, omega, lambda div: 1j * div * Id + Qm.T,
+                                   vec=lambda a: a.T, back=lambda a: a.T))
+
+    F = random_rhs(rng, 2, (d, d), 10)
+    assert_bitwise(solve_commutator(F, omega, Q),
+                   per_mode_oracle(F, omega, lambda div: commutator_operator(div, Qm),
+                                   vec=lambda a: a.ravel(order="F"),
+                                   back=lambda a: a.reshape(d, d, order="F")))
+
+
+def test_singular_mode_names_the_lexicographically_first_bad_mode():
+    # with omega = (beta, beta) both (0, 1) and (1, 0) meet the elliptic
+    # frequency beta; (0, 1) comes first
+    beta = np.sqrt(1.04)
+    omega = np.array([beta, beta])
+    F = (FourierSeries.cosine(2, (1, 0), np.ones(2), 6)
+         + FourierSeries.cosine(2, (0, 1), np.ones(2), 6)
+         + FourierSeries.cosine(2, (1, 1), np.ones(2), 6))
+    with pytest.raises(SingularMode) as got:
+        solve_normal(F, omega, Q_ELLIPTIC)
+    with pytest.raises(SingularMode) as want:
+        per_mode_oracle(F, omega, lambda div: 1j * div * np.eye(2) - Q_ELLIPTIC.Q)
+    assert got.value.k == want.value.k == (0, 1)
+    assert got.value.cond == want.value.cond
