@@ -186,7 +186,7 @@ _NORMALIZER_KEYS = {
     "tau": ("tau", float), "gamma": ("gamma", float), "horizon": ("horizon", int),
     "tol": ("tol", float), "maxIter": ("max_iter", int),
     "versalTol": ("versal_tol", float), "cancelTol": ("cancel_tol", float),
-    "lossBudget": ("loss_budget", float), "solverGamma": ("solver_gamma", float),
+    "lossBudget": ("loss_budget", float),
 }
 
 
@@ -415,8 +415,8 @@ def _run_ruessmann(config, seed, threads):
     if grid is not None:
         grid = np.asarray(grid, dtype=float)
     report = persistence_pipeline(
-        fam, curve, params, grid=grid,
-        grid_count=int(config.get("gridCount", 20)), config=_normalizer_config(config),
+        fam, curve, _normalizer_config(config), grid=grid,
+        grid_count=int(config.get("gridCount", 20)),
         T=float(config.get("T", 100.0)),
         deviation_tol=float(config.get("deviationTol", 1e-6)),
         verify=bool(config.get("verify", True)))

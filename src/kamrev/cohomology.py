@@ -25,6 +25,8 @@ from .fourier import FourierSeries, canonical_half
 from .revmat import RevMatrix, solve_fix_range
 
 COND_LIMIT = 1e12
+# solve_scalar accepts an average up to this, relative to the majorant
+ZERO_AVERAGE_TOL = 1e-12
 
 
 def _half(F: FourierSeries):
@@ -45,12 +47,11 @@ def _mirrored(F: FourierSeries, half, vals, zero=None) -> FourierSeries:
     return FourierSeries(F.n, F.shape, F.order, trunc_loss=F.trunc_loss, K=K[rows], V=V[rows])
 
 
-def solve_scalar(F: FourierSeries, omega, params: DiophantineParams,
-                 avg_tol: float = 1e-12) -> FourierSeries:
+def solve_scalar(F: FourierSeries, omega, params: DiophantineParams) -> FourierSeries:
     """Invert the derivative along the constant flow on zero-average series."""
     omega = np.asarray(omega, dtype=float)
     avg = float(np.max(np.abs(F.average()))) if len(F.K) else 0.0
-    if avg > avg_tol * max(F.majorant(), 1e-300):
+    if avg > ZERO_AVERAGE_TOL * max(F.majorant(), 1e-300):
         raise NonzeroAverage(f"average has magnitude {avg:.3e}")
     half = _half(F)
     Kh = F.K[half]

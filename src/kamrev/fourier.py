@@ -39,6 +39,10 @@ PRUNE_TOL = 1e-30
 # Whole products whose majorant bound falls below this are skipped.  This
 # sits eight orders of magnitude under the tightest stated tolerance.
 DROP_TOL = 1e-20
+# An angle shift's Taylor expansion stops at the first layer this small
+# relative to the operand, or at this degree.
+SHIFT_TOL = 1e-17
+SHIFT_MAX_DEGREE = 60
 
 
 def order1(k) -> int:
@@ -465,18 +469,16 @@ class AngleShift:
 
     ``a`` is a small (n,)-valued series.  The composition is the Taylor
     expansion g(x + a) = sum_beta d^beta g(x) a(x)^beta / beta!, truncated
-    adaptively once a layer's majorant falls below ``tol`` relative to the
-    operand.  Powers of a are memoized so the expansion is shared by every
-    series composed with the same shift; the derivatives of g are memoized
-    within one composition.
+    once a layer's majorant falls below SHIFT_TOL relative to the operand
+    (or at degree SHIFT_MAX_DEGREE).  Powers of a are memoized so the
+    expansion is shared by every series composed with the same shift; the
+    derivatives of g are memoized within one composition.
     """
 
-    def __init__(self, a: FourierSeries, tol=1e-17, max_degree=60):
+    def __init__(self, a: FourierSeries):
         if a.shape != (a.n,):
             raise ValueError("angle shift needs an (n,)-valued series")
         self.n = a.n
-        self.tol = float(tol)
-        self.max_degree = int(max_degree)
         self.trivial = a.majorant() == 0.0
         one = FourierSeries.constant(a.n, np.array(1.0 + 0j), a.order)
         self._pow = {(0,) * a.n: one}
@@ -491,7 +493,7 @@ class AngleShift:
         scale = s.majorant() + 1e-300
         derivs = {(0,) * self.n: s}
         acc = s
-        for degree in range(1, self.max_degree + 1):
+        for degree in range(1, SHIFT_MAX_DEGREE + 1):
             layer_mag = 0.0
             ball = _l1_ball(self.n, degree)
             for beta in map(tuple, ball[(ball >= 0).all(axis=1)
@@ -503,7 +505,7 @@ class AngleShift:
                 term = fs_mul(p, ds) * (1.0 / math.prod(map(math.factorial, beta)))
                 layer_mag += term.majorant()
                 acc = acc + term
-            if layer_mag <= self.tol * scale:
+            if layer_mag <= SHIFT_TOL * scale:
                 break
         return acc.truncate(s.order)
 

@@ -45,16 +45,9 @@ class NormalizerConfig:
     smallness_order: int = 2
     smallness_eps: float = 0.1
     loss_budget: float = 1e-8
-    # solver bound may be slacker than the certification bound: parameter
-    # continuation probes nearby frequencies that need not be certified
-    solver_gamma: float | None = None
 
     def dioph(self) -> DiophantineParams:
         return DiophantineParams(self.tau, self.gamma, self.horizon)
-
-    def solver_dioph(self) -> DiophantineParams:
-        g = self.gamma if self.solver_gamma is None else self.solver_gamma
-        return DiophantineParams(self.tau, g, self.horizon)
 
 
 # -- series plumbing ---------------------------------------------------------------
@@ -150,10 +143,6 @@ class NormalizationResult:
     def residual(self):
         return self.residual_history[-1]
 
-    def torus_embedding(self):
-        """xbar -> (x, w) parametrization of the invariant torus wbar = 0."""
-        return self.a, self.W0
-
     def smallness(self):
         """Weighted-coefficient sup bounds for the transform and its first
         smallness_order x-derivatives; the persistence guarantee needs every
@@ -173,7 +162,7 @@ class NormalizationResult:
 
 class _Setup(NamedTuple):
     """What every sweep of one normalization shares: the base point, the limit
-    matrix Q and its reversible form, the solver bound, the unfolding
+    matrix Q and its reversible form, the Diophantine bound, the unfolding
     directions and the targets of the residual."""
     omega0: np.ndarray
     mu0: np.ndarray
@@ -254,10 +243,10 @@ def _solve_sweep(family, inst, Xx, Xw, res: _Residual, ctx: _Setup,
     # known parameter-shift feedback on the linear blocks
     for j in range(n):
         if du[j] != 0.0:
-            R_lin = R_lin + inst.jacobians[j][1].linear_w() * du[j]
+            R_lin = R_lin + inst.jacobians[j].linear_w() * du[j]
     for j in range(m):
         if dv[j] != 0.0:
-            R_lin = R_lin + inst.jacobians[n + j][1].linear_w() * dv[j]
+            R_lin = R_lin + inst.jacobians[n + j].linear_w() * dv[j]
 
     R_yy = R_lin.map_stack(lambda V: V[:, :m, :m])
     R_yz = R_lin.map_stack(lambda V: V[:, :m, m:])
@@ -326,12 +315,12 @@ def _setup(family, omega0, mu0, config) -> _Setup:
     mu0 = np.asarray(mu0, dtype=float).reshape(family.s)
     Q = family.Q_at(omega0, mu0)
     Qrev = RevMatrix(Q, family.inv) if family.d else None
-    report = is_diophantine_pair(omega0, Qrev, config.dioph())
+    dioph = config.dioph()
+    report = is_diophantine_pair(omega0, Qrev, dioph)
     if not report.holds:
         raise SmallDivisor(report.worst_k, report.margin + config.gamma, config.gamma)
     directions = family.unfolding_directions(omega0, mu0)
     plus_basis = family.inv.gl_plus_basis() if family.d else []
-    dioph = config.solver_dioph()
     omega_const = FourierSeries.constant(family.n, omega0, family.order)
     T = np.zeros((family.q, family.q))
     if Q.size:

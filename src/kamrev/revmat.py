@@ -340,26 +340,3 @@ class MiniversalNilpotent:
                 dirs.append(self.L_tilde(E) - L0)
         return Unfolding(base, dirs)
 
-
-def miniversal_nilpotent(m: int) -> MiniversalNilpotent:
-    return MiniversalNilpotent(m)
-
-
-def build_augmented(Q: RevMatrix, Lam) -> RevMatrix:
-    """Stack the nilpotent block over Q: Qhat = [[0,I,0],[Lam,0,0],[0,0,Q]]
-    with involution Rhat = (-I_m) (+) I_m (+) R."""
-    Lam = np.atleast_2d(np.asarray(Lam, dtype=float))
-    m = Lam.shape[0]
-    if Lam.shape != (m, m):
-        raise ValueError("Lam must be square")
-    d = Q.dim
-    N = 2 * m + d
-    Qhat = np.zeros((N, N))
-    Qhat[:m, m:2 * m] = np.eye(m)
-    Qhat[m:2 * m, :m] = Lam
-    Qhat[2 * m:, 2 * m:] = Q.Q
-    Rhat = np.zeros((N, N))
-    Rhat[:m, :m] = -np.eye(m)
-    Rhat[m:2 * m, m:2 * m] = np.eye(m)
-    Rhat[2 * m:, 2 * m:] = Q.inv.R
-    return RevMatrix(Qhat, fix_spaces(Rhat))

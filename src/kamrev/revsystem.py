@@ -279,25 +279,15 @@ class ReversibleFamily:
         Xw = Xw + self._z_linear_ft(Q)
         Xw = Xw + ft_embed(zeta_s + self.h, q, m)
 
-        # parameter jacobians: slots (omega | sigma | mu)
-        jac = []
-        for j in range(n):
-            dXx = FourierTaylor.from_series(
-                FourierSeries.constant(n, np.eye(n)[j], N), q, D)
-            dXw = self._z_linear_ft(self.dQ_at(omega, mu, j))
-            jac.append((dXx, dXw))
+        # w-row parameter jacobians: slots (omega | sigma)
+        jac = [self._z_linear_ft(self.dQ_at(omega, mu, j)) for j in range(n)]
         for j in range(m):
-            dXx = ft_fix_tail(self.xi.deriv_w(q + j), q, sigma)
             dXw_y = ft_fix_tail(self.eta.deriv_w(q + j), q, sigma)
             dXw_z = ft_fix_tail(self.zeta.deriv_w(q + j), q, sigma)
             const = np.zeros(q)
             const[j] = 1.0
-            dXw = (FourierTaylor.from_series(FourierSeries.constant(n, const, N), q, D)
-                   + ft_embed(dXw_y, q, 0) + ft_embed(dXw_z, q, m))
-            jac.append((dXx, dXw))
-        for j in range(self.s):
-            dXw = self._z_linear_ft(self.dQ_at(omega, mu, self.n + j))
-            jac.append((FourierTaylor.zero(n, q, (n,), N, D), dXw))
+            jac.append(FourierTaylor.from_series(FourierSeries.constant(n, const, N), q, D)
+                       + ft_embed(dXw_y, q, 0) + ft_embed(dXw_z, q, m))
 
         return InstantiatedField(self, omega, sigma, mu, Xx, Xw, jac)
 
@@ -449,7 +439,7 @@ class InstantiatedField:
         self.family = family
         self.omega, self.sigma, self.mu = omega, sigma, mu
         self.Xx, self.Xw = Xx, Xw
-        self.jacobians = jacobians  # list over (omega | sigma | mu) slots
+        self.jacobians = jacobians  # d(Xw) over the (omega | sigma) slots
 
     def eval(self, x, w):
         return np.concatenate([self.Xx.eval(x, w), self.Xw.eval(x, w)])

@@ -27,6 +27,10 @@ from .errors import (ImplicitSolveFailure, NoConvergence, SmallDivisor,
 from .normalizer import NormalizerConfig, normalize
 from .revsystem import ReversibleFamily, verify_torus
 
+# outer identification steps per grid point, and the residual that ends them
+OUTER_STEPS = 12
+IDENTIFY_TOL = 1e-12
+
 
 @dataclass
 class FrequencyCurve:
@@ -100,10 +104,9 @@ def diophantine_fraction(curve: FrequencyCurve, tau: float, gamma: float,
 
 def uniform_grid(box, count: int) -> np.ndarray:
     """Uniform product mesh over the box, count points per dimension."""
-    axes = [np.linspace(lo, hi, count) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij") if axes else []
-    if not axes:
+    if not box:
         return np.zeros((1, 0))
+    mesh = np.meshgrid(*[np.linspace(lo, hi, count) for lo, hi in box], indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
@@ -173,7 +176,7 @@ class PersistenceReport:
         return rows
 
 
-def _identify(family, curve, mu_curve, omega, mu0, cfg, tol, max_outer):
+def _identify(family, curve, mu_curve, omega, mu0, cfg):
     """Joint fixed point for frequency and family parameter.  Each step runs
     one normalization at the current (omega, mu0) and moves both unknowns;
     when the family is parameter-free only the frequency moves and the
@@ -181,7 +184,7 @@ def _identify(family, curve, mu_curve, omega, mu0, cfg, tol, max_outer):
     the normalization at it, and the two back-substitution residuals."""
     prev = None
     size = float("inf")
-    for _ in range(max_outer):
+    for _ in range(OUTER_STEPS):
         run = normalize(family, omega, mu0, cfg)
         mu_arg = (mu0 + run.w) if family.s else mu_curve
         target = curve.F(run.v, mu_arg)
@@ -190,7 +193,7 @@ def _identify(family, curve, mu_curve, omega, mu0, cfg, tol, max_outer):
         phi_resid = float(np.max(np.abs(dom)))
         ups_resid = float(np.max(np.abs(dmu))) if family.s else 0.0
         size = max(phi_resid, ups_resid)
-        if size <= tol:
+        if size <= IDENTIFY_TOL:
             return omega, mu0, run, phi_resid, ups_resid
         if prev is not None and size > 0.5 * prev:
             raise ImplicitSolveFailure(
@@ -202,13 +205,12 @@ def _identify(family, curve, mu_curve, omega, mu0, cfg, tol, max_outer):
 
 
 def persistence_pipeline(family: ReversibleFamily, curve: FrequencyCurve,
-                         params: DiophantineParams, grid=None, grid_count: int = 20,
-                         config: NormalizerConfig | None = None,
+                         config: NormalizerConfig, grid=None, grid_count: int = 20,
                          T: float = 100.0, deviation_tol: float = 1e-6,
-                         max_outer: int = 12, solve_tol: float = 1e-12,
                          verify: bool = True) -> PersistenceReport:
     """Run the frequency/parameter identification over a grid and certify
-    the surviving set.
+    the surviving set at ``config.dioph()``; every normalization runs at a
+    quarter of its gamma.
 
     The family must be checked reversible and the curve nondegenerate by
     the caller.  The family's parameter count is either zero (the curve
@@ -220,9 +222,8 @@ def persistence_pipeline(family: ReversibleFamily, curve: FrequencyCurve,
         grid = uniform_grid(curve.box, grid_count)
     grid = np.asarray(grid, dtype=float).reshape(-1, curve.dim)
 
-    base = config or NormalizerConfig(params.tau, params.gamma, params.kmax)
-    work = dataclasses.replace(base, tau=params.tau, gamma=params.gamma / 4.0,
-                               horizon=params.kmax, solver_gamma=None)
+    params = config.dioph()
+    work = dataclasses.replace(config, gamma=config.gamma / 4.0)
 
     points = []
     for mu_curve in grid:
@@ -231,8 +232,7 @@ def persistence_pipeline(family: ReversibleFamily, curve: FrequencyCurve,
         try:
             mu0 = mu_curve.copy() if family.s else np.zeros(0)
             omega, mu0, run, phi_resid, ups_resid = _identify(
-                family, curve, mu_curve, curve.at(mu_curve), mu0, work,
-                solve_tol, max_outer)
+                family, curve, mu_curve, curve.at(mu_curve), mu0, work)
             pt.fsharp = omega
             pt.theta = run.v
             pt.phi_residual = phi_resid

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import (GAMMA, GOLDEN, HORIZON, MU0, OMEGA0, TAU, make_config,
+from conftest import (GAMMA, GOLDEN, MU0, OMEGA0, TAU, make_config,
                       make_golden_family)
 from kamrev.cohomology import (solve_normal, solve_scalar, verify_estimate)
 from kamrev.diophantine import (DiophantineParams, complement_measure_estimate,
@@ -75,15 +75,14 @@ def crit8(golden_family, crit6, cfg16):
 
 
 @pytest.fixture(scope="module")
-def crit10(golden_family, cfg16):
+def crit10(golden_family):
     curve = FrequencyCurve(
         lambda sigma, mu: np.array([1.0 + 0.2 * sigma[0],
                                     GOLDEN + 0.3 * sigma[0] + 0.8 * (mu[0] - 0.125)]),
         box=[(0.01, 0.20)], n=2, m=1)
-    params = DiophantineParams(TAU, 1e-2, HORIZON)
+    config = make_config(gamma=1e-2, tol=1e-11)
     t0 = time.monotonic()
-    rep = persistence_pipeline(golden_family, curve, params, grid_count=20,
-                               config=cfg16, T=25.0)
+    rep = persistence_pipeline(golden_family, curve, config, grid_count=20, T=25.0)
     elapsed = time.monotonic() - t0
     return SimpleNamespace(rep=rep, curve=curve, elapsed=elapsed)
 

@@ -225,6 +225,14 @@ def test_ruessmann_rejects_solver_gamma(tmp_path, capsys):
     assert not (tmp_path / "ruessmann-report.json").exists()
 
 
+def test_normalize_rejects_solver_gamma(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, _family_doc(make_golden_family(delta=1e-4, order=8),
+                                          solverGamma=1e-3))
+    assert main(["normalize", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "rejected by schema normalize" in capsys.readouterr().err
+    assert not (tmp_path / "normalize-report.json").exists()
+
+
 def _shipped_schemas():
     return sorted(p.name[:-len(".json")]
                   for p in (files("kamrev") / "schemas").iterdir()

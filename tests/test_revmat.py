@@ -3,11 +3,11 @@ and the interleaved nilpotent frame."""
 import numpy as np
 import pytest
 
+from conftest import MU0, OMEGA0, make_golden_family
 from kamrev.errors import NotAntiInvariant, NotInvolutive, Obstruction
 from kamrev.revmat import (InvolutionStructure, MiniversalNilpotent, RevMatrix,
-                           Unfolding, build_augmented, fix_spaces, is_versal,
-                           kernel_condition, miniversal_nilpotent, orbit_tangent,
-                           solve_fix_range)
+                           Unfolding, fix_spaces, is_versal, kernel_condition,
+                           orbit_tangent, solve_fix_range)
 
 
 def block_inv(p):
@@ -155,7 +155,7 @@ DET_EXPECTED = {m: (-1) ** ((m - 1) * m // 2) for m in range(1, 7)}
 
 @pytest.mark.parametrize("m", list(range(1, 7)))
 def test_interleaving_frame_identities(m):
-    nil = miniversal_nilpotent(m)
+    nil = MiniversalNilpotent(m)
     assert nil.det_S == DET_EXPECTED[m]
     assert nil.det_S == round(np.linalg.det(nil.S))
     assert np.array_equal(nil.J_tilde @ nil.S, nil.S @ nil.J)  # exact integers
@@ -169,18 +169,20 @@ def test_interleaving_frame_identities(m):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_base_unfolding_is_miniversal(m):
-    rep = is_versal(miniversal_nilpotent(m).base_unfolding())
+    rep = is_versal(MiniversalNilpotent(m).base_unfolding())
     assert rep.versal and rep.miniversal
     assert rep.codim == m * m
 
 
 def test_build_augmented_structure():
-    inv = block_inv(1)
-    Q = RevMatrix(np.array([[0.0, 1.04], [-1.0, 0.0]]), inv)
-    Lam = np.array([[0.3]])
-    hat = build_augmented(Q, Lam)
-    assert hat.dim == 4
-    assert np.allclose(hat.Q[0, 1], 1.0)
-    assert np.allclose(hat.Q[1, 0], 0.3)
-    assert np.allclose(hat.Q[2:, 2:], Q.Q)
-    assert np.allclose(hat.inv.R @ hat.Q + hat.Q @ hat.inv.R, 0, atol=1e-12)
+    """The sigma-promoted family's Q stacks the nilpotent block [[0, I],
+    [Lam, 0]] over the original Q, and anti-commutes with its involution."""
+    fam = make_golden_family(delta=0.0, order=8)
+    aug = fam.augment()
+    hat = aug.family.Q_at(OMEGA0, aug.mu_hat(MU0, [[0.3]]))
+    R = aug.family.R
+    assert hat.shape == R.shape == (4, 4)
+    assert np.allclose(hat[0, 1], 1.0)
+    assert np.allclose(hat[1, 0], 0.3)
+    assert np.allclose(hat[2:, 2:], [[0.0, 1.04], [-1.0, 0.0]])  # Q(mu = 0.04)
+    assert np.allclose(R @ hat + hat @ R, 0, atol=1e-12)

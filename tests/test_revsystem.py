@@ -140,21 +140,17 @@ def test_parameter_jacobians_match_finite_differences():
     inst = fam.instantiate(omega, sigma, mu)
     h = 1e-6
     x, w = XS[0], WS[0]
-    for slot, (dXx, dXw) in enumerate(inst.jacobians):
+    assert len(inst.jacobians) == 3  # the w rows along omega_1, omega_2, sigma
+    for slot, dXw in enumerate(inst.jacobians):
         do = np.zeros(2)
         ds = np.zeros(1)
-        dm = np.zeros(1)
         if slot < 2:
             do[slot] = h
-        elif slot == 2:
-            ds[0] = h
         else:
-            dm[0] = h
-        up = fam.instantiate(omega + do, sigma + ds, mu + dm)
-        dn = fam.instantiate(omega - do, sigma - ds, mu - dm)
-        fd_x = (up.Xx.eval(x, w) - dn.Xx.eval(x, w)) / (2 * h)
+            ds[0] = h
+        up = fam.instantiate(omega + do, sigma + ds, mu)
+        dn = fam.instantiate(omega - do, sigma - ds, mu)
         fd_w = (up.Xw.eval(x, w) - dn.Xw.eval(x, w)) / (2 * h)
-        assert np.allclose(dXx.eval(x, w), fd_x, atol=1e-6), slot
         assert np.allclose(dXw.eval(x, w), fd_w, atol=1e-6), slot
 
 

@@ -3,6 +3,7 @@
 Oracle for the Monte-Carlo fraction: replay the sampling with the same rng
 and count failures over an itertools mode enumeration.
 """
+import dataclasses
 import itertools
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from conftest import GOLDEN, MU0, OMEGA0, make_config, make_curve_family, \
     make_golden_family
-from kamrev.diophantine import DiophantineParams
+from kamrev import ruessmann
 from kamrev.ruessmann import (FrequencyCurve, diophantine_fraction,
                               is_ruessmann_nondegenerate, persistence_pipeline,
                               uniform_grid)
@@ -119,10 +120,8 @@ def test_pipeline_drift_family_accepts_and_rejects_deterministically():
         lambda sigma, mu: np.array([1.0 + 0.3 * sigma[0],
                                     1.55 + mu[0] + 0.5 * sigma[0]]),
         box=[(0.0, 0.1)], n=2, m=1)
-    params = DiophantineParams(1.5, 5e-3, 16)
     cfg = make_config(horizon=16, tol=1e-11)
-    rep = persistence_pipeline(fam, curve, params, grid_count=3, config=cfg,
-                               T=20.0)
+    rep = persistence_pipeline(fam, curve, cfg, grid_count=3, T=20.0)
     assert len(rep.points) == 3
     ok = rep.accepted()
     assert [bool(pt.accepted) for pt in rep.points] == [True, False, True]
@@ -146,11 +145,9 @@ def test_pipeline_identifies_family_parameter():
     fam = make_golden_family(delta=DELTA, order=8)
     curve = elliptic_curve()
     assert is_ruessmann_nondegenerate(curve, 32).nondegenerate
-    params = DiophantineParams(1.5, 1e-2, 12)
-    cfg = make_config(horizon=12, tol=1e-11)
+    cfg = make_config(horizon=12, gamma=1e-2, tol=1e-11)
     grid = np.array([[0.08], [0.125], [0.17]])
-    rep = persistence_pipeline(fam, curve, params, grid=grid, config=cfg,
-                               T=20.0)
+    rep = persistence_pipeline(fam, curve, cfg, grid=grid, T=20.0)
     ok = rep.accepted()
     assert len(ok) == 3, [pt.reason for pt in rep.points]
     for pt in ok:
@@ -167,14 +164,34 @@ def test_pipeline_identifies_family_parameter():
 def test_pipeline_rejects_everything_at_absurd_gamma():
     fam = make_curve_family(delta=DELTA, order=8)
     curve = drift_curve()
-    params = DiophantineParams(1.2, 1.0, 8)
-    cfg = make_config(tol=1e-11)
-    rep = persistence_pipeline(fam, curve, params, grid_count=2, config=cfg,
-                               T=5.0)
+    cfg = make_config(tau=1.2, gamma=1.0, horizon=8, tol=1e-11)
+    rep = persistence_pipeline(fam, curve, cfg, grid_count=2, T=5.0)
     assert rep.accepted() == []
     assert rep.rejected_fraction == 1.0
     for pt in rep.points:
         assert "margin" in pt.reason or "SmallDivisor" in pt.reason
+
+
+def test_pipeline_certifies_at_config_and_normalizes_at_quarter_gamma(monkeypatch):
+    """The config is the one carrier of (tau, gamma, horizon): the report
+    certifies at it, and every normalization runs at its horizon with a
+    quarter of its gamma."""
+    fam = make_curve_family(delta=DELTA, order=8)
+    g = 5e-3
+    cfg = make_config(horizon=8, gamma=g, tol=1e-11)
+    normalize = ruessmann.normalize
+    seen = []
+
+    def spy(family, omega0, mu0, config):
+        seen.append(config)
+        return normalize(family, omega0, mu0, config)
+
+    monkeypatch.setattr(ruessmann, "normalize", spy)
+    rep = persistence_pipeline(fam, drift_curve(), cfg, grid_count=2, verify=False)
+    assert (rep.params.tau, rep.params.gamma, rep.params.kmax) == (cfg.tau, g, 8)
+    # at least one normalization per grid point, each at horizon 8 and gamma g/4
+    assert len(seen) >= 2
+    assert seen == [dataclasses.replace(cfg, gamma=g / 4)] * len(seen)
 
 
 def test_pipeline_validates_parameter_counts():
@@ -182,16 +199,14 @@ def test_pipeline_validates_parameter_counts():
     bad_curve = FrequencyCurve(lambda sigma, mu: OMEGA0 + mu,
                                box=[(0.0, 0.1), (0.0, 0.1)], n=2, m=1)
     with pytest.raises(ValueError):
-        persistence_pipeline(fam, bad_curve, DiophantineParams(1.5, 1e-2, 8))
+        persistence_pipeline(fam, bad_curve, make_config(gamma=1e-2, horizon=8))
 
 
 def test_report_serialization_shapes():
     fam = make_curve_family(delta=DELTA, order=8)
     curve = drift_curve()
-    params = DiophantineParams(1.5, 5e-3, 12)
     cfg = make_config(horizon=12, tol=1e-11)
-    rep = persistence_pipeline(fam, curve, params, grid_count=2, config=cfg,
-                               T=10.0)
+    rep = persistence_pipeline(fam, curve, cfg, grid_count=2, T=10.0)
     doc = rep.to_json()
     assert doc["rejectedFraction"] == rep.rejected_fraction
     assert len(doc["points"]) == 2
