@@ -35,7 +35,7 @@ from .normalizer import NormalizerConfig, normalize, normalize_augmented
 from .revmat import (MiniversalNilpotent, RevMatrix, Unfolding, fix_spaces,
                      is_versal, kernel_condition)
 from .revsystem import ReversibleFamily, ToySolution, toy_ex1, toy_ex2, toy_linear
-from .ruessmann import (FrequencyCurve, diophantine_fraction,
+from .ruessmann import (PolynomialCurve, diophantine_fraction,
                         is_ruessmann_nondegenerate, persistence_pipeline)
 
 log = logging.getLogger("kamrev")
@@ -381,21 +381,9 @@ def _run_normalize_augmented(config, seed, threads):
 
 
 def _curve_from_config(doc):
-    box = [tuple(b) for b in doc["box"]]
-    m = int(doc.get("m", 1))
-    sigma_lin = np.asarray(doc.get("sigmaLinear",
-                                   np.zeros((len(doc["components"]), m))), dtype=float)
-    polys = [np.asarray(comp["muPoly"], dtype=float) for comp in doc["components"]]
-    n = len(polys)
-
-    def F(sigma, mu):
-        sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        t = mu[0] if mu.size else 0.0
-        base = np.array([float(np.polyval(p[::-1], t)) for p in polys])
-        return base + sigma_lin @ sigma[:m]
-
-    return FrequencyCurve(F, box=box, n=n, m=m)
+    return PolynomialCurve([comp["muPoly"] for comp in doc["components"]],
+                           box=[tuple(b) for b in doc["box"]], m=int(doc.get("m", 1)),
+                           sigma_linear=doc.get("sigmaLinear"))
 
 
 def _run_ruessmann(config, seed, threads):

@@ -95,6 +95,9 @@ class DiophantineParams:
     kmax: int
 
     def __post_init__(self):
+        # a JSON config may give tau = 2; int64 mode orders cannot be raised
+        # to a negative integer power
+        self.tau, self.gamma = float(self.tau), float(self.gamma)
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.kmax < 1:

@@ -6,7 +6,8 @@ array of multi-indices in strictly increasing lexicographic order, and
 exp(i<K[i], x>).  Coefficients below ``PRUNE_TOL`` are never stored.  Every
 operation is a fixed handful of numpy expressions over the two arrays; the
 ``coeffs`` property is a read-only k -> array view for callers that think
-in single modes.
+in single modes.  ``eval`` takes one point or an ``(S, n)`` stack of
+points, so a trajectory is evaluated with one set of array operations.
 
 Reality of the represented function is an invariant: the coefficient at -k
 is the complex conjugate of the coefficient at k for every stored k.  All
@@ -234,17 +235,20 @@ class FourierSeries:
         return np.real(self.V[zero[0]]).copy()
 
     def eval(self, x):
-        """Evaluate at a point x of the torus; the result must be real."""
+        """Evaluate at a point x of the torus, or at each row of an (S, n)
+        stack (result (S,) + shape).  Values must be real: the imaginary part
+        may not exceed 1e-10 times the majorant.  ``np.einsum`` sums a row of
+        a stack as it sums the row alone, and starts no BLAS threads."""
         x = np.asarray(x, dtype=float)
         if len(self.K) == 0:
-            return np.zeros(self.shape)
-        phases = np.exp(1j * (self.K @ x))
-        out = np.tensordot(phases, self.V, axes=([0], [0]))
+            return np.zeros(x.shape[:-1] + self.shape)
+        phases = np.exp(1j * np.einsum("...j,mj->...m", x, self.K))
+        out = np.einsum("...m,mp->...p", phases, self.V.reshape(len(self.K), -1))
         mag = self.majorant()
         resid = float(np.max(np.abs(out.imag))) if out.size else 0.0
         if resid > 1e-10 * mag:
             raise ImaginaryResidue(f"imaginary residue {resid:.3e} exceeds 1e-10 * {mag:.3e}")
-        return out.real
+        return out.real.reshape(x.shape[:-1] + self.shape)
 
     # -- linear operations -----------------------------------------------------
 

@@ -53,8 +53,37 @@ class FrequencyCurve:
         return len(self.box)
 
     def at(self, mu):
-        return np.asarray(self.F(np.zeros(self.m), np.asarray(mu, dtype=float)),
-                          dtype=float).reshape(self.n)
+        """The n frequencies at mu, or an (S, n) array for an (S, dim) stack
+        of parameter values, mapped over its rows."""
+        mu = np.asarray(mu, dtype=float)
+        if mu.ndim == 2:
+            return np.array([self.at(row) for row in mu]).reshape(len(mu), self.n)
+        return np.asarray(self.F(np.zeros(self.m), mu), dtype=float).reshape(self.n)
+
+
+class PolynomialCurve(FrequencyCurve):
+    """F(sigma, mu) = P(mu_1) + L sigma: component i is the polynomial with
+    ascending coefficients ``polys[i]`` in the first parameter (0 for an empty
+    box) plus row i of ``sigma_linear`` (n x m, default zero) times sigma.
+    ``at`` runs Horner's rule elementwise over a stack, bit for bit per row."""
+
+    def __init__(self, polys, box, m=1, sigma_linear=None):
+        self.descending = [np.asarray(p, dtype=float)[::-1] for p in polys]
+        n = len(self.descending)
+        self.sigma_linear = (np.zeros((n, m)) if sigma_linear is None
+                             else np.asarray(sigma_linear, dtype=float))
+        super().__init__(self._value, box=box, n=n, m=m)
+
+    def _value(self, sigma, mu):
+        sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
+        mu = np.atleast_1d(np.asarray(mu, dtype=float))
+        t = mu[..., 0] if mu.shape[-1] else np.zeros(mu.shape[:-1])
+        base = np.stack([np.polyval(p, t) for p in self.descending], axis=-1)
+        return base + self.sigma_linear @ sigma[:self.m]
+
+    def at(self, mu):
+        mu = np.asarray(mu, dtype=float)
+        return self._value(np.zeros(self.m), mu).reshape(mu.shape[:-1] + (self.n,))
 
 
 @dataclass
@@ -83,7 +112,7 @@ def is_ruessmann_nondegenerate(curve: FrequencyCurve, sample_count: int,
         raise ValueError("need at least n samples to decide rank n")
     rng = np.random.default_rng(seed)
     mus = _sample_box(curve.box, sample_count, rng)
-    V = np.stack([curve.at(mu) for mu in mus], axis=1)      # (n, samples)
+    V = curve.at(mus).T                                      # (n, samples)
     U, sv, _ = np.linalg.svd(V, full_matrices=True)
     rank = int(np.sum(sv > rel_tol * sv[0])) if sv.size and sv[0] > 0 else 0
     if rank == curve.n:
@@ -97,8 +126,7 @@ def diophantine_fraction(curve: FrequencyCurve, tau: float, gamma: float,
     classical Diophantine condition at (tau, gamma) up to the horizon."""
     rng = np.random.default_rng(seed)
     mus = _sample_box(curve.box, samples, rng)
-    W = np.fromiter(map(curve.at, mus), dtype=(float, curve.n), count=samples)
-    minima, _, _ = _min_divisors(W, np.zeros((samples, 0)), tau, kmax)
+    minima, _, _ = _min_divisors(curve.at(mus), np.zeros((samples, 0)), tau, kmax)
     return int(np.sum(minima < gamma)) / float(samples)
 
 

@@ -338,6 +338,19 @@ def test_cohomology_solve_with_estimate(tmp_path):
     assert err.majorant() < 1e-12
 
 
+def test_cohomology_solve_accepts_integer_tau(tmp_path):
+    rhs = FourierSeries.cosine(2, (1, 0), np.array([1.0]), 8)
+    results = []
+    for tau in (2, 2.0):
+        out = tmp_path / f"tau-{tau!r}"
+        cfg = write_cfg(tmp_path, {"omega": [1.0, GOLDEN], "tau": tau, "gamma": 5e-3,
+                                   "kmax": 8, "kind": "scalar", "rhs": rhs.to_json()},
+                        name=f"tau-{tau!r}.json")
+        assert main(["cohomology-solve", "--config", cfg, "--out", str(out)]) == 0
+        results.append(read_report(out, "cohomology-solve")["result"])
+    assert results[0] == results[1]
+
+
 def test_versal_check_nilpotent_base(tmp_path):
     cfg = write_cfg(tmp_path, {
         "Q": [[0.0, 1.0], [0.0, 0.0]], "R": R2,

@@ -5,8 +5,11 @@ angles, compared against numpy arithmetic on the evaluated values.
 """
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from kamrev.errors import ImaginaryResidue
 from kamrev.fourier import AngleShift, FourierSeries, fs_matmul, fs_mul, fs_stack, order1
+from test_fourier_oracle import DIMS, ORDERS, SETTINGS, real_series
 
 ORDER = 12
 XS = [np.array([0.0, 0.0]), np.array([0.7, -1.3]), np.array([2.9, 4.1]),
@@ -171,6 +174,38 @@ def test_angle_shift_oscillatory_matches_pointwise():
     shifted = AngleShift(a).apply(s)
     for x in XS:
         assert np.allclose(shifted.eval(x), s.eval(x + a.eval(x)), atol=1e-9)
+
+
+ANGLE = st.floats(-7.0, 7.0, allow_nan=False, allow_subnormal=False)
+
+
+@SETTINGS
+@given(data=st.data(), n=DIMS, shape=st.sampled_from([(), (2,), (2, 3)]), order=ORDERS)
+def test_eval_on_a_stack_equals_row_by_row(data, n, shape, order):
+    s = data.draw(real_series(n, shape, order))
+    rows = data.draw(st.lists(st.lists(ANGLE, min_size=n, max_size=n), max_size=6))
+    X = np.array(rows, dtype=float).reshape(len(rows), n)
+    got = s.eval(X)
+    assert got.shape == (len(rows),) + shape
+    for x, row in zip(X, got):
+        np.testing.assert_array_equal(row, s.eval(x))
+
+
+def nonreal_series(value, k=(1, 0)):
+    """value * exp(i<k, x>) with no partner at -k, built from arrays, which
+    skips the reality check: imaginary part value * sin<k, x>."""
+    value = np.asarray(value, dtype=complex)
+    return FourierSeries(2, value.shape, ORDER, K=np.array([k]), V=value[None])
+
+
+def test_eval_raises_on_an_imaginary_residue():
+    s = nonreal_series([1e-6, 0.0])
+    with pytest.raises(ImaginaryResidue):
+        s.eval(np.array([0.7, 0.2]))
+    # at x_1 = 0 the value is real; a stack raises if any row is not
+    assert np.array_equal(s.eval(np.array([[0.0, 0.2]])), [[1e-6, 0.0]])
+    with pytest.raises(ImaginaryResidue):
+        s.eval(np.array([[0.0, 0.2], [0.7, 0.2], [0.0, -1.0]]))
 
 
 def test_json_roundtrip_is_exact():

@@ -1,17 +1,21 @@
 """Fourier-Taylor fields: polynomial-in-w layers over the sparse series.
 
 Oracle throughout: pointwise evaluation at sampled (x, w), with numpy doing
-the arithmetic on the evaluated values.
+the arithmetic on the evaluated values.  The compiled ``eval`` itself is
+checked against the per-term loop it replaced, on Hypothesis-drawn fields.
 """
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kamrev import ftaylor
-from kamrev.errors import ImplicitSolveFailure
+from kamrev.errors import ImaginaryResidue, ImplicitSolveFailure
 from kamrev.fourier import FourierSeries, fs_matmul
 from kamrev.ftaylor import (FourierTaylor, WSubstitution, fs_neumann_solve,
                             ft_matmul, ft_mul, ft_neumann_solve, ft_series_matmul,
                             involution_pullback)
+from test_fourier import ANGLE, nonreal_series
+from test_fourier_oracle import DIMS, ENTRY, ORDERS, SETTINGS, real_series
 
 N_ANGLE, Q, ORDER, DEGREE = 2, 3, 10, 3
 
@@ -41,11 +45,20 @@ def random_ft(rng, shape, degree=DEGREE, kmax=2, nterms=5, top=None):
     return FourierTaylor(N_ANGLE, Q, shape, ORDER, degree, terms)
 
 
-def eval_oracle(F, x, w):
-    out = np.zeros(F.shape)
+def per_term_eval(F, x, w):
+    """The evaluator the compiled one replaced: one ``FourierSeries.eval``
+    per term, weighted by its monomial, terms with a zero monomial skipped.
+    Returns the value and the scale sum |w^alpha| |F_alpha| it is made of."""
+    w = np.asarray(w, dtype=float)
+    out, scale = np.zeros(F.shape), 0.0
     for alpha, s in F.terms.items():
-        out = out + s.eval(x) * np.prod(np.asarray(w) ** np.asarray(alpha))
-    return out
+        mono = 1.0
+        for wj, e in zip(w, alpha):
+            mono *= wj ** e
+        if mono != 0.0:
+            out = out + s.eval(x) * mono
+            scale += abs(mono) * s.majorant()
+    return out, scale
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -53,7 +66,46 @@ def test_eval_matches_monomial_sum(seed):
     rng = np.random.default_rng(seed)
     F = random_ft(rng, (2,))
     for x, w in SAMPLES:
-        assert np.allclose(F.eval(x, w), eval_oracle(F, x, w), atol=1e-12)
+        assert np.allclose(F.eval(x, w), per_term_eval(F, x, w)[0], atol=1e-12)
+
+
+@st.composite
+def real_fields(draw, n, q, shape, degree=3):
+    order = draw(ORDERS)
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        alpha = tuple(draw(st.lists(st.integers(0, degree), min_size=q, max_size=q)))
+        if sum(alpha) > degree:
+            continue
+        s = draw(real_series(n, shape, order))
+        terms[alpha] = s if alpha not in terms else terms[alpha] + s
+    return FourierTaylor(n, q, shape, order, degree, terms)
+
+
+@SETTINGS
+@given(data=st.data(), n=DIMS, q=st.integers(0, 3), shape=st.sampled_from([(), (2,), (2, 3)]))
+def test_compiled_eval_matches_per_term_loop(data, n, q, shape):
+    F = data.draw(real_fields(n, q, shape))
+    for _ in range(3):
+        x = np.array(data.draw(st.lists(ANGLE, min_size=n, max_size=n)))
+        w = 1.5 * np.array(data.draw(st.lists(ENTRY, min_size=q, max_size=q)))
+        want, scale = per_term_eval(F, x, w)
+        got = F.eval(x, w)
+        assert got.shape == F.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * scale
+
+
+def test_eval_checks_every_term_against_its_own_majorant():
+    """A small non-real term inside a large real field: its residue is far
+    below 1e-10 times the field's majorant, but not its own."""
+    big = FourierSeries.constant(2, np.array([1e6, 0.0]), ORDER)
+    F = FourierTaylor(2, 1, (2,), ORDER, 2, {(0,): big, (1,): nonreal_series([1e-6, 0.0])})
+    x, w = np.array([0.7, 0.2]), np.array([1.0])
+    assert 1e-6 * np.sin(0.7) < 1e-10 * F.majorant()
+    with pytest.raises(ImaginaryResidue):
+        F.eval(x, w)
+    # at x_1 = 0 every term is real
+    assert np.allclose(F.eval(np.array([0.0, 0.2]), w), [1e6 + 1e-6, 0.0], rtol=1e-15)
 
 
 def test_build_accepts_plain_arrays():

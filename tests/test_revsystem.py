@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from conftest import GOLDEN, MU0, OMEGA0, make_curve_family, make_golden_family
-from kamrev.errors import RootFindFailure
+from kamrev.errors import ImaginaryResidue, RootFindFailure
 from kamrev.fourier import FourierSeries
 from kamrev.ftaylor import FourierTaylor
-from kamrev.revsystem import (ReversibleFamily, ToyEx1Result, ToyNoSolution,
-                              ToySolution, check_transform_commutes, classify_context,
-                              ft_embed, ft_fix_tail, ft_permute_vars, integrate,
-                              invert_angle_shift, symmetrize_w_rows, symmetrize_x_row,
-                              torus_fixed_points, toy_ex1, toy_ex2, toy_linear,
-                              verify_torus)
+from kamrev.revsystem import (InstantiatedField, ReversibleFamily, ToyEx1Result,
+                              ToyNoSolution, ToySolution, check_transform_commutes,
+                              classify_context, ft_embed, ft_fix_tail, ft_permute_vars,
+                              integrate, invert_angle_shift, symmetrize_w_rows,
+                              symmetrize_x_row, torus_fixed_points, toy_ex1, toy_ex2,
+                              toy_linear, verify_torus)
 from kamrev.revmat import RevMatrix, fix_spaces
 
 XS = [np.array([0.3, -1.2]), np.array([2.0, 0.7])]
@@ -119,6 +119,35 @@ def test_instantiate_matches_hand_written_field(seed):
             assert np.allclose(got, hand_rhs(omega, sigma, mu, x, w), atol=1e-12)
 
 
+def test_fused_field_equals_its_blocks():
+    fam = make_golden_family(delta=1e-2, order=8, seed=3)
+    inst = fam.instantiate(OMEGA0 + 0.01, [0.02], MU0)
+    assert inst.field.shape == (fam.n + fam.q,)
+    for x in XS:
+        for w in WS:
+            want = np.concatenate([inst.Xx.eval(x, w), inst.Xw.eval(x, w)])
+            scale = inst.Xx.majorant() + inst.Xw.majorant()
+            assert np.max(np.abs(inst.eval(x, w) - want)) <= 1e-14 * scale
+
+
+def test_fused_field_checks_each_block_for_imaginary_residue():
+    """A non-real term of size 1e-11 in the w rows at alpha = 0 raises, though
+    the fused alpha = 0 term also carries omega in the x rows, whose
+    majorant would hide it."""
+    fam = make_golden_family(delta=0.0, order=8)
+    inst = fam.instantiate(OMEGA0, [0.0], MU0)
+    bad = FourierSeries(2, (3,), 8, K=np.array([[1, 0]]), V=np.array([[0.0, 1e-11, 0.0]],
+                                                                      dtype=complex))
+    Xw = inst.Xw + FourierTaylor.from_series(bad, fam.q, fam.degree)
+    broken = InstantiatedField(fam, inst.omega, inst.sigma, inst.mu, inst.Xx, Xw,
+                               inst.jacobians)
+    x, w = np.array([0.7, 0.2]), WS[0]
+    assert 1e-11 * np.sin(0.7) < 1e-10 * broken.field.terms[(0, 0, 0)].majorant()
+    for call in (lambda: Xw.eval(x, w), lambda: broken.eval(x, w)):
+        with pytest.raises(ImaginaryResidue):
+            call()
+
+
 def test_with_perturbation_adds_exactly_fgh():
     fam0 = make_golden_family(delta=0.0, order=8)
     fam = make_golden_family(delta=1e-2, order=8, seed=5)
@@ -216,6 +245,63 @@ def test_integrate_and_angle_shift_inversion():
         x = rng.uniform(-3, 3, 2)
         xbar = invert_angle_shift(a, x)
         assert np.allclose(xbar + a.eval(xbar), x, atol=1e-12)
+
+
+def per_point_inverse(a, x, tol=1e-14, max_iter=100):
+    """The per-point fixed point the batched inversion replaced; also says
+    whether it converged before ``max_iter``."""
+    xbar = np.asarray(x, dtype=float).copy()
+    for _ in range(max_iter):
+        nxt = x - a.eval(xbar)
+        if np.max(np.abs(nxt - xbar)) < tol:
+            return nxt, True
+        xbar = nxt
+    return xbar, False
+
+
+def test_batched_inversion_equals_per_point_loop():
+    # contraction rate 0.3 |cos x_1|: fast near x_1 = pi/2, slow near 0
+    a = (FourierSeries.sine(2, (1, 0), np.array([0.3, -0.1]), 8)
+         + FourierSeries.sine(2, (1, 1), np.array([0.002, 0.004]), 8))
+    rng = np.random.default_rng(7)
+    X = np.vstack([rng.uniform(-3, 3, (30, 2)), [[np.pi / 2, 0.3], [0.0, 0.3]]])
+    for max_iter in (100, 12):
+        got = invert_angle_shift(a, X, max_iter=max_iter)
+        done = []
+        for x, row in zip(X, got):
+            want, converged = per_point_inverse(a, x, max_iter=max_iter)
+            np.testing.assert_array_equal(row, want)
+            done.append(converged)
+        assert all(done) if max_iter == 100 else (any(done) and not all(done))
+    np.testing.assert_array_equal(invert_angle_shift(a, X[0]), per_point_inverse(a, X[0])[0])
+
+
+def per_sample_verify(field, a, W0, W1, omega0, T, samples):
+    """verify_torus as a loop over the samples, one pullback at a time."""
+    n = field.family.n
+    x_bar0 = np.linspace(0.4, 0.4 + 0.9 * (n - 1), n)
+    y0 = np.concatenate([x_bar0 + a.eval(x_bar0), W0.eval(x_bar0)])
+    sol = integrate(field.rhs(), y0, T, t_eval=np.linspace(0.0, T, samples))
+    dev, xbars = 0.0, []
+    for i in range(samples):
+        xbar = per_point_inverse(a, sol.y[:n, i])[0]
+        wbar = np.linalg.solve(W1.eval(xbar), sol.y[n:, i] - W0.eval(xbar))
+        dev = max(dev, float(np.max(np.abs(wbar))))
+        xbars.append(xbar)
+    return dev, float(np.max(np.abs((xbars[-1] - xbars[0]) / T - omega0)))
+
+
+def test_verify_torus_equals_per_sample_loop():
+    fam = make_golden_family(delta=1e-3, order=8, seed=2)
+    inst = fam.instantiate(OMEGA0, np.zeros(1), MU0)
+    a = FourierSeries.sine(2, (1, 0), np.array([0.01, -0.02]), 8)
+    W0 = FourierSeries.cosine(2, (0, 1), np.array([1e-3, 0.0, 2e-3]), 8)
+    W1 = (FourierSeries.constant(2, np.eye(3), 8)
+          + FourierSeries.cosine(2, (1, 1), 0.01 * np.arange(9.0).reshape(3, 3), 8))
+    got = verify_torus(inst, a, W0, W1, OMEGA0, T=20.0, samples=41)
+    want = per_sample_verify(inst, a, W0, W1, OMEGA0, T=20.0, samples=41)
+    assert got[0] > 1e-4  # the made-up transform is far from invariant
+    assert np.allclose(got, want, rtol=0.0, atol=1e-13)
 
 
 def test_check_transform_commutes_flags_even_shift():

@@ -12,7 +12,8 @@ import pytest
 from conftest import GOLDEN, MU0, OMEGA0, make_config, make_curve_family, \
     make_golden_family
 from kamrev import ruessmann
-from kamrev.ruessmann import (FrequencyCurve, diophantine_fraction,
+from kamrev.cli import _curve_from_config
+from kamrev.ruessmann import (FrequencyCurve, PolynomialCurve, diophantine_fraction,
                               is_ruessmann_nondegenerate, persistence_pipeline,
                               uniform_grid)
 
@@ -41,6 +42,31 @@ def test_uniform_grid_covers_box():
     g2 = uniform_grid([(0.0, 1.0), (2.0, 3.0)], 4)
     assert g2.shape == (16, 2)
     assert g2[:, 1].min() == 2.0 and g2[:, 1].max() == 3.0
+
+
+def test_cli_polynomial_curve_evaluates_a_stack_bit_for_bit():
+    curve = _curve_from_config({"box": [[0.0, 0.1]],
+                                "components": [{"muPoly": [1.0]},
+                                               {"muPoly": [1.55, 1.0, -0.3]}],
+                                "sigmaLinear": [[0.3], [0.5]]})
+    assert isinstance(curve, PolynomialCurve)
+    mus = np.random.default_rng(2).uniform(0.0, 0.1, (500, 1))
+    stacked = curve.at(mus)
+    assert stacked.shape == (500, 2)
+    for mu, row in zip(mus, stacked):
+        np.testing.assert_array_equal(row, curve.at(mu))
+    np.testing.assert_array_equal(
+        curve.F(np.array([0.2]), np.array([0.05])),
+        [np.polyval([1.0], 0.05) + 0.3 * 0.2,
+         np.polyval([-0.3, 1.0, 1.55], 0.05) + 0.5 * 0.2])
+
+
+def test_library_curve_maps_a_stack_over_its_rows():
+    curve = FrequencyCurve(lambda sigma, mu: np.array([1.0, mu[0] ** 2 + mu[1]]),
+                           box=[(0.0, 1.0), (0.0, 1.0)], n=2, m=1)
+    mus = np.random.default_rng(4).uniform(0.0, 1.0, (7, 2))
+    assert np.array_equal(curve.at(mus), [curve.at(mu) for mu in mus])
+    assert curve.at(mus[:0]).shape == (0, 2)
 
 
 def test_moment_curve_is_nondegenerate():
