@@ -461,6 +461,8 @@ def main(argv=None) -> int:
     command = args.command
 
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         if command == "miniversal-nilpotent" and args.config is None:
             if args.m is None:
                 raise ConfigError("miniversal-nilpotent needs --m or --config")

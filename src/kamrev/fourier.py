@@ -14,12 +14,16 @@ is the complex conjugate of the coefficient at k for every stored k.  All
 arithmetic preserves the invariant exactly because complex multiplication
 commutes with conjugation flop for flop.
 
-Products are sparse convolutions over the stored modes.  Because the rows
-are always in lexicographic order, a product meets its mode pairs in one
-fixed order and sums coinciding output modes with ``np.add.at`` in that
-order, so its mode set and coefficients are bit for bit those of a
-mode-by-mode product over the sorted modes, whatever built the operands.
-No grid transforms are used.
+Products are sparse convolutions over the stored modes.  A mode's slot
+code is an integer affine in k and increasing in lexicographic order, so a
+pair's code is one factor's code plus the other's linear part, and
+``np.bincount`` sums each real and imaginary part into its slot in pair
+order.  The rows are always
+in lexicographic order, so the pairs come in one fixed order and a product
+is bit for bit the same whatever built its operands.  Slots are numbered
+by a dense slot map, or by ``np.unique`` when the slot range dwarfs the
+pair count; sums of series merge their modes the same way.  No grid
+transforms are used.
 
 ``_l1_ball`` is the one enumerator of integer vectors by l1 radius: the
 angle shift takes its Taylor exponents of each degree from it, and
@@ -61,13 +65,42 @@ def _norms(V) -> np.ndarray:
     return np.abs(V).reshape(len(V), math.prod(V.shape[1:])).max(axis=1, initial=0.0)
 
 
-def _codes(K, span) -> np.ndarray:
-    """Integer codes of the rows of K (entries within +-span), increasing in
-    lexicographic order, so that sorting and merging modes are 1-d."""
+def _weights(n, span) -> np.ndarray:
+    """Place values of the dense slot code sum_j (k_j + span) base^(n-1-j),
+    base = 2 span + 1, of modes with entries within +-span.  The code is
+    affine in k and increases in lexicographic order, so sorting and
+    merging modes are 1-d."""
     base = 2 * span + 1
-    if base ** K.shape[1] < 2 ** 62:
-        return (K + span) @ (base ** np.arange(K.shape[1] - 1, -1, -1, dtype=np.int64))
-    return np.unique(K, axis=0, return_inverse=True)[1].ravel()  # pragma: no cover
+    if base ** n >= 2 ** 62:
+        raise OverflowError(f"modes with entries up to {span} in {n} angles overflow the slot codes")
+    return base ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def _codes(K, span) -> np.ndarray:
+    """Slot codes of the rows of K (entries within +-span)."""
+    w = _weights(K.shape[1], span)
+    return K @ w + span * int(w.sum())
+
+
+def _modes(codes, n, span) -> np.ndarray:
+    """The rows K whose slot codes are ``codes``: the inverse of ``_codes``."""
+    return codes[:, None] // _weights(n, span) % (2 * span + 1) - span
+
+
+def _slots(codes, size):
+    """Number the distinct codes, which lie in [0, size): returns them in
+    increasing order and, for each code, its number.  A dense slot -> number
+    map serves when the slot range is within reach of the code count;
+    ``np.unique`` serves when the range dwarfs it (wide modes in three or
+    more angles), where the map would cost more to clear than the sort."""
+    if size > 32 * len(codes) + 8192:
+        return np.unique(codes, return_inverse=True)
+    hit = np.zeros(size, dtype=bool)
+    hit[codes] = True
+    present = np.flatnonzero(hit)
+    number = np.empty(size, dtype=np.intp)
+    number[present] = np.arange(len(present))
+    return present, number[codes]
 
 
 @lru_cache(maxsize=64)
@@ -87,9 +120,10 @@ def _l1_ball(n: int, radius: int) -> np.ndarray:
 def _union(*Ks):
     """Sorted union of mode arrays, and the union row each input row lands on."""
     cat = np.concatenate(Ks)
+    n = cat.shape[1]
     span = int(np.abs(cat).max()) if cat.size else 0
-    _, first, inv = np.unique(_codes(cat, span), return_index=True, return_inverse=True)
-    return cat[first], np.split(np.ravel(inv), np.cumsum([len(K) for K in Ks[:-1]]))
+    present, inv = _slots(_codes(cat, span), (2 * span + 1) ** n)
+    return _modes(present, n, span), np.split(inv, np.cumsum([len(K) for K in Ks[:-1]]))
 
 
 class _ModeView(Mapping):
@@ -379,7 +413,16 @@ class FourierSeries:
 
 
 def _convolve(a: FourierSeries, b: FourierSeries, vcombine, out_shape):
-    """Sparse convolution of stored modes with a vectorized value combiner."""
+    """Sparse convolution of stored modes with a vectorized value combiner.
+
+    A pair's slot code is the sum of two per-factor code vectors, so no
+    (Ma Mb, n) key array is built; ``_slots`` numbers the occupied slots
+    (dense map, or ``np.unique`` when the range dwarfs the pair count).
+    The combined values are viewed as float64, 2C parts per pair for C
+    values per coefficient, and one ``np.bincount`` per part sums it into
+    the slots in pair order, as ``np.add.at`` would: bit for bit the same
+    sums.  Per part, because a (P, 2C) index for a single ``bincount``
+    costs more to build than the scatter.  K is decoded from the slots."""
     order = max(a.order, b.order)
     loss = a.trunc_loss + b.trunc_loss
     if not len(a.K) or not len(b.K):
@@ -387,13 +430,16 @@ def _convolve(a: FourierSeries, b: FourierSeries, vcombine, out_shape):
     if a.majorant() * b.majorant() < DROP_TOL:
         return FourierSeries(a.n, out_shape, order,
                              trunc_loss=loss + a.majorant() * b.majorant())
-    keys = (a.K[:, None, :] + b.K[None, :, :]).reshape(-1, a.n)
-    vals = vcombine(a.V, b.V).reshape((-1,) + out_shape)
+    n = a.n
     span = int(np.abs(a.K).max() + np.abs(b.K).max())
-    _, first, inv = np.unique(_codes(keys, span), return_index=True, return_inverse=True)
-    K = keys[first]
-    V = np.zeros((len(K),) + out_shape, dtype=complex)
-    np.add.at(V, np.ravel(inv), vals)
+    codes = ((a.K @ _weights(n, span))[:, None] + _codes(b.K, span)).ravel()
+    present, slot = _slots(codes, (2 * span + 1) ** n)
+    vals = np.ascontiguousarray(vcombine(a.V, b.V)).reshape(len(codes), -1).view(np.float64)
+    sums = np.empty((len(present), vals.shape[1]))
+    for c, part in enumerate(vals.T):
+        sums[:, c] = np.bincount(slot, weights=part, minlength=len(present))
+    K = _modes(present, n, span)
+    V = sums.view(complex).reshape((len(K),) + out_shape)
     over = np.abs(K).sum(axis=1) > order
     if over.any():
         dropped = _norms(V[over])

@@ -395,6 +395,19 @@ def test_csv_opt_out(tmp_path):
     assert not (tmp_path / "dioph-measure-plot.csv").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_nonpositive_threads_exit_2_before_any_work(tmp_path, capsys, monkeypatch, threads):
+    def no_work(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli._HANDLERS, "dioph-measure", no_work)
+    cfg = _measure_cfg(tmp_path)
+    assert main(["dioph-measure", "--config", cfg, "--out", str(tmp_path),
+                 "--threads", threads]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "dioph-measure-report.json").exists()
+
+
 def test_ruessmann_degenerate_curve_short_circuits(tmp_path):
     fam = make_curve_family(delta=1e-4, order=8)
     cfg = write_cfg(tmp_path, {

@@ -9,12 +9,24 @@ n in {1, 2, 3} and vector or matrix values must give the same mode sets,
 the same coefficients (1e-15 relative) and the same ``trunc_loss``; the
 loss is a sum of positive norms, which the oracle adds in another order,
 so it is compared to 1e-14 relative.  Every result must stay real.
+
+The slot kernels must also agree bit for bit with the array kernels they
+replaced, kept here as ``reference_convolve`` and ``reference_union``: the
+product numbered its output modes with ``np.unique`` over an (Ma Mb, n) key
+array and summed them with ``np.add.at``.  Products, sums and stacks must
+give the same K, the same bytes of V and the same ``trunc_loss``, on dense
+slot maps and on ``np.unique`` numberings alike.
 """
+import operator
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kamrev.fourier import DROP_TOL, PRUNE_TOL, FourierSeries, fs_matmul, fs_mul, order1
+from kamrev import fourier
+from kamrev.fourier import (DROP_TOL, PRUNE_TOL, FourierSeries, _union, fs_matmul, fs_mul,
+                            fs_stack, order1)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -124,11 +136,11 @@ ENTRY = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
 
 
 @st.composite
-def real_series(draw, n, shape, order):
+def real_series(draw, n, shape, order, kmax=3):
     size = int(np.prod(shape))
     coeffs = {}
     for _ in range(draw(st.integers(0, 5))):
-        k = tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+        k = tuple(draw(st.lists(st.integers(-kmax, kmax), min_size=n, max_size=n)))
         if order1(k) > order:
             continue
         re = np.array(draw(st.lists(ENTRY, min_size=size, max_size=size))).reshape(shape)
@@ -214,3 +226,112 @@ def test_truncate_deriv_reflect_match_dict_oracle(data, n, shape, order):
     r = s.reflect()
     assert_matches(r, oracle_reflect(s))
     assert_real(r, 0.0)
+
+
+# -- bitwise against the np.unique + np.add.at kernels ------------------------------
+
+
+def reference_convolve(a, b, vcombine, out_shape):
+    """The product kernel before dense slots: np.unique over pair keys, np.add.at."""
+    order = max(a.order, b.order)
+    loss = a.trunc_loss + b.trunc_loss
+    if not len(a.K) or not len(b.K):
+        return FourierSeries(a.n, out_shape, order, trunc_loss=loss)
+    if a.majorant() * b.majorant() < DROP_TOL:
+        return FourierSeries(a.n, out_shape, order,
+                             trunc_loss=loss + a.majorant() * b.majorant())
+    keys = (a.K[:, None, :] + b.K[None, :, :]).reshape(-1, a.n)
+    vals = vcombine(a.V, b.V).reshape((-1,) + out_shape)
+    span = int(np.abs(a.K).max() + np.abs(b.K).max())
+    codes = (keys + span) @ ((2 * span + 1) ** np.arange(a.n - 1, -1, -1, dtype=np.int64))
+    _, first, inv = np.unique(codes, return_index=True, return_inverse=True)
+    K = keys[first]
+    V = np.zeros((len(K),) + out_shape, dtype=complex)
+    np.add.at(V, np.ravel(inv), vals)
+    over = np.abs(K).sum(axis=1) > order
+    if over.any():
+        dropped = np.abs(V[over]).reshape(int(over.sum()), -1).max(axis=1)
+        loss += float(dropped[dropped >= PRUNE_TOL].sum())
+        K, V = K[~over], V[~over]
+    return FourierSeries(a.n, out_shape, order, trunc_loss=loss, K=K, V=V)
+
+
+def reference_union(*Ks):
+    """The mode merge before dense slots: np.unique over the concatenated codes."""
+    cat = np.concatenate(Ks)
+    span = int(np.abs(cat).max()) if cat.size else 0
+    codes = (cat + span) @ ((2 * span + 1) ** np.arange(cat.shape[1] - 1, -1, -1, dtype=np.int64))
+    _, first, inv = np.unique(codes, return_index=True, return_inverse=True)
+    return cat[first], np.split(np.ravel(inv), np.cumsum([len(K) for K in Ks[:-1]]))
+
+
+def reference(fn, *args):
+    """fn(*args) run on the reference kernels."""
+    with mock.patch.object(fourier, "_convolve", reference_convolve), \
+            mock.patch.object(fourier, "_union", reference_union):
+        return fn(*args)
+
+
+def numbered(fn, *args):
+    """fn(*args), and the numberings its slot maps used ('dense', 'unique')."""
+    with mock.patch.object(fourier, "_slots", wraps=fourier._slots) as slots, \
+            mock.patch.object(fourier.np, "unique", wraps=np.unique) as unique:
+        out = fn(*args)
+    used = set()
+    if unique.call_count:
+        used.add("unique")
+    if slots.call_count > unique.call_count:
+        used.add("dense")
+    return out, used
+
+
+def assert_bitwise(got, want):
+    assert got.K.dtype == want.K.dtype and np.array_equal(got.K, want.K)
+    assert got.V.shape == want.V.shape and np.array_equal(got.V, want.V)
+    assert got.V.tobytes() == want.V.tobytes()  # signed zeros too
+    assert got.trunc_loss == want.trunc_loss and got.order == want.order
+
+
+MATMUL_SHAPES = st.sampled_from([((2, 3), (3,)), ((3,), (3, 2)), ((2, 3), (3, 2))])
+
+
+def test_products_sums_and_stacks_bitwise_equal_the_add_at_kernels():
+    """n = 1..4, vector and matrix values, narrow modes and modes up to 40 wide:
+    the wide ones in two or more angles overflow the dense slot map, so both
+    numberings must be met."""
+    used = set()
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), kmax=st.sampled_from([3, 40]),
+           shape=SHAPES, shapes=MATMUL_SHAPES)
+    def check(data, n, kmax, shape, shapes):
+        def draw(shape, order=None):
+            return data.draw(real_series(n, shape, kmax * n if order is None else order, kmax))
+
+        a, b, c = draw(shape), draw(shape, kmax * data.draw(st.integers(1, n))), draw(())
+        cases = [(fs_mul, a, b), (fs_mul, c, a), (fs_matmul, draw(shapes[0]), draw(shapes[1])),
+                 (operator.add, a, b), (fs_stack, [a, b, draw(shape)])]
+        for fn, *args in cases:
+            got, numberings = numbered(fn, *args)
+            assert_bitwise(got, reference(fn, *args))
+            used.update(numberings)
+
+    check()
+    assert used == {"dense", "unique"}
+
+
+@pytest.mark.parametrize("n,kmax,numbering", [(1, 3, "dense"), (2, 5, "dense"),
+                                              (4, 2, "dense"), (3, 40, "unique"),
+                                              (4, 40, "unique")])
+def test_union_rows_sorted_unique_and_mapped_back(n, kmax, numbering):
+    rng = np.random.default_rng(7 * n + kmax)
+    Ks = [rng.integers(-kmax, kmax + 1, size=(m, n)) for m in (9, 0, 14)]
+    Ks.append(np.concatenate([Ks[2][-3:], Ks[0][:4], Ks[0][:1]]))  # repeats across inputs
+    (K, rows), used = numbered(_union, *Ks)
+    assert used == {numbering}
+    keys = [tuple(k) for k in K.tolist()]
+    distinct = {tuple(k) for k in np.concatenate(Ks).tolist()}
+    assert keys == sorted(distinct)  # unique, lexicographic, duplicates collapsed
+    assert K.dtype == np.int64 and len(rows) == len(Ks)
+    for Kin, r in zip(Ks, rows):
+        assert np.array_equal(K[r], Kin)
