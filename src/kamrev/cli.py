@@ -163,6 +163,9 @@ def _decode(command, config, config_path):
             n, dim = len(cfg["curve"]["components"]), len(cfg["curve"]["box"])
             if cfg.setdefault("rankSamples", 64) < n:
                 raise ValueError(f"rankSamples must be at least the curve's n = {n}")
+            grid = cfg.get("grid")
+            if grid is not None and (not grid or any(len(row) != dim for row in grid)):
+                raise ValueError(f"grid needs one or more rows of the box dimension {dim}")
             if cfg["family"].s not in (0, dim):
                 raise ValueError(f"family has s = {cfg['family'].s} parameters; "
                                  f"need 0 or the curve box dimension {dim}")
@@ -254,7 +257,7 @@ def _run_cohomology_solve(config, seed, threads):
     if kind == "scalar":
         sol = solve_scalar(rhs, omega, params)
     elif kind == "normal":
-        sol = solve_normal(rhs, omega, Q, params=params)
+        sol = solve_normal(rhs, omega, Q)
     elif kind == "right":
         sol = solve_right(rhs, omega, Q)
     else:
@@ -399,11 +402,8 @@ def _run_ruessmann(config, seed, threads):
         result["curveBadFraction"] = diophantine_fraction(
             curve, params.tau, params.gamma, params.kmax,
             int(config["curveFractionSamples"]), seed=seed)
-    grid = config.get("grid")
-    if grid is not None:
-        grid = np.asarray(grid, dtype=float)
     report = persistence_pipeline(
-        fam, curve, _normalizer_config(config), grid=grid,
+        fam, curve, _normalizer_config(config), grid=config.get("grid"),
         grid_count=int(config.get("gridCount", 20)),
         T=float(config.get("T", 100.0)),
         deviation_tol=float(config.get("deviationTol", 1e-6)),

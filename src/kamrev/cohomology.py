@@ -87,8 +87,7 @@ def _mode_solve(F: FourierSeries, omega, L, layout, solve_zero):
     return _mirrored(F, half, vals, zero)
 
 
-def solve_normal(F: FourierSeries, omega, Q: RevMatrix,
-                 params: DiophantineParams | None = None) -> FourierSeries:
+def solve_normal(F: FourierSeries, omega, Q: RevMatrix) -> FourierSeries:
     """Solve dPhi/dx.omega - Q Phi = F mode-wise; F may be (d,) or (d, m)."""
     Qm = Q.Q
     d = Qm.shape[0]
@@ -141,13 +140,12 @@ def commutator_operator(div: float, Qm: np.ndarray) -> np.ndarray:
     return 1j * div * np.eye(d * d) + np.kron(Qm.T, Id) - np.kron(Id, Qm)
 
 
-def solve_commutator(F: FourierSeries, omega, Q: RevMatrix,
-                     skip_zero_mode: bool = True) -> FourierSeries:
+def solve_commutator(F: FourierSeries, omega, Q: RevMatrix) -> FourierSeries:
     """Solve dPhi/dx.omega + Phi Q - Q Phi = F for (d, d)-valued F.
 
     The k = 0 mode lies in the kernel-plagued adjoint operator and is
-    handled by the caller (it feeds the parameter shift), so by default the
-    constant mode of F must be absent.
+    handled by the caller (it feeds the parameter shift), so the constant
+    mode of F must be absent.
     """
     Qm = Q.Q
     d = Qm.shape[0]
@@ -155,11 +153,9 @@ def solve_commutator(F: FourierSeries, omega, Q: RevMatrix,
         raise ValueError("F must be (d, d)-valued")
 
     def zero(f0):
-        if skip_zero_mode:
-            if np.max(np.abs(f0)) > 1e-12 * max(F.majorant(), 1e-300):
-                raise ZeroModeObstruction("constant mode present; caller must absorb it")
-            return None
-        raise ZeroModeObstruction("constant commutator mode is never invertible")
+        if np.max(np.abs(f0)) > 1e-12 * max(F.majorant(), 1e-300):
+            raise ZeroModeObstruction("constant mode present; caller must absorb it")
+        return None
 
     # column-major vec(X) of each mode as one column
     layout = (lambda V: V.transpose(0, 2, 1).reshape(len(V), d * d, 1),

@@ -27,6 +27,7 @@ MEASURE_CHUNKS = 64
 # Sample rows the divisor kernel scans at once; bounds its (rows, modes)
 # temporaries (0.3 MB each for two frequencies at kmax 16).
 SCAN_ROWS = 128
+SPECTRUM_TOL = 1e-9  # eigenvalue parts below this times the spectral radius are 0
 
 
 @dataclass
@@ -52,13 +53,13 @@ class SpectrumClassification:
                                    f"+{self.zero_count} != {self.dim}")
 
 
-def classify_spectrum(Q: RevMatrix, tol: float = 1e-9) -> SpectrumClassification:
+def classify_spectrum(Q: RevMatrix) -> SpectrumClassification:
     lam = np.linalg.eigvals(Q.Q)
     N = len(lam)
     scale = float(np.max(np.abs(lam))) if N else 0.0
     if scale == 0.0:
         return SpectrumClassification(0, 0, np.zeros(0), np.zeros(0), 0, N, N)
-    thresh = tol * scale
+    thresh = SPECTRUM_TOL * scale
 
     # Every nonzero eigenvalue must be matched with its negative.
     nonzero = [z for z in lam if abs(z) > thresh]
@@ -186,15 +187,13 @@ def scan_divisors(omega, beta, tau: float, kmax: int):
     return float(best[0]), tuple(int(c) for c in k[0]), tuple(int(c) for c in K[0])
 
 
-def is_diophantine_pair(omega, Q: RevMatrix | None, params: DiophantineParams,
-                        spectrum: SpectrumClassification | None = None) -> DiophantineReport:
+def is_diophantine_pair(omega, Q: RevMatrix | None,
+                        params: DiophantineParams) -> DiophantineReport:
     """Check the pair condition up to the horizon; Q = None means beta empty
     (the classical vector condition)."""
     omega = np.asarray(omega, dtype=float)
     params.validate_for(len(omega))
-    if spectrum is None and Q is not None:
-        spectrum = classify_spectrum(Q)
-    beta = spectrum.beta if spectrum is not None else np.zeros(0)
+    beta = classify_spectrum(Q).beta if Q is not None else np.zeros(0)
     best, worst_k, worst_K = scan_divisors(omega, beta, params.tau, params.kmax)
     # margin is signed headroom of the normalized divisor over gamma
     return DiophantineReport(best >= params.gamma, worst_k, worst_K,

@@ -350,18 +350,6 @@ class FourierSeries:
         """Pullback under x -> -x; by reality this conjugates coefficients."""
         return self._like(np.conj(self.V))
 
-    def phase_shift(self, alpha):
-        """Pullback under x -> x + alpha for a constant alpha."""
-        return self._like(self._scaled(np.exp(1j * (self.K @ np.asarray(alpha, dtype=float)))))
-
-    def parity_decompose(self):
-        """Split into the even part and the odd part in x.
-
-        Even coefficients are Re c_k, odd ones i Im c_k; the two parts sum
-        back to the series exactly.
-        """
-        return self._like(np.real(self.V).astype(complex)), self._like(1j * np.imag(self.V))
-
     def map_stack(self, fn):
         """Apply ``fn`` to the stacked coefficients V (modes on axis 0).
 

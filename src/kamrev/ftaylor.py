@@ -77,10 +77,9 @@ class FourierTaylor:
             shape = next(iter(terms.values())).shape
         return cls(n, q, shape, order, degree, terms)
 
-    def _like(self, terms, loss=0.0, shape=None):
+    def _like(self, terms, shape=None):
         return FourierTaylor(self.n, self.q, self.shape if shape is None else shape,
-                             self.order, self.degree, terms,
-                             trunc_loss=self.trunc_loss + loss)
+                             self.order, self.degree, terms, trunc_loss=self.trunc_loss)
 
     # -- linear structure --------------------------------------------------------
 
@@ -224,21 +223,6 @@ class FourierTaylor:
         return FourierTaylor(self.n, self.q, tuple(shape), self.order, self.degree,
                              {a: s.map_values(fn, shape=shape) for a, s in self.terms.items()},
                              trunc_loss=self.trunc_loss)
-
-    def truncate_degree(self, degree):
-        """Drop the terms above ``degree``; the constructor records their mass."""
-        return FourierTaylor(self.n, self.q, self.shape, self.order, degree, self.terms,
-                             trunc_loss=self.trunc_loss)
-
-    def drop_below(self, floor):
-        """Remove whole terms whose majorant is below ``floor`` (loss-accounted)."""
-        out, loss = {}, 0.0
-        for a, s in self.terms.items():
-            if s.majorant() >= floor:
-                out[a] = s
-            else:
-                loss += s.majorant()
-        return self._like(out, loss=loss)
 
     # -- serialization -----------------------------------------------------------
 

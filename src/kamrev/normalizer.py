@@ -32,6 +32,9 @@ from .ftaylor import FourierTaylor, WSubstitution, ft_matmul, ft_neumann_solve
 from .revmat import RevMatrix
 from .revsystem import AugmentedFamily, ReversibleFamily, check_transform_commutes
 
+SMALLNESS_ORDER = 2
+SMALLNESS_EPS = 0.1
+
 
 @dataclass
 class NormalizerConfig:
@@ -42,8 +45,6 @@ class NormalizerConfig:
     max_iter: int = 12
     versal_tol: float = 1e-8
     cancel_tol: float = 1e-9
-    smallness_order: int = 2
-    smallness_eps: float = 0.1
     loss_budget: float = 1e-8
 
     def dioph(self) -> DiophantineParams:
@@ -113,46 +114,26 @@ class NormalizationResult:
     config: NormalizerConfig
     diagnostics: dict = dc_field(default_factory=dict)
 
-    @property
-    def m(self):
-        return self.family.m
-
-    # transform blocks in the (y, z) splitting
-    def b0(self):
-        return self.W0.map_stack(lambda V: V[:, :self.m])
-
-    def c0(self):
-        return self.W0.map_stack(lambda V: V[:, self.m:])
-
     def _C(self):
         eye = FourierSeries.constant(self.W1.n, np.eye(self.W1.shape[0]), self.W1.order)
         return self.W1 - eye
 
-    def b1(self):
-        return self._C().map_stack(lambda V: V[:, :self.m, :self.m])
-
-    def b2(self):
-        return self._C().map_stack(lambda V: V[:, :self.m, self.m:])
-
-    def c1(self):
-        return self._C().map_stack(lambda V: V[:, self.m:, :self.m])
-
-    def c2(self):
-        return self._C().map_stack(lambda V: V[:, self.m:, self.m:])
-
-    def residual(self):
-        return self.residual_history[-1]
+    def block(self, rows, cols=None):
+        """A transform block over the normal variable: the ``rows`` of W0, or
+        with ``cols`` the rows x cols block of W1 - I (slices or indices)."""
+        if cols is None:
+            return self.W0.map_stack(lambda V: V[:, rows])
+        return self._C().map_stack(lambda V: V[:, rows, cols])
 
     def smallness(self):
         """Weighted-coefficient sup bounds for the transform and its first
-        smallness_order x-derivatives; the persistence guarantee needs every
-        one of them below eps."""
-        L = self.config.smallness_order
+        SMALLNESS_ORDER x-derivatives; the persistence guarantee needs every
+        one of them below SMALLNESS_EPS."""
         out = {}
         for name, s in (("a", self.a), ("W0", self.W0), ("W1 - I", self._C())):
-            out[name] = float((s.norms * (1 + np.abs(s.K).sum(axis=1)) ** L).sum())
-        out["eps"] = self.config.smallness_eps
-        out["ok"] = all(val <= self.config.smallness_eps
+            out[name] = float((s.norms * (1 + np.abs(s.K).sum(axis=1)) ** SMALLNESS_ORDER).sum())
+        out["eps"] = SMALLNESS_EPS
+        out["ok"] = all(val <= SMALLNESS_EPS
                         for key, val in out.items() if key not in ("eps", "ok"))
         return out
 
@@ -224,7 +205,7 @@ def _solve_sweep(family, inst, Xx, Xw, res: _Residual, ctx: _Setup,
         dv = np.zeros(0)
         b0 = FourierSeries.zero(n, (0,), N)
     if d:
-        c0 = solve_normal(r_z0, omega0, Qrev, params=dioph)
+        c0 = solve_normal(r_z0, omega0, Qrev)
     else:
         c0 = FourierSeries.zero(n, (0,), N)
     psi0 = (b0.map_stack(lambda V: np.pad(V, [(0, 0), (0, d)]))
@@ -265,7 +246,7 @@ def _solve_sweep(family, inst, Xx, Xw, res: _Residual, ctx: _Setup,
     dw = np.zeros(s)
     if d:
         if m:
-            c1 = solve_normal(R_zy, omega0, Qrev, params=dioph)
+            c1 = solve_normal(R_zy, omega0, Qrev)
         M0r = R_zz.average()
         c2_osc = solve_commutator(_drop_k0(R_zz), omega0, Qrev)
         if np.any(M0r):
@@ -333,29 +314,6 @@ def _setup(family, omega0, mu0, config) -> _Setup:
 # -- public operations ---------------------------------------------------------------
 
 
-def newton_step(family: ReversibleFamily, omega0, mu0, config: NormalizerConfig):
-    """A single linearized solve from the unperturbed transform.  Returns
-    (increment as a NormalizationResult, residual before, residual after);
-    the residual drop should be quadratic."""
-    ctx = _setup(family, omega0, mu0, config)
-    omega0, mu0 = ctx.omega0, ctx.mu0
-    diagnostics = {}
-
-    inst = family.instantiate(omega0, np.zeros(family.m), mu0)
-    res = _measure(inst.Xx, inst.Xw, ctx)
-    inc = _solve_sweep(family, inst, inst.Xx, inst.Xw, res, ctx, config, diagnostics)
-
-    inst2 = family.instantiate(omega0 + inc.du, inc.dv, mu0 + inc.dw)
-    Xx2, Xw2 = conjugate_field(inst2.Xx, inst2.Xw, inc.da, inc.psi0, inc.dW1,
-                               loss_budget=config.loss_budget)
-    after = _measure(Xx2, Xw2, ctx)
-
-    result = NormalizationResult(family, omega0, mu0, inc.du, inc.dv, inc.dw,
-                                 inc.da, inc.psi0, inc.dW1, Xx2, Xw2, ctx.Q,
-                                 [res.value, after.value], config, diagnostics)
-    return result, res.value, after.value
-
-
 def normalize(family: ReversibleFamily, omega0, mu0,
               config: NormalizerConfig) -> NormalizationResult:
     """Drive the family at (omega0, mu0) to the form
@@ -416,24 +374,10 @@ class AugmentedNormalizationResult:
     W: np.ndarray            # shift along the promoted unfolding block
     cancellations: dict
 
-    def rows(self):
-        return self.augmented.rows()
-
-    # transform blocks over the promoted normal variable (y, sigma, z);
-    # block0 is the x-dependent offset, block1 the deviation of the linear
-    # factor from the identity
-    def block0(self, group):
-        sel = dict(zip(("y", "sigma", "z"), self.rows()))[group]
-        return self.core.W0.map_stack(lambda V: V[:, sel])
-
-    def block1(self, group, colgroup):
-        sel = dict(zip(("y", "sigma", "z"), self.rows()))
-        return self.core._C().map_stack(lambda V: V[:, sel[group], sel[colgroup]])
-
     def sigma_value(self):
         """The drift offset recovered from the sigma rows: the invariant
         plane of the original family sits at sigma = this constant."""
-        return self.block0("sigma").average()
+        return self.core.block(self.augmented.rows()[1]).average()
 
 
 def _variation(s: FourierSeries) -> float:
@@ -457,11 +401,13 @@ def normalize_augmented(family: ReversibleFamily, omega0, mu0,
 
     omega0 = core.omega0
     Qbase = family.Q_at(omega0, np.asarray(mu0, dtype=float).reshape(family.s))
-    c0 = res.block0("sigma")
-    c1 = res.block1("sigma", "y")
-    c2 = res.block1("sigma", "sigma")
-    c3 = res.block1("sigma", "z")
-    b1 = res.block1("y", "y")
+    # transform blocks over the promoted normal variable (y, sigma, z)
+    ry, rs, rz = aug.rows()
+    c0 = core.block(rs)
+    c1 = core.block(rs, ry)
+    c2 = core.block(rs, rs)
+    c3 = core.block(rs, rz)
+    b1 = core.block(ry, ry)
 
     checks = {
         "unfolding_shift": float(np.max(np.abs(W))) if W.size else 0.0,
@@ -477,7 +423,6 @@ def normalize_augmented(family: ReversibleFamily, omega0, mu0,
     # independent recovery of the unfolding shift from the normalized field:
     # averaging the y-linear coefficient of the promoted sigma rows must
     # reproduce the shift itself (both are zero in exact arithmetic)
-    ry, _, _ = res.rows()
     chi1 = core.Xx.linear_w().map_stack(lambda V: V[:, :, ry])
     dc0 = _deriv_matrix(c0)
     lhs = fs_matmul(dc0, chi1).average()

@@ -151,29 +151,29 @@ class KernelReport:
     kernel_dim: int
 
 
-def kernel_condition(Q: RevMatrix, rtol=RANK_RTOL) -> KernelReport:
+def kernel_condition(Q: RevMatrix) -> KernelReport:
     """Check ker Q intersects Fix R trivially; equivalently Q: Fix R -> Fix(-R) onto."""
     inv = Q.inv
     N = inv.dim
     U, s, Vt = np.linalg.svd(Q.Q)
     smax = s[0] if len(s) else 0.0
-    ker = Vt[s <= rtol * max(smax, 1e-300)].T if len(s) else np.eye(N)
+    ker = Vt[s <= RANK_RTOL * max(smax, 1e-300)].T if len(s) else np.eye(N)
     if smax == 0.0:
         ker = np.eye(N)
     kdim = ker.shape[1]
     # Onto-ness of the restriction, computed independently of the kernel.
     restricted = Q.Q @ inv.fix_plus
-    rank_restricted = np.linalg.matrix_rank(restricted, tol=rtol * max(smax, 1.0))
+    rank_restricted = np.linalg.matrix_rank(restricted, tol=RANK_RTOL * max(smax, 1.0))
     epi = rank_restricted == inv.dim_minus
     if kdim == 0:
         return KernelReport(True, None, epi, 0)
     # Intersection of span(ker) with span(fix_plus): nontrivial iff the stacked
     # system ker a = fix_plus b has a nonzero solution.
     C = np.hstack([ker, -inv.fix_plus])
-    null = scipy.linalg.null_space(C, rcond=rtol)
+    null = scipy.linalg.null_space(C, rcond=RANK_RTOL)
     for col in null.T:
         v = ker @ col[:kdim]
-        if _norm(v) > rtol * 10:
+        if _norm(v) > RANK_RTOL * 10:
             return KernelReport(False, v / _norm(v), epi, kdim)
     return KernelReport(True, None, epi, kdim)
 
@@ -197,7 +197,7 @@ def solve_fix_range(Q: RevMatrix, psi, tol=1e-10):
     return delta
 
 
-def orbit_tangent(Q: RevMatrix, rtol=RANK_RTOL):
+def orbit_tangent(Q: RevMatrix):
     """Tangent space of the conjugation orbit: {AQ - QA : A commutes with R}.
 
     Returns (orthonormal basis matrices of the image, codim inside gl_minus).
@@ -207,7 +207,7 @@ def orbit_tangent(Q: RevMatrix, rtol=RANK_RTOL):
     cols = np.stack([(A @ Q.Q - Q.Q @ A).ravel() for A in plus], axis=1)
     U, s, _ = np.linalg.svd(cols, full_matrices=False)
     smax = s[0] if len(s) else 0.0
-    rank = int(np.sum(s > rtol * max(smax, 1e-300)))
+    rank = int(np.sum(s > RANK_RTOL * max(smax, 1e-300)))
     basis = [U[:, i].reshape(Q.Q.shape) for i in range(rank)]
     codim = inv.gl_minus_dim() - rank
     return basis, codim
@@ -222,17 +222,17 @@ class VersalityReport:
     missing: np.ndarray | None
 
 
-def is_versal(unfolding: Unfolding, rtol=RANK_RTOL) -> VersalityReport:
+def is_versal(unfolding: Unfolding) -> VersalityReport:
     """Versal iff orbit tangent plus unfolding directions span gl_minus."""
     Q = unfolding.base
     inv = Q.inv
-    orbit, codim = orbit_tangent(Q, rtol=rtol)
+    orbit, codim = orbit_tangent(Q)
     cols = [B.ravel() for B in orbit] + [np.asarray(D, dtype=float).ravel()
                                          for D in unfolding.directions]
     target = inv.gl_minus_dim()
     if cols:
         M = np.stack(cols, axis=1)
-        rank = np.linalg.matrix_rank(M, tol=rtol * max(_norm(M), 1.0))
+        rank = np.linalg.matrix_rank(M, tol=RANK_RTOL * max(_norm(M), 1.0))
     else:
         M = None
         rank = 0
@@ -243,7 +243,7 @@ def is_versal(unfolding: Unfolding, rtol=RANK_RTOL) -> VersalityReport:
         best, best_res = None, 0.0
         if M is not None and rank > 0:
             Uspan, s, _ = np.linalg.svd(M, full_matrices=False)
-            Uspan = Uspan[:, s > rtol * max(s[0], 1e-300)]
+            Uspan = Uspan[:, s > RANK_RTOL * max(s[0], 1e-300)]
         else:
             Uspan = np.zeros((inv.dim ** 2, 0))
         for E in inv.gl_minus_basis():

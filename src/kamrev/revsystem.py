@@ -18,7 +18,6 @@ of the same class with no y-variables at all: the normal variable becomes
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,11 +32,6 @@ from .revmat import RevMatrix, fix_spaces, solve_fix_range
 
 
 # -- small structural helpers ---------------------------------------------------
-
-
-def torus_fixed_points(n: int):
-    """The 2^n points of the torus fixed by x -> -x (each angle 0 or pi)."""
-    return [np.array(pt, dtype=float) for pt in itertools.product([0.0, np.pi], repeat=n)]
 
 
 def classify_context(dim_fix_g: int, codim_t: int) -> str:
@@ -482,11 +476,14 @@ def check_transform_commutes(a, W0, W1, S, tol=1e-10):
 
 # -- integration ------------------------------------------------------------------
 
+INTEGRATE_RTOL = 1e-12
+INTEGRATE_ATOL = 1e-12
 
-def integrate(rhs, y0, T, rtol=1e-12, atol=1e-12, t_eval=None, max_step=np.inf):
+
+def integrate(rhs, y0, T, t_eval=None):
     sol = scipy.integrate.solve_ivp(rhs, (0.0, float(T)), np.asarray(y0, dtype=float),
-                                    method="DOP853", rtol=rtol, atol=atol,
-                                    t_eval=t_eval, max_step=max_step, dense_output=False)
+                                    method="DOP853", rtol=INTEGRATE_RTOL,
+                                    atol=INTEGRATE_ATOL, t_eval=t_eval, dense_output=False)
     if not sol.success:
         raise StepFailure(f"integration failed: {sol.message}")
     return sol
@@ -529,6 +526,11 @@ def verify_torus(field: InstantiatedField, a, W0, W1, omega0, T=100.0, samples=2
 
 # -- the three toy models ----------------------------------------------------------
 
+# root-search half-width, ex2's start points in it, ex2's solution residual
+TOY_TRUST = 0.5
+TOY_GRID = 21
+TOY_RES_TOL = 1e-6
+
 
 def _dpsi(fn, t, h=1e-4):
     """Five-point stencil derivative, ~h^4 accurate."""
@@ -542,7 +544,7 @@ class ToyEx1Result:
     normal_form_error: float
 
 
-def toy_ex1(psi1, psi2, trust=0.5) -> ToyEx1Result:
+def toy_ex1(psi1, psi2) -> ToyEx1Result:
     """Equilibrium on the fixed axis for the planar model
     dz1/dt = z2 + psi1(z1^2, z2), dz2/dt = mu z1 + z1 psi2(z1^2, z2)
     (involution (z1, z2) -> (-z1, z2)): the shift t solves t + psi1(0, t) = 0,
@@ -552,7 +554,7 @@ def toy_ex1(psi1, psi2, trust=0.5) -> ToyEx1Result:
     def eq(t):
         return t + psi1(0.0, t)
 
-    lo, hi = -trust, trust
+    lo, hi = -TOY_TRUST, TOY_TRUST
     if eq(lo) * eq(hi) > 0:
         raise RootFindFailure(f"no sign change of the axis equation on [{lo}, {hi}]")
     z = float(scipy.optimize.brentq(eq, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
@@ -591,7 +593,7 @@ class ToyNoSolution:
     converged_fraction: float
 
 
-def toy_ex2(psi1, psi2, trust=0.5, grid=21, res_tol=1e-6):
+def toy_ex2(psi1, psi2):
     """Attempted equilibrium normalization for the mirrored planar model
     dz1/dt = z2 + z2 psi1(z1, z2^2), dz2/dt = mu z1 + psi2(z1, z2^2)
     (involution (z1, z2) -> (z1, -z2)).  The two conditions on (t, mu) are
@@ -608,7 +610,7 @@ def toy_ex2(psi1, psi2, trust=0.5, grid=21, res_tol=1e-6):
 
     best = None  # (residual, |(z,w)|, z, w)
     stalled = 0
-    for t0 in np.linspace(-trust, trust, grid):
+    for t0 in np.linspace(-TOY_TRUST, TOY_TRUST, TOY_GRID):
         t = float(t0)
         ok = False
         for _ in range(60):
@@ -628,7 +630,7 @@ def toy_ex2(psi1, psi2, trust=0.5, grid=21, res_tol=1e-6):
                 ok = True
                 break
             t = t + lam * step
-            if abs(t) > 2 * trust:
+            if abs(t) > 2 * TOY_TRUST:
                 break
         r = abs(damp(t))
         wv = w_of(t)
@@ -637,8 +639,8 @@ def toy_ex2(psi1, psi2, trust=0.5, grid=21, res_tol=1e-6):
             best = cand
         if ok:
             stalled += 1
-    frac = stalled / float(grid)
-    if best[0] <= res_tol:
+    frac = stalled / float(TOY_GRID)
+    if best[0] <= TOY_RES_TOL:
         return ToySolution(best[2], best[3], best[0])
     return ToyNoSolution(best[0], frac)
 

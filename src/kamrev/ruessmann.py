@@ -25,6 +25,7 @@ from .diophantine import (DiophantineParams, _min_divisors, _sample_box,
 from .errors import (ImplicitSolveFailure, NoConvergence, SmallDivisor,
                      StepFailure)
 from .normalizer import NormalizerConfig, normalize
+from .revmat import RANK_RTOL
 from .revsystem import ReversibleFamily, verify_torus
 
 # outer identification steps per grid point, and the residual that ends them
@@ -103,7 +104,7 @@ class NondegeneracyReport:
 
 
 def is_ruessmann_nondegenerate(curve: FrequencyCurve, sample_count: int,
-                               seed: int = 0, rel_tol: float = 1e-9) -> NondegeneracyReport:
+                               seed: int = 0) -> NondegeneracyReport:
     """Value-rank test: the curve is nondegenerate when its sampled values
     span all of R^n, i.e. the image lies in no hyperplane through the
     origin.  Degenerate curves come back with a unit normal of the
@@ -114,7 +115,7 @@ def is_ruessmann_nondegenerate(curve: FrequencyCurve, sample_count: int,
     mus = _sample_box(curve.box, sample_count, rng)
     V = curve.at(mus).T                                      # (n, samples)
     U, sv, _ = np.linalg.svd(V, full_matrices=True)
-    rank = int(np.sum(sv > rel_tol * sv[0])) if sv.size and sv[0] > 0 else 0
+    rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size and sv[0] > 0 else 0
     if rank == curve.n:
         return NondegeneracyReport(True, rank, None, sv)
     return NondegeneracyReport(False, rank, U[:, -1], sv)
@@ -248,7 +249,9 @@ def persistence_pipeline(family: ReversibleFamily, curve: FrequencyCurve,
         raise ValueError("family parameters must be absent or match the curve box")
     if grid is None:
         grid = uniform_grid(curve.box, grid_count)
-    grid = np.asarray(grid, dtype=float).reshape(-1, curve.dim)
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 2 or grid.shape[1] != curve.dim or not len(grid):
+        raise ValueError(f"grid of shape {grid.shape} is not (S, {curve.dim}) with S >= 1")
 
     params = config.dioph()
     work = dataclasses.replace(config, gamma=config.gamma / 4.0)

@@ -199,7 +199,7 @@ def test_criterion_03_cohomology_against_dense_oracle():
         Qm = np.array([[0.0, b], [-c, 0.0]])
         Q = RevMatrix(Qm, inv1)
         rhs = _random_series(rng, n, (2,), order, nmodes=4 + 2 * n)
-        sol = solve_normal(rhs, omega, Q, params=params)
+        sol = solve_normal(rhs, omega, Q)
         oracle = _dense_stacked_solve(
             rhs, omega, lambda k: 1j * float(k @ omega) * np.eye(2) - Qm)
         worst = max(worst, _rel_gap(sol, oracle))

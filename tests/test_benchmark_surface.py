@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from kamrev import cli
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -42,3 +44,14 @@ def test_every_kamrev_import_of_the_harness_resolves(script):
             for alias in node.names:
                 if not hasattr(mod, alias.name):  # a submodule, e.g. `from kamrev import cli`
                     importlib.import_module(f"{node.module}.{alias.name}")
+
+
+def test_every_workload_config_builds_and_decodes():
+    """The config generators build series through kamrev (`map_values`,
+    `with_perturbation`, `FourierSeries.cosine`, the symmetrizers), and the
+    CLI must accept what they build."""
+    workloads = _load("workloads")
+    for name, command in workloads.COMMANDS.items():
+        config = workloads.make_config(name, 1)
+        cli._validate(config, command)
+        cli._decode(command, config, None)

@@ -135,8 +135,14 @@ def _ruessmann_doc(fam, box, **extra):
                                          [[0.0, 0.1]], rankSamples=1)),
     ("ruessmann", lambda: _ruessmann_doc(make_golden_family(delta=1e-4, order=8),
                                          [[0.0, 0.1], [0.0, 0.1]])),
+    ("ruessmann", lambda: _ruessmann_doc(make_curve_family(delta=1e-4, order=8),
+                                         [[0.0, 0.1]], grid=[[0.02, 0.07]])),
+    ("ruessmann", lambda: _ruessmann_doc(make_curve_family(delta=1e-4, order=8),
+                                         [[0.0, 0.1]], grid=[[0.02], [0.05, 0.07]])),
+    ("ruessmann", lambda: _ruessmann_doc(make_curve_family(delta=1e-4, order=8),
+                                         [[0.0, 0.1]], grid=[])),
 ], ids=["rhs-normal", "rhs-right", "rhs-commutator", "rho-prime", "Q-vs-R",
-        "rank-samples", "family-s"])
+        "rank-samples", "family-s", "grid-width", "grid-ragged", "grid-empty"])
 def test_config_parts_that_disagree_exit_2_without_report(tmp_path, capsys,
                                                           command, make_doc):
     cfg = write_cfg(tmp_path, make_doc())

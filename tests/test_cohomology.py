@@ -190,8 +190,6 @@ def test_solve_commutator_rejects_constant_mode():
     F = FourierSeries.constant(2, np.eye(2), 8)
     with pytest.raises(ZeroModeObstruction):
         solve_commutator(F, OMEGA, Q_ELLIPTIC)
-    with pytest.raises(ZeroModeObstruction):
-        solve_commutator(F, OMEGA, Q_ELLIPTIC, skip_zero_mode=False)
 
 
 def test_verify_estimate_reports_finite_constant():

@@ -110,21 +110,8 @@ def test_average_reflect_phase_shift():
     s = random_series(rng, 2, (2,), ORDER)
     assert np.allclose(s.average(), s.coeffs.get((0, 0), np.zeros(2)).real)
     refl = s.reflect()
-    alpha = np.array([0.3, -1.1])
-    ph = s.phase_shift(alpha)
     for x in XS:
         assert np.allclose(refl.eval(x), s.eval(-x), atol=1e-13)
-        assert np.allclose(ph.eval(x), s.eval(x + alpha), atol=1e-12)
-
-
-def test_parity_decompose_splits_even_odd():
-    rng = np.random.default_rng(9)
-    s = random_series(rng, 2, (2,), ORDER)
-    even, odd = s.parity_decompose()
-    for x in XS:
-        assert np.allclose(even.eval(x), 0.5 * (s.eval(x) + s.eval(-x)), atol=1e-13)
-        assert np.allclose(odd.eval(x), 0.5 * (s.eval(x) - s.eval(-x)), atol=1e-13)
-        assert np.allclose((even + odd).eval(x), s.eval(x), atol=1e-13)
 
 
 def test_truncation_records_dropped_mass():

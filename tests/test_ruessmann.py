@@ -226,6 +226,11 @@ def test_pipeline_validates_parameter_counts():
                                box=[(0.0, 0.1), (0.0, 0.1)], n=2, m=1)
     with pytest.raises(ValueError):
         persistence_pipeline(fam, bad_curve, make_config(gamma=1e-2, horizon=8))
+    # grid rows must have the curve box's dimension, one parameter value each
+    for grid in ([[0.02, 0.07]], [0.02, 0.07], np.zeros((0, 1))):
+        with pytest.raises(ValueError):
+            persistence_pipeline(make_curve_family(delta=DELTA, order=8), drift_curve(),
+                                 make_config(gamma=1e-2, horizon=8), grid=grid)
 
 
 def test_report_serialization_shapes():
