@@ -11,10 +11,12 @@ timestamps live in the separate "metadata" field.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
 import os
+import re
 import sys
 from datetime import datetime, timezone
 from importlib.resources import files
@@ -143,12 +145,22 @@ def _decode(command, config, config_path):
             cfg["params"] = DiophantineParams(cfg["tau"], cfg["gamma"], cfg["kmax"])
             if "omega" in cfg:
                 cfg["params"].validate_for(len(cfg["omega"]))
-        if cfg.get("Q") is not None:
-            Q, R = np.asarray(cfg["Q"], dtype=float), np.asarray(cfg["R"], dtype=float)
-            if Q.ndim != 2 or Q.shape != R.shape or Q.shape[0] != Q.shape[1]:
-                raise ValueError("Q and R must be square matrices of one size")
+        # every matrix and vector the config gives acts on the space R reflects
+        mats = [M for M in (cfg.get("Q"), *cfg.get("directions", []), *cfg.get("QPoly", []))
+                if M is not None]
+        if mats:
+            d = len(cfg["R"])
+            if any(np.shape(M) != (d, d) for M in [cfg["R"], *mats]) \
+                    or any(np.shape(v) != (d,) for v in cfg.get("PsiPoly", [])):
+                raise ValueError(f"Q, directions, QPoly and PsiPoly must fit R's {d}x{d} shape")
+        if command.startswith("normalize"):
+            fam = cfg["family"]
+            if (len(cfg["omega0"]), len(cfg.get("mu0", []))) != (fam.n, fam.s):
+                raise ValueError(f"omega0 and mu0 need the family's n = {fam.n} and s = {fam.s}")
         if command == "cohomology-solve":
             kind, shape = cfg["kind"], cfg["rhs"].shape
+            if len(cfg["omega"]) != cfg["rhs"].n:
+                raise ValueError(f"omega needs the rhs's n = {cfg['rhs'].n} entries")
             if kind != "scalar":
                 d = len(cfg["Q"])
                 fits = {"normal": shape[:1] == (d,), "right": shape[-1:] == (d,),
@@ -163,6 +175,8 @@ def _decode(command, config, config_path):
             n, dim = len(cfg["curve"]["components"]), len(cfg["curve"]["box"])
             if cfg.setdefault("rankSamples", 64) < n:
                 raise ValueError(f"rankSamples must be at least the curve's n = {n}")
+            if n != cfg["family"].n:
+                raise ValueError(f"curve has {n} components; family has n = {cfg['family'].n}")
             grid = cfg.get("grid")
             if grid is not None and (not grid or any(len(row) != dim for row in grid)):
                 raise ValueError(f"grid needs one or more rows of the box dimension {dim}")
@@ -184,19 +198,16 @@ def _reversible(fam):
     return fam
 
 
-# config key -> (NormalizerConfig field, type); absent keys keep its defaults
-_NORMALIZER_KEYS = {
-    "tau": ("tau", float), "gamma": ("gamma", float), "horizon": ("horizon", int),
-    "tol": ("tol", float), "maxIter": ("max_iter", int),
-    "versalTol": ("versal_tol", float), "cancelTol": ("cancel_tol", float),
-    "lossBudget": ("loss_budget", float),
-}
+def _options(config, names):
+    """The keyword arguments ``names`` that the config sets, each under its
+    camelCase key (max_iter <- maxIter); the callee's defaults fill the rest."""
+    keys = {name: re.sub("_([a-z])", lambda m: m[1].upper(), name) for name in names}
+    return {name: config[key] for name, key in keys.items() if config.get(key) is not None}
 
 
 def _normalizer_config(config):
-    return NormalizerConfig(**{field: kind(config[key])
-                               for key, (field, kind) in _NORMALIZER_KEYS.items()
-                               if config.get(key) is not None})
+    names = [field.name for field in dataclasses.fields(NormalizerConfig)]
+    return NormalizerConfig(**_options(config, names))
 
 
 def _rev_matrix(config):
@@ -249,19 +260,16 @@ def _run_dioph_measure(config, seed, threads):
     return result, rows
 
 
+_SOLVERS = {"scalar": solve_scalar, "normal": solve_normal, "right": solve_right,
+            "commutator": solve_commutator}
+
+
 def _run_cohomology_solve(config, seed, threads):
     omega = np.asarray(config["omega"], dtype=float)
     params, rhs = config["params"], config["rhs"]
     kind = config["kind"]
-    Q = _rev_matrix(config)
-    if kind == "scalar":
-        sol = solve_scalar(rhs, omega, params)
-    elif kind == "normal":
-        sol = solve_normal(rhs, omega, Q)
-    elif kind == "right":
-        sol = solve_right(rhs, omega, Q)
-    else:
-        sol = solve_commutator(rhs, omega, Q)
+    # the scalar solve takes the Diophantine parameters, the others Q
+    sol = _SOLVERS[kind](rhs, omega, params if kind == "scalar" else _rev_matrix(config))
     result = {"kind": kind, "solution": sol.to_json(),
               "solutionNorm": float(sol.majorant())}
     if config.get("rho") is not None:
@@ -312,24 +320,25 @@ def _psi_from_spec(spec):
     return psi
 
 
-def _run_toy(config, seed, threads, variant):
-    if variant == "ex1":
-        eps, c = float(config["epsilon"]), float(config["c"])
-        r = toy_ex1(lambda x, z: np.full_like(np.asarray(z, dtype=float), eps),
-                    lambda x, z: np.full_like(np.asarray(z, dtype=float), c))
-        return {"z": float(r.z), "w": float(r.w),
-                "normalFormError": float(r.normal_form_error)}, None
-    if variant == "ex2":
-        psi1 = _psi_from_spec(config["psi1"])
-        psi2 = _psi_from_spec(config["psi2"])
-        r = toy_ex2(psi1, psi2)
-        if isinstance(r, ToySolution):
-            return {"result": "Solution", "z": float(r.z), "w": float(r.w),
-                    "residual": float(r.residual)}, None
-        return {"result": "NoSolution",
-                "min_residual": float(r.min_residual),
-                "convergedFraction": float(r.converged_fraction)}, None
-    # linear
+def _run_toy_ex1(config, seed, threads):
+    eps, c = float(config["epsilon"]), float(config["c"])
+    r = toy_ex1(lambda x, z: np.full_like(np.asarray(z, dtype=float), eps),
+                lambda x, z: np.full_like(np.asarray(z, dtype=float), c))
+    return {"z": float(r.z), "w": float(r.w),
+            "normalFormError": float(r.normal_form_error)}, None
+
+
+def _run_toy_ex2(config, seed, threads):
+    r = toy_ex2(_psi_from_spec(config["psi1"]), _psi_from_spec(config["psi2"]))
+    if isinstance(r, ToySolution):
+        return {"result": "Solution", "z": float(r.z), "w": float(r.w),
+                "residual": float(r.residual)}, None
+    return {"result": "NoSolution",
+            "min_residual": float(r.min_residual),
+            "convergedFraction": float(r.converged_fraction)}, None
+
+
+def _run_toy_linear(config, seed, threads):
     Q_pows = [np.asarray(M, dtype=float) for M in config["QPoly"]]
     Psi_pows = [np.asarray(v, dtype=float) for v in config["PsiPoly"]]
 
@@ -339,9 +348,7 @@ def _run_toy(config, seed, threads, variant):
     def Psi_of_mu(mu):
         return sum(v * mu ** j for j, v in enumerate(Psi_pows))
 
-    inv = None
-    if config.get("R") is not None:
-        inv = fix_spaces(np.asarray(config["R"], dtype=float))
+    inv = fix_spaces(np.asarray(config["R"], dtype=float))
     rows = toy_linear(Q_of_mu, Psi_of_mu, config["muSamples"], inv=inv)
     out = [{"mu": float(mu), "delta": _vec(delta), "residual": float(resid)}
            for mu, delta, resid in rows]
@@ -403,11 +410,8 @@ def _run_ruessmann(config, seed, threads):
             curve, params.tau, params.gamma, params.kmax,
             int(config["curveFractionSamples"]), seed=seed)
     report = persistence_pipeline(
-        fam, curve, _normalizer_config(config), grid=config.get("grid"),
-        grid_count=int(config.get("gridCount", 20)),
-        T=float(config.get("T", 100.0)),
-        deviation_tol=float(config.get("deviationTol", 1e-6)),
-        verify=bool(config.get("verify", True)))
+        fam, curve, _normalizer_config(config),
+        **_options(config, ["grid", "grid_count", "T", "deviation_tol", "verify"]))
     result["pipeline"] = report.to_json()
     return result, report.to_csv_rows()
 
@@ -423,6 +427,9 @@ _HANDLERS = {
     "normalize": _run_normalize,
     "normalize-augmented": _run_normalize_augmented,
     "ruessmann": _run_ruessmann,
+    "toy-ex1": _run_toy_ex1,
+    "toy-ex2": _run_toy_ex2,
+    "toy-linear": _run_toy_linear,
 }
 
 
@@ -431,24 +438,17 @@ def _build_parser():
                                  description="reversible-torus toolbox driver")
     ap.add_argument("--version", action="version", version=f"kamrev {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    # the toy-* entries are one subcommand, "toy", with the variant as argument
+    for command in dict.fromkeys(name.split("-")[0] if name.startswith("toy-") else name
+                                 for name in _HANDLERS):
+        p = sub.add_parser(command)
         p.add_argument("--config", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=".")
         p.add_argument("--threads", type=int, default=1)
-
-    for name in ["dioph-check", "dioph-measure", "cohomology-solve",
-                 "versal-check", "normalize", "normalize-augmented", "ruessmann"]:
-        common(sub.add_parser(name))
-
-    p = sub.add_parser("miniversal-nilpotent")
-    common(p)
-    p.add_argument("--m", type=int, default=None)
-
-    p = sub.add_parser("toy")
-    p.add_argument("variant", choices=["ex1", "ex2", "linear"])
-    common(p)
+    sub.choices["miniversal-nilpotent"].add_argument("--m", type=int, default=None)
+    sub.choices["toy"].add_argument("variant", choices=[
+        name[len("toy-"):] for name in _HANDLERS if name.startswith("toy-")])
     return ap
 
 
@@ -458,41 +458,37 @@ def main(argv=None) -> int:
                         stream=sys.stderr,
                         format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
-    command = args.command
+    # the handler, the schema and the report file: "toy ex1" names toy-ex1
+    name = "-".join(filter(None, (args.command, getattr(args, "variant", None))))
 
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
-        if command == "miniversal-nilpotent" and args.config is None:
+        if name == "miniversal-nilpotent" and args.config is None:
             if args.m is None:
                 raise ConfigError("miniversal-nilpotent needs --m or --config")
             config = {"m": int(args.m)}
         else:
             config = _load_config(args.config)
-        schema = "toy-" + args.variant if command == "toy" else command
-        _validate(config, schema)
+        _validate(config, name)
         seed = _effective_seed(config, args)
-        decoded = _decode(command, config, args.config)
+        decoded = _decode(name, config, args.config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    report_name = command + ("-" + args.variant if command == "toy" else "")
     try:
-        if command == "toy":
-            result, csv_rows = _run_toy(decoded, seed, args.threads, args.variant)
-        else:
-            result, csv_rows = _HANDLERS[command](decoded, seed, args.threads)
+        result, csv_rows = _HANDLERS[name](decoded, seed, args.threads)
     except KamrevError as exc:
-        log.error("%s failed: %s", command, exc)
-        path = _write_report(args.out, report_name, config, seed, None,
+        log.error("%s failed: %s", name, exc)
+        path = _write_report(args.out, name, config, seed, None,
                              error={"type": type(exc).__name__, "message": str(exc)})
         print(path)
         return 3
 
-    path = _write_report(args.out, report_name, config, seed, result)
+    path = _write_report(args.out, name, config, seed, result)
     if csv_rows and config.get("csv", True):
-        _write_csv(args.out, report_name, csv_rows)
+        _write_csv(args.out, name, csv_rows)
     print(path)
     return 0
 

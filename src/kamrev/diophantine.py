@@ -120,9 +120,9 @@ def enumerate_modes(n: int, kmax: int) -> np.ndarray:
     return ball[len(ball) // 2 + 1:]
 
 
-def normal_shifts(n_beta: int, top: int = 2) -> np.ndarray:
-    """All integer K of length n_beta with |K|_1 <= top (K = 0 included)."""
-    return _l1_ball(n_beta, top)
+def normal_shifts(n_beta: int) -> np.ndarray:
+    """All integer K of length n_beta with |K|_1 <= 2 (K = 0 included)."""
+    return _l1_ball(n_beta, 2)
 
 
 @dataclass
@@ -225,10 +225,6 @@ def complement_measure_estimate(box_omega, box_beta, tau: float, gamma: float,
         minima, _, _ = _min_divisors(W, B, tau, kmax)
         return int(np.sum(minima < gamma))
 
-    jobs = list(zip(sizes, children))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            violated = sum(pool.map(run_chunk, jobs))
-    else:
-        violated = sum(map(run_chunk, jobs))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        violated = sum(pool.map(run_chunk, zip(sizes, children)))
     return violated / float(sample_count)

@@ -168,12 +168,6 @@ class FourierTaylor:
 
     # -- calculus ----------------------------------------------------------------
 
-    def deriv_x(self, j):
-        return self._like({a: s.deriv_x(j) for a, s in self.terms.items()})
-
-    def directional_derivative(self, omega):
-        return self._like({a: s.directional_derivative(omega) for a, s in self.terms.items()})
-
     def deriv_w(self, j):
         out = {}
         for alpha, s in self.terms.items():
@@ -367,7 +361,7 @@ def fs_neumann_solve(M: FourierSeries, rhs: FourierSeries, tol=1e-16, max_iter=4
     raise ImplicitSolveFailure(f"Neumann iteration stalled: last change {delta:.3e}")
 
 
-def ft_neumann_solve(M: FourierSeries, rhs: FourierTaylor, tol=1e-16, max_iter=400):
+def ft_neumann_solve(M: FourierSeries, rhs: FourierTaylor):
     """Solve (I + M(x)) u(x, w) = rhs(x, w) termwise in w.
 
     M does not depend on w, so (I + M)^{-1} is found once, by the Neumann
@@ -375,5 +369,5 @@ def ft_neumann_solve(M: FourierSeries, rhs: FourierTaylor, tol=1e-16, max_iter=4
     if not rhs.terms:
         return rhs
     eye = FourierSeries.constant(M.n, np.eye(M.shape[0]), rhs.order)
-    inv = fs_neumann_solve(M, eye, tol=tol, max_iter=max_iter)
+    inv = fs_neumann_solve(M, eye)
     return ft_series_matmul(inv, rhs)

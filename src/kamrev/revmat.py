@@ -15,6 +15,8 @@ import scipy.linalg
 from .errors import NotAntiInvariant, NotInvolutive, Obstruction
 
 RANK_RTOL = 1e-9
+# relative defect above which a vector is off Fix(-R) or outside Q's range on Fix R
+FIX_RANGE_TOL = 1e-10
 
 
 def _norm(a) -> float:
@@ -178,7 +180,7 @@ def kernel_condition(Q: RevMatrix) -> KernelReport:
     return KernelReport(True, None, epi, kdim)
 
 
-def solve_fix_range(Q: RevMatrix, psi, tol=1e-10):
+def solve_fix_range(Q: RevMatrix, psi):
     """Solve Q delta = -psi with delta in Fix R, psi in Fix(-R).
 
     Minimal-norm solution in the Fix R coordinates; raises Obstruction when
@@ -186,13 +188,13 @@ def solve_fix_range(Q: RevMatrix, psi, tol=1e-10):
     """
     inv = Q.inv
     psi = np.asarray(psi, dtype=float)
-    if not inv.in_fix_minus(psi, tol=tol):
+    if not inv.in_fix_minus(psi, tol=FIX_RANGE_TOL):
         raise NotAntiInvariant("right-hand side is not in Fix(-R)")
     A = Q.Q @ inv.fix_plus
     c, *_ = np.linalg.lstsq(A, -psi, rcond=None)
     delta = inv.fix_plus @ c
     resid = _norm(Q.Q @ delta + psi)
-    if resid > tol * (1.0 + _norm(psi)):
+    if resid > FIX_RANGE_TOL * (1.0 + _norm(psi)):
         raise Obstruction(resid, "right-hand side outside the range of Q restricted to Fix R")
     return delta
 

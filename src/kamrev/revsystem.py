@@ -645,14 +645,12 @@ def toy_ex2(psi1, psi2):
     return ToyNoSolution(best[0], frac)
 
 
-def toy_linear(Q_of_mu, Psi_of_mu, mu_samples, inv=None):
+def toy_linear(Q_of_mu, Psi_of_mu, mu_samples, inv):
     """Pointwise removal of an inhomogeneous drift in dz/dt = Q(mu) z + Psi(mu):
     shift z by a Fix-R vector, verify the conjugated system is homogeneous."""
     out = []
     for mu in mu_samples:
-        Q = Q_of_mu(mu)
-        if not isinstance(Q, RevMatrix):
-            Q = RevMatrix(np.asarray(Q, dtype=float), inv)
+        Q = RevMatrix(np.asarray(Q_of_mu(mu), dtype=float), inv)
         psi = np.asarray(Psi_of_mu(mu), dtype=float)
         delta = solve_fix_range(Q, psi)
         residual = float(np.linalg.norm(Q.Q @ delta + psi))

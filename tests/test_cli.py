@@ -6,6 +6,7 @@ import sys
 from importlib.resources import files
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from referencing.jsonschema import DRAFT202012
@@ -68,6 +69,23 @@ def test_toy_linear_writes_csv(tmp_path):
     assert res["samples"][0]["delta"] == pytest.approx([0.005, 0.0], abs=1e-12)
     lines = (tmp_path / "toy-linear-plot.csv").read_text().strip().splitlines()
     assert lines[0] == "mu,residual" and len(lines) == 3
+
+
+TOY_LINEAR = {"QPoly": [[[0.0, 1.0], [-1.0, 0.0]]], "PsiPoly": [[0.0, 0.5]],
+              "muSamples": [0.1]}
+
+
+@pytest.mark.parametrize("extra,message", [
+    ({}, "rejected by schema toy-linear"),
+    ({"R": np.eye(3).tolist()}, "invalid configuration"),
+    ({"R": R2, "PsiPoly": [[0.0, 0.5, 0.0]]}, "invalid configuration"),
+    ({"R": R2, "QPoly": [[[0.0, 1.0], [-1.0, 0.0]], [[1.0]]]}, "invalid configuration"),
+], ids=["R-absent", "R-size", "PsiPoly-size", "QPoly-size"])
+def test_toy_linear_needs_R_and_sizes_that_fit_it(tmp_path, capsys, extra, message):
+    cfg = write_cfg(tmp_path, {**TOY_LINEAR, **extra})
+    assert main(["toy", "linear", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "toy-linear-report.json").exists()
 
 
 @pytest.mark.parametrize("doc", [
@@ -141,14 +159,74 @@ def _ruessmann_doc(fam, box, **extra):
                                          [[0.0, 0.1]], grid=[[0.02], [0.05, 0.07]])),
     ("ruessmann", lambda: _ruessmann_doc(make_curve_family(delta=1e-4, order=8),
                                          [[0.0, 0.1]], grid=[])),
+    ("ruessmann", lambda: _with(
+        _ruessmann_doc(make_curve_family(delta=1e-4, order=8), [[0.0, 0.1]]),
+        ["curve", "components"],
+        [{"muPoly": [1.0]}, {"muPoly": [1.55, 1.0]}, {"muPoly": [0.3, 0.0, 1.0]}])),
+    ("normalize", lambda: _family_doc(make_golden_family(delta=1e-4, order=8),
+                                      omega0=[1.0, GOLDEN, 2.0])),
+    ("normalize", lambda: _family_doc(make_golden_family(delta=1e-4, order=8),
+                                      omega0=[GOLDEN])),
+    ("normalize-augmented", lambda: _family_doc(make_golden_family(delta=1e-4, order=8),
+                                                mu0=[0.04, 0.0])),
+    ("normalize", lambda: {key: value for key, value in _family_doc(
+        make_golden_family(delta=1e-4, order=8)).items() if key != "mu0"}),
+    ("cohomology-solve", lambda: _cohomology_doc("scalar", [1.0], omega=[GOLDEN])),
+    ("versal-check", lambda: {"Q": [[0.0, 1.0], [0.0, 0.0]], "R": R2,
+                              "directions": [[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]]}),
 ], ids=["rhs-normal", "rhs-right", "rhs-commutator", "rho-prime", "Q-vs-R",
-        "rank-samples", "family-s", "grid-width", "grid-ragged", "grid-empty"])
+        "rank-samples", "family-s", "grid-width", "grid-ragged", "grid-empty",
+        "curve-n", "omega0-long", "omega0-short", "mu0-long", "mu0-absent",
+        "omega-vs-rhs", "direction-shape"])
 def test_config_parts_that_disagree_exit_2_without_report(tmp_path, capsys,
                                                           command, make_doc):
     cfg = write_cfg(tmp_path, make_doc())
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "invalid configuration" in capsys.readouterr().err
     assert not (tmp_path / f"{command}-report.json").exists()
+
+
+# every normalizer key at its NormalizerConfig default, and both run keys
+DEFAULT_KEYS = {"tol": 1e-10, "maxIter": 12, "versalTol": 1e-8, "cancelTol": 1e-9,
+                "lossBudget": 1e-8, "seed": 3, "csv": False}
+
+TABLE_CASES = [
+    ("dioph-check", lambda: {"omega": [1.0, GOLDEN], "tau": 1.5, "gamma": 5e-3,
+                             "kmax": 8, "Q": Q2, "R": R2, "seed": 1}),
+    ("dioph-measure", lambda: {"boxOmega": [[1.0, 2.0], [1.0, 2.0]], "boxBeta": [[0.5, 1.5]],
+                               "tau": 1.5, "gamma": 0.02, "kmax": 6, "sampleCount": 64}),
+    ("cohomology-solve", lambda: _cohomology_doc("scalar", [1.0], rho=0.5)),
+    ("cohomology-solve", lambda: _cohomology_doc("normal", [1.0, 0.0])),
+    ("cohomology-solve", lambda: _cohomology_doc("right", [[1.0, 0.0]])),
+    ("cohomology-solve", lambda: _cohomology_doc("commutator", [[0.0, 1.0], [1.0, 0.0]])),
+    ("versal-check", lambda: {"Q": [[0.0, 1.0], [0.0, 0.0]], "R": R2,
+                              "directions": [[[0.0, 0.0], [1.0, 0.0]]]}),
+    ("miniversal-nilpotent", lambda: {"m": 3, "trials": 2}),
+    ("normalize", lambda: _family_doc(make_golden_family(delta=1e-4, order=8),
+                                      **DEFAULT_KEYS)),
+    ("normalize-augmented", lambda: _family_doc(make_golden_family(delta=1e-4, order=8),
+                                                **DEFAULT_KEYS)),
+    ("ruessmann", lambda: _ruessmann_doc(make_curve_family(delta=1e-4, order=8), [[0.0, 0.1]],
+                                         horizon=12, gridCount=2, T=10.0, rankSamples=16,
+                                         **DEFAULT_KEYS)),
+    ("toy-ex1", lambda: {"epsilon": 0.01, "c": -0.001}),
+    ("toy-ex2", lambda: {"psi1": {"z": 1.0}, "psi2": {"sinX": 0.3}}),
+    ("toy-linear", lambda: {**TOY_LINEAR, "R": R2}),
+]
+
+
+@pytest.mark.parametrize("name,make_doc", TABLE_CASES,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(TABLE_CASES)])
+def test_every_command_runs_and_rejects_an_unknown_key(tmp_path, name, make_doc):
+    assert {case for case, _ in TABLE_CASES} == set(cli._HANDLERS)
+    argv = name.split("-", 1) if name.startswith("toy-") else [name]
+    doc = make_doc()
+    ok, bad = tmp_path / "ok", tmp_path / "bad"
+    assert main(argv + ["--config", write_cfg(tmp_path, doc), "--out", str(ok)]) == 0
+    assert (ok / f"{name}-report.json").exists()
+    doc["bogus"] = 1
+    assert main(argv + ["--config", write_cfg(tmp_path, doc), "--out", str(bad)]) == 2
+    assert not (bad / f"{name}-report.json").exists()
 
 
 def _family_doc(fam, **extra):
@@ -257,7 +335,7 @@ def _refs(node):
 
 
 def test_shared_schema_definitions_live_only_in_defs():
-    shared = {"matrix", "series", "taylor", "family"}
+    shared = {"matrix", "series", "taylor", "family", "run", "dioph", "normalizer", "box"}
     names = _shipped_schemas()
     assert "defs" in names and "normalize-augmented" not in names
     registry = cli._schema_registry()
@@ -270,6 +348,19 @@ def test_shared_schema_definitions_live_only_in_defs():
             uri, DRAFT202012.create_resource(schema)).resolver(base_uri=uri)
         for ref in _refs(schema):
             resolver.lookup(ref)       # raises Unresolvable on a dangling $ref
+
+
+def test_command_schemas_are_valid_and_take_fragment_keys_from_defs():
+    fragments = cli._load_schema("defs")["$defs"]
+    fragment_keys = {key for name in ("run", "dioph", "normalizer")
+                     for key in fragments[name]["properties"]}
+    for name in _shipped_schemas():
+        schema = cli._load_schema(name)
+        jsonschema.Draft202012Validator.check_schema(schema)
+        if name != "defs":
+            assert schema["unevaluatedProperties"] is False, name
+            assert "additionalProperties" not in schema, name
+            assert not fragment_keys & set(schema["properties"]), name
 
 
 def test_value_error_in_computation_is_not_a_config_error(tmp_path, monkeypatch):

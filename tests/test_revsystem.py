@@ -95,6 +95,28 @@ def test_check_reversibility_flags_bad_pieces():
     assert any("anti-commutation" in v.identity for v in fam_q.check_reversibility())
 
 
+@pytest.mark.parametrize("piece,alpha,series,identity", [
+    ("xi", (0, 0, 0, 1), FourierSeries.constant(2, np.array([0.5, 0.0]), 8),
+     "xi term (0, 0, 0, 1) has no (y,z) factor"),
+    ("eta", (0, 1, 0, 0), FourierSeries.constant(2, np.array([0.5]), 8),
+     "eta term (0, 1, 0, 0) below order 2 in (y,z)"),
+    ("zeta", (0, 0, 0, 1), FourierSeries.constant(2, np.array([0.0, 0.5]), 8),
+     "zeta term (0, 0, 0, 1) below total order 2"),
+    ("xi", (0, 1, 0, 0), FourierSeries.cosine(2, (1, 0), np.array([0.5, 0.0]), 8),
+     "xi term (0, 1, 0, 0) depends on x"),
+], ids=["xi-without-y-z", "eta-below-2", "zeta-below-2", "xi-depends-on-x"])
+def test_check_reversibility_flags_order_conditions(piece, alpha, series, identity):
+    """Each added term keeps every parity identity and breaks one order
+    condition, so it is the one violation reported."""
+    fam = make_golden_family(delta=0.0, order=8)
+    pieces = {"xi": fam.xi, "eta": fam.eta, "zeta": fam.zeta}
+    F = pieces[piece]
+    pieces[piece] = F + FourierTaylor(2, 4, F.shape, 8, 3, {alpha: series})
+    bad = ReversibleFamily(2, 1, 1, 1, OMEGA0, fam.R, fam.Q_terms, pieces["xi"],
+                           pieces["eta"], pieces["zeta"], None, None, None, order=8, degree=3)
+    assert [v.identity for v in bad.check_reversibility()] == [identity]
+
+
 def hand_rhs(omega, sigma, mu, x, w):
     """The unperturbed benchmark field written out longhand."""
     y, z1, z2 = w
