@@ -410,7 +410,7 @@ def _run_ruessmann(config, seed, threads):
             curve, params.tau, params.gamma, params.kmax,
             int(config["curveFractionSamples"]), seed=seed)
     report = persistence_pipeline(
-        fam, curve, _normalizer_config(config),
+        fam, curve, _normalizer_config(config), workers=threads,
         **_options(config, ["grid", "grid_count", "T", "deviation_tol", "verify"]))
     result["pipeline"] = report.to_json()
     return result, report.to_csv_rows()

@@ -233,29 +233,9 @@ def _identify(family, curve, mu_curve, omega, mu0, cfg):
     raise ImplicitSolveFailure(f"identification stalled at {size:.3e}")
 
 
-def persistence_pipeline(family: ReversibleFamily, curve: FrequencyCurve,
-                         config: NormalizerConfig, grid=None, grid_count: int = 20,
-                         T: float = 100.0, deviation_tol: float = 1e-6,
-                         verify: bool = True) -> PersistenceReport:
-    """Run the frequency/parameter identification over a grid and certify
-    the surviving set at ``config.dioph()``; every normalization runs at a
-    quarter of its gamma.
-
-    The family must be checked reversible and the curve nondegenerate by
-    the caller.  The family's parameter count is either zero (the curve
-    carries all parameter dependence; the mu-shift is then identically
-    zero) or equal to the curve's box dimension."""
-    if family.s not in (0, curve.dim):
-        raise ValueError("family parameters must be absent or match the curve box")
-    if grid is None:
-        grid = uniform_grid(curve.box, grid_count)
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 2 or grid.shape[1] != curve.dim or not len(grid):
-        raise ValueError(f"grid of shape {grid.shape} is not (S, {curve.dim}) with S >= 1")
-
-    params = config.dioph()
-    work = dataclasses.replace(config, gamma=config.gamma / 4.0)
-
+def _run_points(grid, family, curve, params, work, T, deviation_tol, verify):
+    """The results of the grid points, in order; each point is independent
+    of the others."""
     points = []
     for mu_curve in grid:
         pt = GridPointResult(mu=mu_curve.copy(), accepted=False, reason="")
@@ -289,6 +269,77 @@ def persistence_pipeline(family: ReversibleFamily, curve: FrequencyCurve,
             pt.accepted = True
         except (SmallDivisor, NoConvergence, ImplicitSolveFailure, StepFailure) as exc:
             pt.reason = f"{type(exc).__name__}: {exc}"
+    return points
+
+
+# a forked worker's (chunks, other arguments of _run_points), set by
+# _inherit; under fork no input is pickled (a library curve may be a lambda)
+_INHERITED = None
+
+
+def _inherit(chunks, args):
+    global _INHERITED
+    _INHERITED = chunks, args
+
+
+def _inherited_chunk(index):
+    chunks, args = _INHERITED
+    return _run_points(chunks[index], *args)
+
+
+def _run_forked(chunks, args):
+    """Run chunks[1:] in forked workers and chunks[0] here, and return the
+    points in grid order.  An exception in any chunk propagates."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(len(chunks) - 1, mp_context=fork, initializer=_inherit,
+                             initargs=(chunks, args)) as pool:
+        futures = [pool.submit(_inherited_chunk, i) for i in range(1, len(chunks))]
+        points = _run_points(chunks[0], *args)
+        for future in futures:
+            points += future.result()
+    return points
+
+
+def persistence_pipeline(family: ReversibleFamily, curve: FrequencyCurve,
+                         config: NormalizerConfig, grid=None, grid_count: int = 20,
+                         T: float = 100.0, deviation_tol: float = 1e-6,
+                         verify: bool = True, workers: int = 1) -> PersistenceReport:
+    """Run the frequency/parameter identification over a grid and certify
+    the surviving set at ``config.dioph()``; every normalization runs at a
+    quarter of its gamma.
+
+    The family must be checked reversible and the curve nondegenerate by
+    the caller.  The family's parameter count is either zero (the curve
+    carries all parameter dependence; the mu-shift is then identically
+    zero) or equal to the curve's box dimension.
+
+    With ``workers`` > 1 the grid is split into min(workers, points)
+    contiguous chunks.  This process runs the first chunk while worker
+    processes forked from it, one per other chunk, run the rest; the "fork"
+    start method of multiprocessing is required, and the workers inherit
+    the inputs instead of receiving them pickled.  Points are independent,
+    so the report is the same for any worker count."""
+    if family.s not in (0, curve.dim):
+        raise ValueError("family parameters must be absent or match the curve box")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if grid is None:
+        grid = uniform_grid(curve.box, grid_count)
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 2 or grid.shape[1] != curve.dim or not len(grid):
+        raise ValueError(f"grid of shape {grid.shape} is not (S, {curve.dim}) with S >= 1")
+
+    params = config.dioph()
+    work = dataclasses.replace(config, gamma=config.gamma / 4.0)
+    args = (family, curve, params, work, T, deviation_tol, verify)
+    chunks = np.array_split(grid, min(workers, len(grid)))
+    if len(chunks) == 1:
+        points = _run_points(grid, *args)
+    else:
+        points = _run_forked(chunks, args)
 
     rejected = sum(1 for pt in points if not pt.accepted) / float(len(points))
     return PersistenceReport(points, rejected, params)

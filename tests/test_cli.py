@@ -125,9 +125,12 @@ Q2 = [[0.0, 1.04], [-1.0, 0.0]]      # anti-commutes with R2
 
 
 def _cohomology_doc(kind, value, **extra):
+    """A cohomology-solve config; only the matrix solves take Q and R."""
     rhs = FourierSeries.cosine(2, (1, 0), np.asarray(value, dtype=float), 8)
     doc = {"omega": [1.0, GOLDEN], "tau": 1.5, "gamma": 5e-3, "kmax": 8,
-           "kind": kind, "rhs": rhs.to_json(), "Q": Q2, "R": R2}
+           "kind": kind, "rhs": rhs.to_json()}
+    if kind != "scalar":
+        doc.update(Q=Q2, R=R2)
     doc.update(extra)
     return doc
 
@@ -261,6 +264,22 @@ def _with(doc, path, value):
 def test_nested_schema_violations_exit_2_without_report(tmp_path, capsys,
                                                         command, make_doc):
     cfg = write_cfg(tmp_path, make_doc())
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"rejected by schema {command}:" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}-report.json").exists()
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("dioph-measure", {"boxOmega": [[1.0, 2.0], [1.0, 2.0]], "tau": 1.5, "kmax": 8,
+                       "sampleCount": 300, "gamma": 0.5, "gammas": [0.02]}),
+    ("dioph-check", {"omega": [1.0, GOLDEN], "tau": 1.5, "gamma": 5e-3, "kmax": 8,
+                     "R": R2}),
+    ("cohomology-solve", _cohomology_doc("scalar", [1.0], Q=Q2, R=R2)),
+    ("cohomology-solve", _cohomology_doc("scalar", [1.0], R=R2)),
+], ids=["gamma-and-gammas", "R-without-Q", "scalar-with-Q", "scalar-with-R"])
+def test_keys_the_command_would_ignore_exit_2_without_report(tmp_path, capsys,
+                                                             command, doc):
+    cfg = write_cfg(tmp_path, doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     assert f"rejected by schema {command}:" in capsys.readouterr().err
     assert not (tmp_path / f"{command}-report.json").exists()
@@ -539,6 +558,27 @@ def test_ruessmann_pipeline_end_to_end(tmp_path):
     assert res["pipeline"]["rejectedFraction"] == 0.0
     lines = (tmp_path / "ruessmann-plot.csv").read_text().splitlines()
     assert len(lines) == 3
+
+
+def test_ruessmann_reports_do_not_depend_on_threads(tmp_path):
+    """--threads 2 and 3 fork 1 and 2 workers; 8/5 at mu = 0.05 is rejected."""
+    doc = _ruessmann_doc(make_curve_family(delta=1e-4, order=8), [[0.0, 0.12]],
+                         kmax=16, tol=1e-11, T=5.0, rankSamples=16,
+                         grid=[[0.0], [0.03], [0.05], [0.08], [0.11]])
+    cfg = write_cfg(tmp_path, doc)
+    reports, csvs = [], []
+    for threads in ("1", "2", "3"):
+        out = tmp_path / threads
+        assert main(["ruessmann", "--config", cfg, "--out", str(out),
+                     "--threads", threads]) == 0
+        report = read_report(out, "ruessmann")
+        report.pop("metadata")
+        reports.append(json.dumps(report, sort_keys=True))
+        csvs.append((out / "ruessmann-plot.csv").read_bytes())
+    assert reports[1:] == reports[:1] * 2 and csvs[1:] == csvs[:1] * 2
+    points = json.loads(reports[0])["result"]["pipeline"]["points"]
+    assert [p["accepted"] for p in points] == [True, True, False, True, True]
+    assert points[2]["reason"].startswith("SmallDivisor")
 
 
 def test_family_file_indirection_and_reversibility_gate(tmp_path):

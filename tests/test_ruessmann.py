@@ -5,6 +5,8 @@ and count failures over an itertools mode enumeration.
 """
 import dataclasses
 import itertools
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from conftest import GOLDEN, MU0, OMEGA0, make_config, make_curve_family, \
     make_golden_family
 from kamrev import ruessmann
 from kamrev.cli import _curve_from_config
+from kamrev.errors import SingularMode
 from kamrev.ruessmann import (FrequencyCurve, PolynomialCurve, diophantine_fraction,
                               is_ruessmann_nondegenerate, persistence_pipeline,
                               uniform_grid)
@@ -246,3 +249,54 @@ def test_report_serialization_shapes():
                             "margin"}
     rows = rep.to_csv_rows()
     assert len(rows) == 3 and rows[0][0] == "mu"  # header + one row per point
+
+
+# omega = (1, 8/5) at mu = 0.05 on drift_curve: at horizon 16 the middle
+# point is rejected with a small divisor
+SPLIT_GRID = np.array([[0.0], [0.03], [0.05], [0.08], [0.11]])
+
+
+@pytest.mark.parametrize("workers", [2, 3, 9])
+def test_pipeline_in_forked_workers_returns_the_serial_points(workers):
+    """drift_curve holds a lambda, which cannot be pickled: the workers get
+    it by fork.  9 workers over 5 points run one point per chunk."""
+    fam = make_curve_family(delta=DELTA, order=8)
+    cfg = make_config(horizon=16, tol=1e-11)
+    serial = persistence_pipeline(fam, drift_curve(), cfg, grid=SPLIT_GRID, T=5.0)
+    forked = persistence_pipeline(fam, drift_curve(), cfg, grid=SPLIT_GRID, T=5.0,
+                                  workers=workers)
+    assert [pt.accepted for pt in serial.points] == [True, True, False, True, True]
+    assert forked.to_json() == serial.to_json()
+    assert forked.to_csv_rows() == serial.to_csv_rows()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("error", [RuntimeError("internal bug"),
+                                   SingularMode((3, -2), 1e12)],
+                         ids=["RuntimeError", "SingularMode"])
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_pipeline_chunk_errors_propagate_and_leave_no_process(monkeypatch, error, where):
+    """An exception the pipeline does not catch leaves it unchanged from
+    either side of the fork, and every worker is joined."""
+    caller = os.getpid()
+    identify = ruessmann._identify
+
+    def failing(family, curve, mu_curve, *args):
+        if (os.getpid() == caller) == (where == "caller") and mu_curve[0] > 0:
+            raise error
+        return identify(family, curve, mu_curve, *args)
+
+    monkeypatch.setattr(ruessmann, "_identify", failing)
+    with pytest.raises(type(error)) as info:
+        persistence_pipeline(make_curve_family(delta=DELTA, order=8), drift_curve(),
+                             make_config(horizon=16, tol=1e-11), grid=SPLIT_GRID[:4],
+                             verify=False, workers=2)
+    assert str(info.value) == str(error) and vars(info.value) == vars(error)
+    assert multiprocessing.active_children() == []
+    assert ruessmann._INHERITED is None
+
+
+def test_pipeline_rejects_fewer_than_one_worker():
+    with pytest.raises(ValueError, match="workers"):
+        persistence_pipeline(make_curve_family(delta=DELTA, order=8), drift_curve(),
+                             make_config(horizon=12), grid=SPLIT_GRID, workers=0)
