@@ -19,10 +19,12 @@ import os
 import re
 import sys
 from datetime import datetime, timezone
+from functools import lru_cache
 from importlib.resources import files
 
 import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
 from referencing import Registry
 from referencing.jsonschema import DRAFT202012
 
@@ -73,15 +75,20 @@ def _schema_registry():
     return Registry().with_resource("defs.json", defs)
 
 
+@lru_cache(maxsize=None)
+def _validator(schema):
+    """The validator of a command's schema, or of a family file's ("family")."""
+    body = {"$ref": "defs.json#/$defs/family"} if schema == "family" else _load_schema(schema)
+    return jsonschema.Draft202012Validator(body, registry=_schema_registry())
+
+
 def _validate(config, name, schema=None):
-    """Check config against ``schema``, by default the command's own."""
+    """Check config against the schema named ``schema``, by default the command's."""
     if schema is None:
         # normalize-augmented takes the same config as normalize
-        schema = _load_schema("normalize" if name == "normalize-augmented" else name)
-    try:
-        jsonschema.validate(config, schema, cls=jsonschema.Draft202012Validator,
-                            registry=_schema_registry())
-    except jsonschema.ValidationError as exc:
+        schema = "normalize" if name == "normalize-augmented" else name
+    exc = best_match(_validator(schema).iter_errors(config))
+    if exc is not None:
         raise ConfigError(f"config rejected by schema {name}: "
                           f"{exc.message} (at {list(exc.absolute_path)})") from exc
 
@@ -136,8 +143,7 @@ def _decode(command, config, config_path):
                 base = os.path.dirname(os.path.abspath(config_path))
                 with open(os.path.join(base, doc)) as fh:
                     doc = json.load(fh)
-                _validate(doc, f"{command} (family file {cfg['family']})",
-                          {"$ref": "defs.json#/$defs/family"})
+                _validate(doc, f"{command} (family file {cfg['family']})", "family")
             cfg["family"] = ReversibleFamily.from_json(doc)
         if "rhs" in cfg:
             cfg["rhs"] = FourierSeries.from_json(cfg["rhs"])

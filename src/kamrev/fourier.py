@@ -23,7 +23,8 @@ in lexicographic order, so the pairs come in one fixed order and a product
 is bit for bit the same whatever built its operands.  Slots are numbered
 by a dense slot map, or by ``np.unique`` when the slot range dwarfs the
 pair count; sums of series merge their modes the same way.  No grid
-transforms are used.
+transforms are used.  A matrix product sums outer products over the inner
+index in order and calls no BLAS (see ``fs_matmul`` for its rounding).
 
 ``_l1_ball`` is the one enumerator of integer vectors by l1 radius: the
 angle shift takes its Taylor exponents of each degree from it, and
@@ -450,24 +451,25 @@ def fs_mul(a: FourierSeries, b: FourierSeries) -> FourierSeries:
 
 
 def fs_matmul(a: FourierSeries, b: FourierSeries) -> FourierSeries:
-    """Pointwise matrix product: (r,c) @ (c,) or (r,c) @ (c,e)."""
+    """Pointwise matrix product: (r,c) @ (c,) or (r,c) @ (c,e).
+
+    All pair values at once, as (Ma r, Mb e) outer products of a's column j
+    with b's row j summed in order j = 0, 1, ..., with no BLAS call.  The
+    per-pair ``np.matmul`` used before rounded as the CPU's BLAS kernel did,
+    so results may differ from it in the last bit."""
     out_shape = np.matmul(np.zeros(a.shape), np.zeros(b.shape)).shape
+    c = a.shape[-1]
 
     def combine(Va, Vb):
-        # stacked coefficients: 1-D value shapes need explicit matrix axes,
-        # else matmul reads the stack axis as a matrix dimension
-        A = Va.reshape((len(Va), 1) + a.shape)
-        B = Vb.reshape((1, len(Vb)) + b.shape)
-        if len(a.shape) == 1:
-            A = A[..., None, :]
-        if len(b.shape) == 1:
-            B = B[..., :, None]
-        C = np.matmul(A, B)
-        if len(a.shape) == 1:
-            C = C[..., 0, :]
-        if len(b.shape) == 1:
-            C = C[..., 0]
-        return C
+        # a vector factor gets a unit axis: A is (Ma, r, c), B is (Mb, c, e)
+        A = Va.reshape(len(Va), -1, c)
+        B = Vb.reshape(len(Vb), c, -1)
+        G = A[:, :, 0].reshape(-1, 1) * B[:, 0, :].reshape(1, -1)
+        term = np.empty_like(G)
+        for j in range(1, c):
+            G += np.multiply(A[:, :, j].reshape(-1, 1), B[:, j, :].reshape(1, -1), out=term)
+        G = G.reshape(len(A), A.shape[1], len(B), B.shape[2]).transpose(0, 2, 1, 3)
+        return G.reshape((len(A), len(B)) + out_shape)
 
     return _convolve(a, b, combine, out_shape)
 

@@ -296,6 +296,37 @@ def test_family_file_is_checked_against_the_family_schema(tmp_path, capsys):
     assert not (tmp_path / "normalize-report.json").exists()
 
 
+@pytest.mark.parametrize("name,schema,make_doc", [
+    ("miniversal-nilpotent", None, lambda: {"m": 0}),
+    ("miniversal-nilpotent", None, lambda: {"m": 2, "bogus": 1}),
+    ("dioph-check", None, lambda: {"omega": [1.0, GOLDEN], "tau": 1.5, "gamma": 5e-3,
+                                   "kmax": 8, "R": R2}),
+    ("cohomology-solve", None, lambda: _cohomology_doc("scalar", [1.0], Q=Q2)),
+    ("normalize-augmented", None, lambda: _with(
+        _family_doc(make_golden_family(delta=1e-4, order=8)),
+        ["family", "QTerms", 0, "powers", 0], -1)),
+    ("ruessmann", None, lambda: _with(
+        _ruessmann_doc(make_curve_family(delta=1e-4, order=8), [[0.0, 0.1]]),
+        ["family", "eta", "terms", 0, "series", "n"], 0)),
+    ("normalize (family file f.json)", "family", lambda: _with(
+        make_golden_family(delta=1e-4, order=8).to_json(), ["degree"], 0)),
+], ids=["minimum", "unknown-key", "dependent", "scalar-with-Q", "nested", "nested-series",
+        "family-file"])
+def test_schema_errors_read_as_jsonschema_validate_words_them(name, schema, make_doc):
+    doc = make_doc()
+    body = ({"$ref": "defs.json#/$defs/family"} if schema == "family"
+            else cli._load_schema("normalize" if name == "normalize-augmented" else name))
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(doc, body, cls=jsonschema.Draft202012Validator,
+                            registry=cli._schema_registry())
+    words = (f"config rejected by schema {name}: {want.value.message} "
+             f"(at {list(want.value.absolute_path)})")
+    for _ in range(2):  # the second call meets the cached validator
+        with pytest.raises(cli.ConfigError) as got:
+            cli._validate(doc, name, schema)
+        assert str(got.value) == words
+
+
 def _sweep_doc(**extra):
     return _ruessmann_doc(make_curve_family(delta=1e-4, order=8), [[0.0, 0.1]],
                           tol=1e-11, gridCount=2, T=10.0, rankSamples=16, **extra)

@@ -8,7 +8,12 @@ merges dicts; truncation walks the modes.  Random real series with
 n in {1, 2, 3} and vector or matrix values must give the same mode sets,
 the same coefficients (1e-15 relative) and the same ``trunc_loss``; the
 loss is a sum of positive norms, which the oracle adds in another order,
-so it is compared to 1e-14 relative.  Every result must stay real.
+so it is compared to 1e-14 relative.  Every result must stay real.  The
+oracle's matrix product sums each pair's entry products over the inner
+index in the order the series product does.
+
+The matrix product's pair values are those sums exactly, and agree with
+one BLAS ``np.matmul`` per pair to a rounding bound stated with the test.
 
 The slot kernels must also agree bit for bit with the array kernels they
 replaced, kept here as ``reference_convolve`` and ``reference_union``: the
@@ -22,7 +27,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kamrev import fourier
 from kamrev.fourier import (DROP_TOL, PRUNE_TOL, FourierSeries, _union, fs_matmul, fs_mul,
@@ -84,24 +89,37 @@ def oracle_mul(a, b):
     return oracle_convolve(a, b, combine, out_shape)
 
 
+def stacked_matmul(Va, Vb, a_shape, b_shape):
+    """Every pair's value by one broadcast ``np.matmul``, one small matrix
+    product per pair: (Ma, Mb) + the product's value shape."""
+    A = Va.reshape((len(Va), 1) + a_shape)
+    B = Vb.reshape((1, len(Vb)) + b_shape)
+    if len(a_shape) == 1:
+        A = A[..., None, :]
+    if len(b_shape) == 1:
+        B = B[..., :, None]
+    C = np.matmul(A, B)
+    if len(a_shape) == 1:
+        C = C[..., 0, :]
+    if len(b_shape) == 1:
+        C = C[..., 0]
+    return C
+
+
+def inner_sum_matmul(Va, Vb, a_shape, b_shape):
+    """Every pair's value as a sum of entry products over the inner index j,
+    in the order j = 0, 1, ... that fs_matmul sums in."""
+    out_shape = np.matmul(np.zeros(a_shape), np.zeros(b_shape)).shape
+    A = Va.reshape(len(Va), 1, -1, a_shape[-1])
+    B = Vb.reshape(1, len(Vb), b_shape[0], -1)
+    C = sum(A[..., :, j, None] * B[..., j, None, :] for j in range(a_shape[-1]))
+    return C.reshape((len(Va), len(Vb)) + out_shape)
+
+
 def oracle_matmul(a, b):
     out_shape = np.matmul(np.zeros(a.shape), np.zeros(b.shape)).shape
-
-    def combine(Va, Vb):
-        A = Va.reshape((len(Va), 1) + a.shape)
-        B = Vb.reshape((1, len(Vb)) + b.shape)
-        if len(a.shape) == 1:
-            A = A[..., None, :]
-        if len(b.shape) == 1:
-            B = B[..., :, None]
-        C = np.matmul(A, B)
-        if len(a.shape) == 1:
-            C = C[..., 0, :]
-        if len(b.shape) == 1:
-            C = C[..., 0]
-        return C
-
-    return oracle_convolve(a, b, combine, out_shape)
+    return oracle_convolve(a, b, lambda Va, Vb: inner_sum_matmul(Va, Vb, a.shape, b.shape),
+                           out_shape)
 
 
 def oracle_add(a, b):
@@ -190,7 +208,8 @@ def test_mul_matches_dict_oracle(data, n, shape, order):
 
 @SETTINGS
 @given(data=st.data(), n=DIMS, order=ORDERS,
-       shapes=st.sampled_from([((2, 3), (3,)), ((3,), (3, 2)), ((2, 3), (3, 2)), ((3,), (3,))]))
+       shapes=st.sampled_from([((2, 3), (3,)), ((3,), (3, 2)), ((2, 3), (3, 2)), ((3,), (3,)),
+                               ((2, 2), (2, 2)), ((3, 3), (3, 3))]))
 def test_matmul_matches_dict_oracle(data, n, order, shapes):
     a = data.draw(real_series(n, shapes[0], order))
     b = data.draw(real_series(n, shapes[1], data.draw(ORDERS)))
@@ -292,7 +311,8 @@ def assert_bitwise(got, want):
     assert got.trunc_loss == want.trunc_loss and got.order == want.order
 
 
-MATMUL_SHAPES = st.sampled_from([((2, 3), (3,)), ((3,), (3, 2)), ((2, 3), (3, 2))])
+MATMUL_SHAPES = st.sampled_from([((2, 3), (3,)), ((3,), (3, 2)), ((2, 3), (3, 2)),
+                                 ((2, 2), (2, 2)), ((3, 3), (3, 3))])
 
 
 def test_products_sums_and_stacks_bitwise_equal_the_add_at_kernels():
@@ -335,3 +355,36 @@ def test_union_rows_sorted_unique_and_mapped_back(n, kmax, numbering):
     assert K.dtype == np.int64 and len(rows) == len(Ks)
     for Kin, r in zip(Ks, rows):
         assert np.array_equal(K[r], Kin)
+
+
+# -- the matrix product's pair values -------------------------------------------------
+
+PAIR_SHAPES = [((3, 2), (2,)), ((3, 3), (3,)), ((2, 2), (2,)), ((2, 3), (3,)), ((3,), (3, 2)),
+               ((3,), (3,)), ((2, 2), (2, 2)), ((3, 3), (3, 3)), ((2, 3), (3, 2))]
+
+
+def matmul_pairs(a, b):
+    """fs_matmul's pair values, (Ma, Mb) + the value shape, from its combine."""
+    with mock.patch.object(fourier, "_convolve", lambda a, b, combine, _: combine(a.V, b.V)):
+        return np.ascontiguousarray(fs_matmul(a, b))
+
+
+@SETTINGS
+@given(data=st.data(), n=DIMS, shapes=st.sampled_from(PAIR_SHAPES))
+def test_matmul_pair_values_are_in_order_sums_near_a_per_pair_matmul(data, n, shapes):
+    """The pair values are the entry products summed over the inner index in
+    order, exactly.  One ``np.matmul`` per pair hands the pair to a BLAS
+    kernel (zgemv, zgemm, zdotu) that the CPU selects and that sums in an
+    order of its own; against it the values agree elementwise to
+    4 c eps sum_j |A_ij| |B_jk|, c the inner size, plus 4 c of the smallest
+    subnormal for entries that underflow."""
+    a = data.draw(real_series(n, shapes[0], data.draw(ORDERS)))
+    b = data.draw(real_series(n, shapes[1], data.draw(ORDERS)))
+    assume(len(a.K) and len(b.K))
+    got = matmul_pairs(a, b)
+    assert np.array_equal(got, inner_sum_matmul(a.V, b.V, a.shape, b.shape))
+    want = stacked_matmul(a.V, b.V, a.shape, b.shape)
+    scale = stacked_matmul(np.abs(a.V), np.abs(b.V), a.shape, b.shape)
+    c, tiny = a.shape[-1], np.finfo(float).smallest_subnormal
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 4 * c * (np.finfo(float).eps * scale + tiny))

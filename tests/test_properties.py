@@ -4,15 +4,17 @@ The involution pullback (x, w) -> (-x, S w) applied twice is the identity
 for any S with S @ S = I, and ``solve_scalar`` is a right inverse of the
 derivative along a Diophantine flow on zero-average series.  Both hold to
 rounding; the random real series are those of ``test_fourier_oracle``.
+A product's ``trunc_loss`` bounds the mass it drops, as measured against
+the same product taken at twice the order, where nothing is dropped.
 """
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from kamrev.cohomology import solve_scalar
 from kamrev.diophantine import DiophantineParams, is_diophantine_pair
-from kamrev.fourier import FourierSeries
+from kamrev.fourier import DROP_TOL, FourierSeries, fs_matmul, fs_mul
 from kamrev.ftaylor import FourierTaylor, involution_pullback
-from test_fourier_oracle import DIMS, ENTRY, ORDERS, SETTINGS, real_series
+from test_fourier_oracle import DIMS, ENTRY, ORDERS, PAIR_SHAPES, SETTINGS, real_series
 
 # frequencies with no resonance up to the drawn series' orders (|k|_1 <= 4)
 OMEGAS = {1: np.array([1.0]),
@@ -64,3 +66,33 @@ def test_solve_scalar_is_a_right_inverse_of_the_flow_derivative(data, n, shape, 
     assert sol.K.any(axis=1).all()  # no k = 0 mode
     back = sol.directional_derivative(omega)
     assert (back - F).majorant() <= 1e-14 * max(F.majorant(), 1.0)
+
+
+# products as (function, left shape, right shape): elementwise, broadcast, matrix
+PRODUCTS = ([(fs_mul, shape, shape) for shape in [(2,), (3,), (2, 2), (2, 3)]]
+            + [(fs_mul, (), (2, 3))]
+            + [(fs_matmul, *shapes) for shapes in PAIR_SHAPES])
+
+
+def _lifted(s, order):
+    """s as a series of a higher truncation order."""
+    return FourierSeries(s.n, s.shape, order, trunc_loss=s.trunc_loss, K=s.K, V=s.V)
+
+
+@SETTINGS
+@given(data=st.data(), n=DIMS, order=ORDERS, product=st.sampled_from(PRODUCTS))
+def test_trunc_loss_bounds_the_dropped_mass(data, n, order, product):
+    fn, left, right = product
+    a, b = data.draw(real_series(n, left, order)), data.draw(real_series(n, right, order))
+    assume(a.majorant() * b.majorant() >= DROP_TOL)  # else skipped whole, by its bound
+    cut, full = fn(a, b), fn(_lifted(a, 2 * order), _lifted(b, 2 * order))
+    assert full.trunc_loss == a.trunc_loss + b.trunc_loss  # nothing beyond 2N to drop
+    beyond = np.abs(full.K).sum(axis=1) > order
+    dropped = float(full.norms[beyond].sum())  # l1 mass of the modes beyond N
+    slack = 1e-14 * a.majorant() * b.majorant()
+    assert dropped <= cut.trunc_loss + slack
+    # and the loss records no more than that mass on top of the operands' losses
+    assert cut.trunc_loss - a.trunc_loss - b.trunc_loss <= dropped + slack
+    # the modes up to N are kept as they are
+    assert np.array_equal(cut.K, full.K[~beyond])
+    assert np.abs(cut.V - full.V[~beyond]).max(initial=0.0) <= slack
