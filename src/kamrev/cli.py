@@ -22,11 +22,7 @@ from datetime import datetime, timezone
 from functools import lru_cache
 from importlib.resources import files
 
-import jsonschema
 import numpy as np
-from jsonschema.exceptions import best_match
-from referencing import Registry
-from referencing.jsonschema import DRAFT202012
 
 from . import __version__
 from .cohomology import (solve_commutator, solve_normal, solve_right,
@@ -71,6 +67,8 @@ def _load_config(path):
 
 def _schema_registry():
     """The shared definitions, which the schemas reference as `defs.json`."""
+    from referencing import Registry
+    from referencing.jsonschema import DRAFT202012
     defs = DRAFT202012.create_resource(_load_schema("defs"))
     return Registry().with_resource("defs.json", defs)
 
@@ -78,12 +76,14 @@ def _schema_registry():
 @lru_cache(maxsize=None)
 def _validator(schema):
     """The validator of a command's schema, or of a family file's ("family")."""
+    import jsonschema
     body = {"$ref": "defs.json#/$defs/family"} if schema == "family" else _load_schema(schema)
     return jsonschema.Draft202012Validator(body, registry=_schema_registry())
 
 
 def _validate(config, name, schema=None):
     """Check config against the schema named ``schema``, by default the command's."""
+    from jsonschema.exceptions import best_match
     if schema is None:
         # normalize-augmented takes the same config as normalize
         schema = "normalize" if name == "normalize-augmented" else name
@@ -151,6 +151,10 @@ def _decode(command, config, config_path):
             cfg["params"] = DiophantineParams(cfg["tau"], cfg["gamma"], cfg["kmax"])
             if "omega" in cfg:
                 cfg["params"].validate_for(len(cfg["omega"]))
+        if command == "dioph-measure":
+            cfg["gammas"] = cfg.get("gammas") or [cfg["gamma"]]
+            DiophantineParams(cfg["tau"], min(cfg["gammas"]), cfg["kmax"]).validate_for(
+                len(cfg["boxOmega"]))
         # every matrix and vector the config gives acts on the space R reflects
         mats = [M for M in (cfg.get("Q"), *cfg.get("directions", []), *cfg.get("QPoly", []))
                 if M is not None]
@@ -246,14 +250,10 @@ def _run_dioph_check(config, seed, threads):
 def _run_dioph_measure(config, seed, threads):
     box_omega = [tuple(b) for b in config["boxOmega"]]
     box_beta = [tuple(b) for b in config.get("boxBeta", [])]
-    gammas = config.get("gammas") or [config["gamma"]]
-    fractions = []
-    for gamma in gammas:
-        frac = complement_measure_estimate(
-            box_omega, box_beta, config["tau"], gamma,
-            config["sampleCount"], config["kmax"], seed=seed, workers=threads)
-        fractions.append(float(frac))
-    gam = np.asarray(gammas, dtype=float)
+    fractions = complement_measure_estimate(
+        box_omega, box_beta, config["tau"], config["gammas"],
+        config["sampleCount"], config["kmax"], seed=seed, workers=threads)
+    gam = np.asarray(config["gammas"], dtype=float)
     fr = np.asarray(fractions, dtype=float)
     slope = float(gam @ fr / (gam @ gam)) if np.any(gam) else 0.0
     fit = slope * gam

@@ -200,17 +200,21 @@ def is_diophantine_pair(omega, Q: RevMatrix | None,
                              best - params.gamma, params.kmax)
 
 
-def complement_measure_estimate(box_omega, box_beta, tau: float, gamma: float,
+def complement_measure_estimate(box_omega, box_beta, tau: float, gammas,
                                 sample_count: int, kmax: int,
-                                seed: int = 0, workers: int = 1) -> float:
-    """Monte-Carlo fraction of the box where the pair condition fails.
+                                seed: int = 0, workers: int = 1) -> list[float]:
+    """Monte-Carlo fraction of the box where the pair condition fails, one
+    per gamma of ``gammas`` in the given order.
 
     The sample schedule is split into MEASURE_CHUNKS independently seeded
-    chunks; the result is identical for any worker count.
+    chunks; the result is identical for any worker count.  Each chunk scans
+    its divisors once and compares the minima with every gamma, so one scan
+    serves all the gammas.
     """
     box_omega = [tuple(map(float, iv)) for iv in box_omega]
     box_beta = [tuple(map(float, iv)) for iv in box_beta]
-    if gamma < 0:
+    gammas = np.asarray(gammas, dtype=float)
+    if np.any(gammas < 0):
         raise ValueError("gamma must be nonnegative")
     sizes = [sample_count // MEASURE_CHUNKS] * MEASURE_CHUNKS
     for i in range(sample_count % MEASURE_CHUNKS):
@@ -223,8 +227,8 @@ def complement_measure_estimate(box_omega, box_beta, tau: float, gamma: float,
         W = _sample_box(box_omega, size, rng)
         B = _sample_box(box_beta, size, rng)
         minima, _, _ = _min_divisors(W, B, tau, kmax)
-        return int(np.sum(minima < gamma))
+        return np.sum(minima[:, None] < gammas, axis=0)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         violated = sum(pool.map(run_chunk, zip(sizes, children)))
-    return violated / float(sample_count)
+    return [int(v) / float(sample_count) for v in violated]

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotAntiInvariant, NotInvolutive, Obstruction
 
@@ -27,6 +26,7 @@ class InvolutionStructure:
     """An involution R together with orthonormal bases of its eigenspaces."""
 
     def __init__(self, R):
+        import scipy.linalg
         R = np.asarray(R, dtype=float)
         N = R.shape[0]
         if R.shape != (N, N):
@@ -155,6 +155,7 @@ class KernelReport:
 
 def kernel_condition(Q: RevMatrix) -> KernelReport:
     """Check ker Q intersects Fix R trivially; equivalently Q: Fix R -> Fix(-R) onto."""
+    import scipy.linalg
     inv = Q.inv
     N = inv.dim
     U, s, Vt = np.linalg.svd(Q.Q)

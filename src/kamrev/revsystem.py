@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.integrate
-import scipy.optimize
 
 from .errors import RootFindFailure, StepFailure
 from .ftaylor import FourierTaylor, involution_pullback
@@ -481,6 +479,7 @@ INTEGRATE_ATOL = 1e-12
 
 
 def integrate(rhs, y0, T, t_eval=None):
+    import scipy.integrate
     sol = scipy.integrate.solve_ivp(rhs, (0.0, float(T)), np.asarray(y0, dtype=float),
                                     method="DOP853", rtol=INTEGRATE_RTOL,
                                     atol=INTEGRATE_ATOL, t_eval=t_eval, dense_output=False)
@@ -550,6 +549,7 @@ def toy_ex1(psi1, psi2) -> ToyEx1Result:
     (involution (z1, z2) -> (-z1, z2)): the shift t solves t + psi1(0, t) = 0,
     the parameter value is -psi2(0, t), and rescaling z1 restores the
     nilpotent linear part."""
+    import scipy.optimize
 
     def eq(t):
         return t + psi1(0.0, t)

@@ -365,10 +365,8 @@ def test_criterion_08_shift_linearity(crit8):
 def test_criterion_09_measure_of_bad_frequencies():
     t0 = time.monotonic()
     gammas = np.array([0.02, 0.04, 0.08])
-    fractions = np.array([
-        complement_measure_estimate([(1.0, 2.0), (1.0, 2.0)], [], TAU, g,
-                                    4000, 50, seed=12345)
-        for g in gammas])
+    fractions = np.array(complement_measure_estimate([(1.0, 2.0), (1.0, 2.0)], [], TAU,
+                                                     gammas, 4000, 50, seed=12345))
     assert fractions[0] <= fractions[1] <= fractions[2]
     slope = float(gammas @ fractions / (gammas @ gammas))
     rel = float(np.max(np.abs(fractions - slope * gammas)) /

@@ -177,10 +177,15 @@ def _ruessmann_doc(fam, box, **extra):
     ("cohomology-solve", lambda: _cohomology_doc("scalar", [1.0], omega=[GOLDEN])),
     ("versal-check", lambda: {"Q": [[0.0, 1.0], [0.0, 0.0]], "R": R2,
                               "directions": [[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]]}),
+    # tau must exceed n - 1 = 1, as dioph-check requires of its omega
+    ("dioph-measure", lambda: {"boxOmega": [[1, 2], [1, 2]], "tau": 0.5, "gamma": 0.02,
+                               "kmax": 6, "sampleCount": 64}),
+    ("dioph-measure", lambda: {"boxOmega": [[1, 2], [1, 2]], "tau": 1, "gammas": [0.02],
+                               "kmax": 6, "sampleCount": 64}),
 ], ids=["rhs-normal", "rhs-right", "rhs-commutator", "rho-prime", "Q-vs-R",
         "rank-samples", "family-s", "grid-width", "grid-ragged", "grid-empty",
         "curve-n", "omega0-long", "omega0-short", "mu0-long", "mu0-absent",
-        "omega-vs-rhs", "direction-shape"])
+        "omega-vs-rhs", "direction-shape", "measure-tau", "measure-tau-at-n-1"])
 def test_config_parts_that_disagree_exit_2_without_report(tmp_path, capsys,
                                                           command, make_doc):
     cfg = write_cfg(tmp_path, make_doc())

@@ -88,7 +88,7 @@ def test_scan_divisors_worst_modes_are_first_strict_minimum(omega, beta):
 
 def test_divisor_row_blocks_do_not_change_results(monkeypatch):
     from kamrev import diophantine
-    kw = dict(tau=1.5, gamma=0.05, sample_count=900, kmax=8, seed=5)
+    kw = dict(tau=1.5, gammas=[0.05], sample_count=900, kmax=8, seed=5)
     whole = complement_measure_estimate(BOX, [(0.5, 1.5)], **kw)
     monkeypatch.setattr(diophantine, "SCAN_ROWS", 4)
     assert complement_measure_estimate(BOX, [(0.5, 1.5)], **kw) == whole
@@ -151,31 +151,31 @@ BOX = [(1.0, 2.0), (1.0, 2.0)]
 
 
 def test_measure_estimate_deterministic_across_workers():
-    kw = dict(tau=1.5, gamma=0.02, sample_count=500, kmax=10, seed=42)
-    f1 = complement_measure_estimate(BOX, [], workers=1, **kw)
-    f2 = complement_measure_estimate(BOX, [], workers=2, **kw)
-    f4 = complement_measure_estimate(BOX, [], workers=4, **kw)
+    kw = dict(tau=1.5, gammas=[0.02], sample_count=500, kmax=10, seed=42)
+    [f1] = complement_measure_estimate(BOX, [], workers=1, **kw)
+    [f2] = complement_measure_estimate(BOX, [], workers=2, **kw)
+    [f4] = complement_measure_estimate(BOX, [], workers=4, **kw)
     assert f1 == f2 == f4
     assert 0.0 <= f1 <= 1.0
 
 
 def test_measure_estimate_monotone_in_gamma():
-    fs = [complement_measure_estimate(BOX, [], 1.5, g, 800, 12, seed=7)
-          for g in (0.01, 0.04, 0.16)]
+    fs = complement_measure_estimate(BOX, [], 1.5, [0.01, 0.04, 0.16], 800, 12, seed=7)
     assert fs[0] <= fs[1] <= fs[2]
-    assert complement_measure_estimate(BOX, [], 1.5, 1e-9, 400, 12, seed=7) == 0.0
+    assert complement_measure_estimate(BOX, [], 1.5, [1e-9], 400, 12, seed=7) == [0.0]
 
 
 def test_measure_estimate_against_direct_loop():
     """Tiny-sample oracle: replay the chunked sampling by hand."""
     from kamrev.diophantine import MEASURE_CHUNKS
-    tau, gamma, kmax, count, seed = 1.5, 0.05, 6, 40, 3
-    got = complement_measure_estimate(BOX, [], tau, gamma, count, kmax, seed=seed)
+    tau, kmax, count, seed = 1.5, 6, 40, 3
+    gammas = [0.05, 0.01, 0.2, 0.05]
+    got = complement_measure_estimate(BOX, [], tau, gammas, count, kmax, seed=seed)
     sizes = [count // MEASURE_CHUNKS] * MEASURE_CHUNKS
     for i in range(count % MEASURE_CHUNKS):
         sizes[i] += 1
     children = np.random.SeedSequence(seed).spawn(MEASURE_CHUNKS)
-    bad = 0
+    bad = [0] * len(gammas)
     for size, child in zip(sizes, children):
         if size == 0:
             continue
@@ -184,6 +184,46 @@ def test_measure_estimate_against_direct_loop():
         for omega in W:
             vals = [abs(np.dot(k, omega)) * sum(abs(c) for c in k) ** tau
                     for k in brute_modes(2, kmax)]
-            if min(vals) < gamma:
-                bad += 1
-    assert got == bad / count
+            for i, gamma in enumerate(gammas):
+                if min(vals) < gamma:
+                    bad[i] += 1
+    assert got == [b / count for b in bad]
+    assert 0 < bad[1] < bad[0] < bad[2] < count  # every gamma splits the samples
+
+
+@pytest.mark.parametrize("box_beta", [[], [(0.5, 1.5)]], ids=["no-beta", "beta"])
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_one_measure_call_serves_every_gamma_bit_for_bit(box_beta, workers):
+    gammas = [0.08, 0.01, 0.04, 0.02, 0.04]  # unsorted, with a repeat
+    kw = dict(sample_count=700, kmax=9, seed=11, workers=workers)
+    got = complement_measure_estimate(BOX, box_beta, 1.5, gammas, **kw)
+    assert got == [complement_measure_estimate(BOX, box_beta, 1.5, [g], **kw)[0]
+                   for g in gammas]
+    assert len(set(got)) == 4 and all(type(f) is float for f in got)
+
+
+def test_measure_estimate_scans_each_chunk_once(monkeypatch):
+    from kamrev import diophantine
+    scans = []
+    real = diophantine._min_divisors
+
+    def counted(W, B, tau, kmax):
+        scans.append(len(W))
+        return real(W, B, tau, kmax)
+
+    monkeypatch.setattr(diophantine, "_min_divisors", counted)
+    complement_measure_estimate(BOX, [], 1.5, [0.01, 0.02, 0.04, 0.08], 300, 6, seed=1)
+    assert len(scans) == diophantine.MEASURE_CHUNKS and sum(scans) == 300
+
+
+def test_measure_estimate_of_the_readme_example():
+    """README's dioph-measure example (seed 12345), as one call per gamma
+    computed it before one call served them all."""
+    fractions = complement_measure_estimate(BOX, [], 1.5, [0.02, 0.04, 0.08], 4000, 50,
+                                            seed=12345)
+    assert fractions == [0.0175, 0.0405, 0.07425]
+
+
+def test_measure_estimate_rejects_a_negative_gamma():
+    with pytest.raises(ValueError):
+        complement_measure_estimate(BOX, [], 1.5, [0.02, -0.01], 10, 4)

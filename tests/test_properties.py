@@ -6,14 +6,28 @@ derivative along a Diophantine flow on zero-average series.  Both hold to
 rounding; the random real series are those of ``test_fourier_oracle``.
 A product's ``trunc_loss`` bounds the mass it drops, as measured against
 the same product taken at twice the order, where nothing is dropped.
+
+``solve_normal``, ``solve_right`` and ``solve_commutator`` are right inverses
+of their operators Phi -> dPhi/dx.omega + L(Phi) for a reversible Q whose
+spectrum has no resonance with i<k, omega> up to the drawn order.  Each mode
+is one backward-stable linear solve, so the residual E = dPhi/dx.omega +
+L(Phi) - F is bounded by rounding times the operator's size
+s = N |omega|_inf + 2 d max|Q_ij| (N the order, d the size of Q), plus the
+modes of Phi dropped below PRUNE_TOL, each of which leaves at most
+s PRUNE_TOL of F unmatched:
+|E| <= 1e-13 (|F| + s |Phi|) + (modes of F) s PRUNE_TOL, with |.| the majorant.
 """
+import math
+
 import numpy as np
 from hypothesis import assume, given, strategies as st
 
-from kamrev.cohomology import solve_scalar
+from kamrev.cohomology import solve_commutator, solve_normal, solve_right, solve_scalar
 from kamrev.diophantine import DiophantineParams, is_diophantine_pair
-from kamrev.fourier import DROP_TOL, FourierSeries, fs_matmul, fs_mul
+from kamrev.fourier import (DROP_TOL, PRUNE_TOL, FourierSeries, _l1_ball, fs_matmul,
+                            fs_mul)
 from kamrev.ftaylor import FourierTaylor, involution_pullback
+from kamrev.revmat import RevMatrix, fix_spaces
 from test_fourier_oracle import DIMS, ENTRY, ORDERS, PAIR_SHAPES, SETTINGS, real_series
 
 # frequencies with no resonance up to the drawn series' orders (|k|_1 <= 4)
@@ -96,3 +110,54 @@ def test_trunc_loss_bounds_the_dropped_mass(data, n, order, product):
     # the modes up to N are kept as they are
     assert np.array_equal(cut.K, full.K[~beyond])
     assert np.abs(cut.V - full.V[~beyond]).max(initial=0.0) <= slack
+
+
+@st.composite
+def reversible_q(draw, h):
+    """Q = [[0, A], [B, 0]] over R = diag(I_h, -I_h), which anti-commutes with
+    R for any A and B.  With A = I + E/4 and B = -c (I + E'/4), Q^2 is near
+    -c I, so the spectrum lies near +-i sqrt(c), where it can resonate."""
+    def near_identity():
+        E = draw(st.lists(ENTRY, min_size=h * h, max_size=h * h))
+        return np.eye(h) + 0.25 * np.array(E).reshape(h, h)
+
+    c = draw(st.floats(0.05, 4.0))
+    Z = np.zeros((h, h))
+    Q = np.block([[Z, near_identity()], [-c * near_identity(), Z]])
+    return RevMatrix(Q, fix_spaces(np.diag([1.0] * h + [-1.0] * h)))
+
+
+# kind -> (solver, value shape for Q of size d, L(Phi) on one mode's value)
+SOLVES = {
+    "normal": (solve_normal, lambda d: (d,), lambda Q, v: -Q @ v),
+    "normal-matrix": (solve_normal, lambda d: (d, 2), lambda Q, v: -Q @ v),
+    "right": (solve_right, lambda d: (3, d), lambda Q, v: v @ Q),
+    "commutator": (solve_commutator, lambda d: (d, d), lambda Q, v: v @ Q - Q @ v),
+}
+
+
+@SETTINGS
+@given(data=st.data(), n=DIMS, order=ORDERS, h=st.integers(1, 2),
+       kind=st.sampled_from(sorted(SOLVES)))
+def test_coupled_solves_are_right_inverses_of_their_operators(data, n, order, h, kind):
+    solve, shape_of, L = SOLVES[kind]
+    omega, Q = OMEGAS[n], data.draw(reversible_q(h))
+    lam = np.linalg.eigvals(Q.Q)
+    # the operator at mode k is singular where i<k,omega> meets these (right's
+    # -i<k,omega> meets them too, as a reversible Q's spectrum is symmetric)
+    spectrum = (lam[:, None] - lam[None, :]).ravel() if kind == "commutator" else lam
+    modes = _l1_ball(n, order)
+    if kind == "commutator":  # its k = 0 mode is the caller's
+        modes = modes[modes.any(axis=1)]
+    assume(np.abs(1j * (modes @ omega)[:, None] - spectrum).min() >= 0.05)
+    shape = shape_of(2 * h)
+    F = data.draw(real_series(n, shape, order))
+    # a commutator F has no k = 0 mode; the others always get one, solved apart
+    mean = np.zeros(shape) if kind == "commutator" else np.array(data.draw(
+        st.lists(ENTRY, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+    F = F + FourierSeries.constant(n, mean - F.average(), order)
+    phi = solve(F, omega, Q)
+    E = phi.directional_derivative(omega) + phi.map_values(lambda v: L(Q.Q, v)) - F
+    size = order * np.abs(omega).max() + 4 * h * np.abs(Q.Q).max()
+    bound = 1e-13 * (F.majorant() + size * phi.majorant()) + len(F.K) * size * PRUNE_TOL
+    assert E.majorant() <= bound
