@@ -32,7 +32,7 @@ from .diophantine import (DiophantineParams, complement_measure_estimate,
 from .errors import KamrevError, NotAntiInvariant
 from .fourier import FourierSeries
 from .normalizer import NormalizerConfig, normalize, normalize_augmented
-from .revmat import (MiniversalNilpotent, RevMatrix, Unfolding, fix_spaces,
+from .revmat import (InvolutionStructure, MiniversalNilpotent, RevMatrix, Unfolding,
                      is_versal, kernel_condition)
 from .revsystem import ReversibleFamily, ToySolution, toy_ex1, toy_ex2, toy_linear
 from .ruessmann import (PolynomialCurve, diophantine_fraction,
@@ -53,12 +53,17 @@ def _load_schema(name):
     return json.loads(res.read_text())
 
 
+def _finite_only(token):
+    # json reads NaN and Infinity as floats, which no schema can then refuse
+    raise ConfigError(f"config is not valid JSON: {token} is not a number")
+
+
 def _load_config(path):
     if path is None:
         raise ConfigError("--config is required for this subcommand")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_finite_only)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -142,7 +147,7 @@ def _decode(command, config, config_path):
             if isinstance(doc, str):
                 base = os.path.dirname(os.path.abspath(config_path))
                 with open(os.path.join(base, doc)) as fh:
-                    doc = json.load(fh)
+                    doc = json.load(fh, parse_constant=_finite_only)
                 _validate(doc, f"{command} (family file {cfg['family']})", "family")
             cfg["family"] = ReversibleFamily.from_json(doc)
         if "rhs" in cfg:
@@ -225,7 +230,7 @@ def _rev_matrix(config):
     if config.get("Q") is None:
         return None
     R = np.asarray(config["R"], dtype=float)
-    return RevMatrix(np.asarray(config["Q"], dtype=float), fix_spaces(R))
+    return RevMatrix(np.asarray(config["Q"], dtype=float), InvolutionStructure(R))
 
 
 def _vec(v):
@@ -354,7 +359,7 @@ def _run_toy_linear(config, seed, threads):
     def Psi_of_mu(mu):
         return sum(v * mu ** j for j, v in enumerate(Psi_pows))
 
-    inv = fix_spaces(np.asarray(config["R"], dtype=float))
+    inv = InvolutionStructure(np.asarray(config["R"], dtype=float))
     rows = toy_linear(Q_of_mu, Psi_of_mu, config["muSamples"], inv=inv)
     out = [{"mu": float(mu), "delta": _vec(delta), "residual": float(resid)}
            for mu, delta, resid in rows]

@@ -105,8 +105,13 @@ class DiophantineParams:
             raise ValueError("kmax must be at least 1")
 
     def validate_for(self, n: int):
-        if self.tau <= n - 1:
-            raise ValueError(f"tau must exceed n-1 = {n - 1}")
+        _check_tau(self.tau, n)
+
+
+def _check_tau(tau: float, n: int):
+    # at or below n - 1 a scanned fraction grows with the horizon, not converging
+    if tau <= n - 1:
+        raise ValueError(f"tau must exceed n-1 = {n - 1}")
 
 
 def enumerate_modes(n: int, kmax: int) -> np.ndarray:
@@ -213,6 +218,7 @@ def complement_measure_estimate(box_omega, box_beta, tau: float, gammas,
     """
     box_omega = [tuple(map(float, iv)) for iv in box_omega]
     box_beta = [tuple(map(float, iv)) for iv in box_beta]
+    _check_tau(tau, len(box_omega))
     gammas = np.asarray(gammas, dtype=float)
     if np.any(gammas < 0):
         raise ValueError("gamma must be nonnegative")

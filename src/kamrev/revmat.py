@@ -3,7 +3,7 @@
 An involution R splits R^N into Fix R and Fix(-R).  Matrices anti-commuting
 with R (``gl_minus``) are the linear parts of reversible systems; matrices
 commuting with R (``gl_plus``) generate the symmetry-preserving conjugations.
-Everything here is dense; dimensions stay small in all experiments.
+Everything here is dense numpy, with no scipy; dimensions stay small.
 """
 from __future__ import annotations
 
@@ -22,28 +22,37 @@ def _norm(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def _orth(A, rcond=1e-10):
+    """Orthonormal columns spanning the range of A: scipy's orth rule, floored at
+    rcond since a nonzero projector has singular values of 1 or more."""
+    u, s, _ = np.linalg.svd(A, full_matrices=False)
+    return u[:, :np.count_nonzero(s > rcond * max(1.0, s.max(initial=0.0)))]
+
+
+def _null_space(A, rcond):
+    """Orthonormal columns spanning the null space of A (scipy's null_space rule)."""
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    return vh[np.count_nonzero(s > rcond * s.max()):].T
+
+
 class InvolutionStructure:
     """An involution R together with orthonormal bases of its eigenspaces."""
 
     def __init__(self, R):
-        import scipy.linalg
         R = np.asarray(R, dtype=float)
         N = R.shape[0]
         if R.shape != (N, N):
             raise ValueError("R must be square")
         err = _norm(R @ R - np.eye(N))
-        if err > 1e-8 * max(1.0, _norm(R)):
+        # written so that a NaN or infinite R fails it too
+        if not err / max(1.0, _norm(R)) <= 1e-8:
             raise NotInvolutive(f"R^2 - I has norm {err:.3e}")
         self.R = R
         self.dim = N
         # Projectors (I +- R)/2 are idempotent; their column spaces are the
         # eigenspaces even when R is not symmetric.
-        if N == 0:
-            self.fix_plus = np.zeros((0, 0))
-            self.fix_minus = np.zeros((0, 0))
-            return
-        self.fix_plus = scipy.linalg.orth(0.5 * (np.eye(N) + R), rcond=1e-10)
-        self.fix_minus = scipy.linalg.orth(0.5 * (np.eye(N) - R), rcond=1e-10)
+        self.fix_plus = _orth(0.5 * (np.eye(N) + R))
+        self.fix_minus = _orth(0.5 * (np.eye(N) - R))
         if self.fix_plus.shape[1] + self.fix_minus.shape[1] != N:
             raise NotInvolutive("eigenspace dimensions do not add up to N")
 
@@ -66,45 +75,27 @@ class InvolutionStructure:
     def gl_minus_dim(self) -> int:
         return 2 * self.dim_plus * self.dim_minus
 
-    def _conjugating_frame(self):
+    def _frame_units(self, pairs):
+        """U E_ab U^-1 for each (a, b): matrix units in the frame [fix_plus fix_minus]."""
         U = np.hstack([self.fix_plus, self.fix_minus])
-        return U, np.linalg.inv(U)
+        Uinv = np.linalg.inv(U)
+        out = []
+        for a, b in pairs:
+            E = np.zeros((self.dim, self.dim))
+            E[a, b] = 1.0
+            out.append(U @ E @ Uinv)
+        return out
 
     def gl_minus_basis(self):
         """Basis of the matrices anti-commuting with R."""
-        U, Uinv = self._conjugating_frame()
-        dp, dm = self.dim_plus, self.dim_minus
-        out = []
-        for i in range(dp):
-            for j in range(dm):
-                E = np.zeros((self.dim, self.dim))
-                E[i, dp + j] = 1.0
-                out.append(U @ E @ Uinv)
-                E = np.zeros((self.dim, self.dim))
-                E[dp + j, i] = 1.0
-                out.append(U @ E @ Uinv)
-        return out
+        dp, N = self.dim_plus, self.dim
+        return self._frame_units([ab for i in range(dp) for j in range(dp, N)
+                                  for ab in ((i, j), (j, i))])
 
     def gl_plus_basis(self):
         """Basis of the matrices commuting with R."""
-        U, Uinv = self._conjugating_frame()
-        dp, dm = self.dim_plus, self.dim_minus
-        out = []
-        for i in range(dp):
-            for j in range(dp):
-                E = np.zeros((self.dim, self.dim))
-                E[i, j] = 1.0
-                out.append(U @ E @ Uinv)
-        for i in range(dm):
-            for j in range(dm):
-                E = np.zeros((self.dim, self.dim))
-                E[dp + i, dp + j] = 1.0
-                out.append(U @ E @ Uinv)
-        return out
-
-
-def fix_spaces(R) -> InvolutionStructure:
-    return InvolutionStructure(R)
+        blocks = (range(self.dim_plus), range(self.dim_plus, self.dim))
+        return self._frame_units([(i, j) for b in blocks for i in b for j in b])
 
 
 class RevMatrix:
@@ -116,7 +107,7 @@ class RevMatrix:
             raise ValueError("Q has wrong shape for the involution")
         if check:
             err = _norm(inv.R @ Q + Q @ inv.R)
-            if err > 1e-12 * max(1.0, _norm(Q)):
+            if not err / max(1.0, _norm(Q)) <= 1e-12:
                 raise NotAntiInvariant(f"RQ + QR has norm {err:.3e}")
         self.Q = Q
         self.inv = inv
@@ -141,7 +132,7 @@ class Unfolding:
         for D in self.directions:
             D = np.asarray(D, dtype=float)
             err = _norm(R @ D + D @ R)
-            if err > 1e-10 * max(1.0, _norm(D)):
+            if not err / max(1.0, _norm(D)) <= 1e-10:
                 raise NotAntiInvariant(f"unfolding direction violates anti-commutation by {err:.3e}")
 
 
@@ -155,7 +146,6 @@ class KernelReport:
 
 def kernel_condition(Q: RevMatrix) -> KernelReport:
     """Check ker Q intersects Fix R trivially; equivalently Q: Fix R -> Fix(-R) onto."""
-    import scipy.linalg
     inv = Q.inv
     N = inv.dim
     U, s, Vt = np.linalg.svd(Q.Q)
@@ -173,7 +163,7 @@ def kernel_condition(Q: RevMatrix) -> KernelReport:
     # Intersection of span(ker) with span(fix_plus): nontrivial iff the stacked
     # system ker a = fix_plus b has a nonzero solution.
     C = np.hstack([ker, -inv.fix_plus])
-    null = scipy.linalg.null_space(C, rcond=RANK_RTOL)
+    null = _null_space(C, RANK_RTOL)
     for col in null.T:
         v = ker @ col[:kdim]
         if _norm(v) > RANK_RTOL * 10:
@@ -332,7 +322,7 @@ class MiniversalNilpotent:
 
     def base_unfolding(self) -> Unfolding:
         """The interleaved family as an Unfolding at lam = 0 (m^2 directions)."""
-        inv = fix_spaces(self.J_tilde)
+        inv = InvolutionStructure(self.J_tilde)
         L0 = self.L_tilde(np.zeros((self.m, self.m)))
         base = RevMatrix(L0, inv)
         dirs = []

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import RootFindFailure, StepFailure
 from .ftaylor import FourierTaylor, involution_pullback
 from .fourier import FourierSeries
-from .revmat import RevMatrix, fix_spaces, solve_fix_range
+from .revmat import InvolutionStructure, RevMatrix, solve_fix_range
 
 
 # -- small structural helpers ---------------------------------------------------
@@ -139,7 +139,7 @@ class ReversibleFamily:
         self.q = self.m + self.d                 # phase variables besides x
         self.order, self.degree = int(order), int(degree)
         R = np.asarray(R, dtype=float)
-        self.inv = fix_spaces(R)
+        self.inv = InvolutionStructure(R)
         self.R = R
         self.Q_terms = {tuple(int(e) for e in k): np.asarray(v, dtype=float)
                         for k, v in Q_terms.items()}

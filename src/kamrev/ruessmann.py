@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diophantine import (DiophantineParams, _min_divisors, _sample_box,
+from .diophantine import (DiophantineParams, _check_tau, _min_divisors, _sample_box,
                           is_diophantine_pair)
 from .errors import (ImplicitSolveFailure, NoConvergence, SmallDivisor,
                      StepFailure)
@@ -125,6 +125,7 @@ def diophantine_fraction(curve: FrequencyCurve, tau: float, gamma: float,
                          kmax: int, samples: int, seed: int = 0) -> float:
     """Monte-Carlo fraction of the box whose frequency value fails the
     classical Diophantine condition at (tau, gamma) up to the horizon."""
+    _check_tau(tau, curve.n)
     rng = np.random.default_rng(seed)
     mus = _sample_box(curve.box, samples, rng)
     minima, _, _ = _min_divisors(curve.at(mus), np.zeros((samples, 0)), tau, kmax)

@@ -21,9 +21,8 @@ from kamrev.diophantine import (DiophantineParams, complement_measure_estimate,
 from kamrev.errors import Obstruction
 from kamrev.fourier import FourierSeries
 from kamrev.normalizer import normalize, normalize_augmented
-from kamrev.revmat import (MiniversalNilpotent, RevMatrix, Unfolding,
-                           fix_spaces, is_versal, orbit_tangent,
-                           solve_fix_range)
+from kamrev.revmat import (InvolutionStructure, MiniversalNilpotent, RevMatrix,
+                           Unfolding, is_versal, orbit_tangent, solve_fix_range)
 from kamrev.revsystem import (ToyNoSolution, check_transform_commutes,
                               toy_ex1, toy_ex2, verify_torus)
 from kamrev.ruessmann import (FrequencyCurve, is_ruessmann_nondegenerate,
@@ -190,7 +189,7 @@ def test_criterion_03_cohomology_against_dense_oracle():
         est = verify_estimate(rhs, sol, omega,
                               DiophantineParams(TAU, best, order), 0.4, 0.2)
         implied[n].append(est.implied_c)
-    inv1 = fix_spaces(np.diag([1.0, -1.0]))
+    inv1 = InvolutionStructure(np.diag([1.0, -1.0]))
     for i in range(25):
         n = 1 + i % 2
         order = int(rng.integers(6, 13))
@@ -216,7 +215,7 @@ def test_criterion_03_cohomology_against_dense_oracle():
 
 
 def _block_inv(p):
-    return fix_spaces(np.diag(np.concatenate([np.ones(p), -np.ones(p)])))
+    return InvolutionStructure(np.diag(np.concatenate([np.ones(p), -np.ones(p)])))
 
 
 def _random_gl_minus(rng, inv):
@@ -284,7 +283,7 @@ def test_criterion_05_versality_certificates():
                 break
         Rbig = scipy.linalg.block_diag(mv.J_tilde, np.diag(
             np.concatenate([np.ones(p), -np.ones(p)])))
-        Qbig = RevMatrix(scipy.linalg.block_diag(L0, Qp), fix_spaces(Rbig))
+        Qbig = RevMatrix(scipy.linalg.block_diag(L0, Qp), InvolutionStructure(Rbig))
         znil = np.zeros((2, 2))
         zp = np.zeros((2 * p, 2 * p))
         dirs = [scipy.linalg.block_diag(D, zp) for D in nil_unf.directions]

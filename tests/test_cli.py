@@ -301,6 +301,29 @@ def test_family_file_is_checked_against_the_family_schema(tmp_path, capsys):
     assert not (tmp_path / "normalize-report.json").exists()
 
 
+@pytest.mark.parametrize("key,value", [("Q", float("nan")), ("R", float("nan")),
+                                       ("Q", float("inf")), ("R", float("-inf"))])
+def test_non_finite_numbers_in_a_config_exit_2(tmp_path, capsys, key, value):
+    doc = {"Q": [[0.0, 1.0], [0.0, 0.0]], "R": [[1.0, 0.0], [0.0, -1.0]],
+           "directions": []}
+    doc[key][0][0] = value          # json.dumps writes NaN, Infinity, -Infinity
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["versal-check", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "is not a number" in capsys.readouterr().err
+    assert not (tmp_path / "versal-check-report.json").exists()
+
+
+def test_non_finite_numbers_in_a_family_file_exit_2(tmp_path, capsys):
+    doc = make_golden_family(delta=1e-4, order=8).to_json()
+    doc["R"][1][1] = float("nan")
+    (tmp_path / "family.json").write_text(json.dumps(doc))
+    cfg = write_cfg(tmp_path, _family_doc(make_golden_family(delta=1e-4, order=8),
+                                          family="family.json"))
+    assert main(["normalize", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "NaN is not a number" in capsys.readouterr().err
+    assert not (tmp_path / "normalize-report.json").exists()
+
+
 @pytest.mark.parametrize("name,schema,make_doc", [
     ("miniversal-nilpotent", None, lambda: {"m": 0}),
     ("miniversal-nilpotent", None, lambda: {"m": 2, "bogus": 1}),

@@ -18,12 +18,12 @@ from kamrev.diophantine import DiophantineParams
 from kamrev.errors import (NonzeroAverage, SingularMode, SmallDivisor,
                            ZeroModeObstruction)
 from kamrev.fourier import FourierSeries, canonical_half, order1
-from kamrev.revmat import RevMatrix, fix_spaces
+from kamrev.revmat import InvolutionStructure, RevMatrix
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 OMEGA = np.array([1.0, GOLDEN])
 PARAMS = DiophantineParams(1.5, 1e-3, 24)
-INV2 = fix_spaces(np.diag([1.0, -1.0]))
+INV2 = InvolutionStructure(np.diag([1.0, -1.0]))
 Q_ELLIPTIC = RevMatrix(np.array([[0.0, 1.04], [-1.0, 0.0]]), INV2)
 
 
@@ -231,7 +231,7 @@ def assert_bitwise(phi, oracle):
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), k
 
 
-INV4 = fix_spaces(np.diag([1.0, 1.0, -1.0, -1.0]))
+INV4 = InvolutionStructure(np.diag([1.0, 1.0, -1.0, -1.0]))
 
 
 def _q4(rng):

@@ -11,10 +11,10 @@ from kamrev.diophantine import (DiophantineParams, complement_measure_estimate,
                                 classify_spectrum, enumerate_modes,
                                 is_diophantine_pair, normal_shifts, scan_divisors)
 from kamrev.errors import UnpairedSpectrum
-from kamrev.revmat import RevMatrix, fix_spaces
+from kamrev.revmat import InvolutionStructure, RevMatrix
 
 GOLDEN = (1 + np.sqrt(5)) / 2
-INV2 = fix_spaces(np.diag([1.0, -1.0]))
+INV2 = InvolutionStructure(np.diag([1.0, -1.0]))
 
 
 def brute_modes(n, kmax):
@@ -108,7 +108,7 @@ def test_classify_spectrum_elliptic_and_mixed():
     R4 = np.diag([1.0, 1.0, -1.0, -1.0])
     B = np.array([[1.0, 0.5], [-0.5, 1.0]])
     Qq = RevMatrix(np.block([[np.zeros((2, 2)), B], [-B, np.zeros((2, 2))]]),
-                   fix_spaces(R4))
+                   InvolutionStructure(R4))
     spq = classify_spectrum(Qq)
     spq.check_counts()
     assert spq.kappa == 1 and len(spq.alpha) == 1 and spq.alpha[0] > 0
@@ -227,3 +227,10 @@ def test_measure_estimate_of_the_readme_example():
 def test_measure_estimate_rejects_a_negative_gamma():
     with pytest.raises(ValueError):
         complement_measure_estimate(BOX, [], 1.5, [0.02, -0.01], 10, 4)
+
+
+@pytest.mark.parametrize("tau", [0.5, 1.0])
+def test_measure_estimate_rejects_tau_at_or_below_n_minus_1(tau):
+    # below it the fraction grows with kmax instead of converging
+    with pytest.raises(ValueError, match="tau must exceed n-1 = 1"):
+        complement_measure_estimate(BOX, [(0.5, 1.5)], tau, [0.1], 10, 4)

@@ -4,7 +4,8 @@ imports no dependency that the command may never use.
 A deletion that leaves its import behind (a helper's `itertools`, a type that
 only the annotation of a removed parameter named) fails here.  `__init__.py`
 imports to re-export and is left out.  scipy, jsonschema and referencing load
-on first use, inside the functions that need them.
+on first use, inside the functions that need them; only ODE verification and
+`toy ex1` need scipy.
 """
 import ast
 import json
@@ -14,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import GOLDEN, make_golden_family
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kamrev"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -81,3 +84,36 @@ def test_start_up_and_dioph_measure_leave_heavy_dependencies_unloaded(tmp_path):
     after_import, code, after_run = json.loads(out.stdout.splitlines()[-1])
     assert (after_import, code, after_run) == ([], 0, [])
     assert (tmp_path / "out" / "dioph-measure-report.json").exists()
+
+
+# runs each command on its config and prints the scipy modules loaded after it
+COMMANDS = """
+import json, sys
+import kamrev.cli
+loaded = []
+for name, cfg in zip(sys.argv[1::2], sys.argv[2::2]):
+    code = kamrev.cli.main([name, "--config", cfg, "--out", "out"])
+    loaded.append([name, code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+print(json.dumps(loaded))
+"""
+
+
+def test_normalize_and_versal_check_leave_scipy_unloaded(tmp_path):
+    normalize = {"family": make_golden_family(delta=1e-4, order=8).to_json(),
+                 "omega0": [1.0, GOLDEN], "mu0": [0.04],
+                 "tau": 1.5, "gamma": 5e-3, "horizon": 16, "tol": 1e-11}
+    # ker Q meets Fix R, so kernel_condition takes its null-space branch
+    versal = {"Q": [[0.0, 1.0], [0.0, 0.0]], "R": [[1.0, 0.0], [0.0, -1.0]],
+              "directions": [[[0.0, 0.0], [1.0, 0.0]]]}
+    argv = []
+    for name, doc in (("normalize", normalize), ("versal-check", versal)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        argv += [name, f"{name}.json"]
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", COMMANDS, *argv],
+                         capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == [["normalize", 0, []],
+                                                       ["versal-check", 0, []]]
+    report = json.loads((tmp_path / "out" / "versal-check-report.json").read_text())
+    assert report["result"]["kernelTrivialOnFixPlus"] is False

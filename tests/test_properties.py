@@ -27,7 +27,7 @@ from kamrev.diophantine import DiophantineParams, is_diophantine_pair
 from kamrev.fourier import (DROP_TOL, PRUNE_TOL, FourierSeries, _l1_ball, fs_matmul,
                             fs_mul)
 from kamrev.ftaylor import FourierTaylor, involution_pullback
-from kamrev.revmat import RevMatrix, fix_spaces
+from kamrev.revmat import InvolutionStructure, RevMatrix
 from test_fourier_oracle import DIMS, ENTRY, ORDERS, PAIR_SHAPES, SETTINGS, real_series
 
 # frequencies with no resonance up to the drawn series' orders (|k|_1 <= 4)
@@ -124,7 +124,7 @@ def reversible_q(draw, h):
     c = draw(st.floats(0.05, 4.0))
     Z = np.zeros((h, h))
     Q = np.block([[Z, near_identity()], [-c * near_identity(), Z]])
-    return RevMatrix(Q, fix_spaces(np.diag([1.0] * h + [-1.0] * h)))
+    return RevMatrix(Q, InvolutionStructure(np.diag([1.0] * h + [-1.0] * h)))
 
 
 # kind -> (solver, value shape for Q of size d, L(Phi) on one mode's value)

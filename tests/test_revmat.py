@@ -2,16 +2,18 @@
 and the interleaved nilpotent frame."""
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import MU0, OMEGA0, make_golden_family
 from kamrev.errors import NotAntiInvariant, NotInvolutive, Obstruction
-from kamrev.revmat import (InvolutionStructure, MiniversalNilpotent, RevMatrix,
-                           Unfolding, fix_spaces, is_versal, kernel_condition,
-                           orbit_tangent, solve_fix_range)
+from kamrev.revmat import (RANK_RTOL, InvolutionStructure, MiniversalNilpotent,
+                           RevMatrix, Unfolding, _null_space, is_versal,
+                           kernel_condition, orbit_tangent, solve_fix_range)
 
 
 def block_inv(p):
-    return fix_spaces(np.diag([1.0] * p + [-1.0] * p))
+    return InvolutionStructure(np.diag([1.0] * p + [-1.0] * p))
 
 
 def random_gl_minus(rng, inv):
@@ -32,11 +34,11 @@ def test_involution_structure_dims_and_parity():
     # a non-orthogonal involution still splits correctly
     V = np.array([[1.0, 0.3], [0.0, 1.0]])
     R = V @ np.diag([1.0, -1.0]) @ np.linalg.inv(V)
-    inv = fix_spaces(R)
+    inv = InvolutionStructure(R)
     assert inv.dim_plus == 1 and inv.dim_minus == 1
     assert inv.in_fix_plus(V[:, 0]) and inv.in_fix_minus(V[:, 1])
     with pytest.raises(NotInvolutive):
-        fix_spaces(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        InvolutionStructure(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_rev_matrix_enforces_anticommutation():
@@ -44,6 +46,81 @@ def test_rev_matrix_enforces_anticommutation():
     RevMatrix(np.array([[0.0, 2.0], [3.0, 0.0]]), inv)
     with pytest.raises(NotAntiInvariant):
         RevMatrix(np.eye(2), inv)
+
+
+def _projector(B):
+    return B @ B.T
+
+
+@st.composite
+def frames(draw):
+    """P D P^-1 with D = diag(+-1) and cond(P) <= 19: (N, dim Fix R, P)."""
+    N = draw(st.integers(1, 6))
+    dp = draw(st.integers(0, N))
+    bound = 0.9 / N                   # keeps |P - I|_2 <= 0.9
+    M = draw(st.lists(st.floats(-bound, bound), min_size=N * N, max_size=N * N))
+    return N, dp, np.eye(N) + np.reshape(M, (N, N))
+
+
+@settings(max_examples=60, deadline=None)
+@given(frames())
+def test_eigenspace_bases_of_drawn_involutions(frame):
+    N, dp, P = frame
+    R = P @ np.diag([1.0] * dp + [-1.0] * (N - dp)) @ np.linalg.inv(P)
+    inv = InvolutionStructure(R)
+    assert (inv.dim_plus, inv.dim_minus) == (dp, N - dp)
+    for B, sign, A in ((inv.fix_plus, 1.0, np.eye(N) + R), (inv.fix_minus, -1.0, np.eye(N) - R)):
+        assert np.allclose(B.T @ B, np.eye(B.shape[1]), atol=1e-12)
+        assert np.allclose(R @ B, sign * B, atol=1e-10)
+        # the same subspace as scipy's orth, which LAPACK builds may order
+        # differently; scipy reads the rounding noise of a zero projector as rank
+        if B.shape[1]:
+            assert np.allclose(_projector(B), _projector(scipy.linalg.orth(0.5 * A, rcond=1e-10)),
+                               atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frames(), st.data())
+def test_kernel_condition_null_space_spans_what_scipy_finds(frame, data):
+    N, dp, P = frame
+    dm = N - dp
+    assume(dp and dm)
+    inv = InvolutionStructure(P @ np.diag([1.0] * dp + [-1.0] * dm) @ np.linalg.inv(P))
+    # Q maps Fix R to Fix(-R) and back; its first `dead` Fix R directions lie in ker Q
+    dead = data.draw(st.integers(0, dp))
+    A, B = (np.reshape(data.draw(st.lists(st.floats(-1, 1), min_size=r * c, max_size=r * c)),
+                       (r, c)) for r, c in ((dp, dm), (dm, dp)))
+    B[:, :dead] = 0.0
+    Q = P @ np.block([[np.zeros((dp, dp)), A], [B, np.zeros((dm, dm))]]) @ np.linalg.inv(P)
+    ker = scipy.linalg.null_space(Q, rcond=RANK_RTOL)
+    C = np.hstack([ker, -inv.fix_plus])
+    # a rank decision near its tolerance could go either way on another LAPACK
+    # build; B's is made on Q's scale, as kernel_condition makes it
+    sv = [np.linalg.svd(M, compute_uv=False) / np.linalg.norm(S, 2)
+          for M, S in ((Q, Q), (B, Q), (C, C))]
+    assume(ker.shape[1] and all(np.all((s < 1e-12) | (s > 1e-6)) for s in sv))
+    ours, theirs = _null_space(C, RANK_RTOL), scipy.linalg.null_space(C, rcond=RANK_RTOL)
+    assert ours.shape == theirs.shape
+    assert np.allclose(_projector(ours), _projector(theirs), atol=1e-10)
+    # ker Q meets Fix R = P (R^dp x 0) exactly where B has a kernel
+    assert kernel_condition(RevMatrix(Q, inv)).ok == (np.count_nonzero(sv[1] > 1e-6) == dp)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_matrices_are_refused(bad):
+    inv = block_inv(1)
+    for R in (np.array([[1.0, 0.0], [0.0, bad]]), np.full((2, 2), bad), np.array([[bad]])):
+        with pytest.raises(NotInvolutive):
+            InvolutionStructure(R)
+    for Q in (np.array([[0.0, bad], [1.0, 0.0]]), np.full((2, 2), bad)):
+        with pytest.raises(NotAntiInvariant):
+            RevMatrix(Q, inv)
+    with pytest.raises(NotAntiInvariant):
+        RevMatrix(np.array([[bad]]), InvolutionStructure(np.eye(1)))
+    base = RevMatrix(np.array([[0.0, 1.0], [-1.0, 0.0]]), inv)
+    with pytest.raises(NotAntiInvariant):
+        Unfolding(base, [np.array([[0.0, bad], [0.0, 0.0]])])
 
 
 def test_kernel_condition_cases():
@@ -136,7 +213,7 @@ def test_direct_sum_with_nonsingular_block_is_versal():
                 break
         R = np.block([[nil.J_tilde, np.zeros((2, 2 * p))],
                       [np.zeros((2 * p, 2)), invq.R]])
-        inv = fix_spaces(R)
+        inv = InvolutionStructure(R)
         Qsum = np.block([[nil.L_tilde(np.zeros((1, 1))), np.zeros((2, 2 * p))],
                          [np.zeros((2 * p, 2)), Qns]])
         dirs = []

@@ -16,7 +16,7 @@ from kamrev.revsystem import (InstantiatedField, ReversibleFamily, ToyEx1Result,
                               integrate, invert_angle_shift, symmetrize_w_rows,
                               symmetrize_x_row, toy_ex1, toy_ex2, toy_linear,
                               verify_torus)
-from kamrev.revmat import RevMatrix, fix_spaces
+from kamrev.revmat import InvolutionStructure, RevMatrix
 
 XS = [np.array([0.3, -1.2]), np.array([2.0, 0.7])]
 WS = [np.array([0.1, -0.05, 0.2]), np.array([-0.3, 0.02, 0.0])]
@@ -389,7 +389,7 @@ def test_toy_ex2_solvable_case():
 
 
 def test_toy_linear_removes_inhomogeneity():
-    inv = fix_spaces(np.diag([1.0, -1.0]))
+    inv = InvolutionStructure(np.diag([1.0, -1.0]))
     out = toy_linear(lambda mu: np.array([[0.0, 1.0 + mu], [-1.0, 0.0]]),
                      lambda mu: np.array([0.0, 0.5 * mu]),
                      [0.0, 0.25, 0.5], inv=inv)

@@ -134,6 +134,12 @@ def test_diophantine_fraction_replay_spans_several_row_blocks():
     assert got == bad / samples
 
 
+@pytest.mark.parametrize("tau", [0.5, 1.0])
+def test_fraction_rejects_tau_at_or_below_n_minus_1(tau):
+    with pytest.raises(ValueError, match="tau must exceed n-1 = 1"):
+        diophantine_fraction(drift_curve(), tau, 5e-2, 6, 10)
+
+
 def test_fraction_grows_with_gamma():
     curve = drift_curve()
     fs = [diophantine_fraction(curve, 1.5, g, 16, 300, seed=5)
