@@ -188,6 +188,7 @@ def _decode(command, config, config_path):
                 raise ValueError("rhoPrime must lie in (0, rho)")
         if command == "ruessmann":
             n, dim = len(cfg["curve"]["components"]), len(cfg["curve"]["box"])
+            cfg["params"].validate_for(n)
             if cfg.setdefault("rankSamples", 64) < n:
                 raise ValueError(f"rankSamples must be at least the curve's n = {n}")
             if n != cfg["family"].n:

@@ -3,7 +3,8 @@
 A series keeps its stored modes in two arrays: ``K``, an int64 ``(M, n)``
 array of multi-indices in strictly increasing lexicographic order, and
 ``V``, a complex ``(M,) + shape`` array whose row i is the coefficient of
-exp(i<K[i], x>).  Coefficients below ``PRUNE_TOL`` are never stored.  Every
+exp(i<K[i], x>).  Modes whose norm is below ``PRUNE_TOL``, or below
+``DUST_TOL`` times the largest norm of the series, are never stored.  Every
 operation is a fixed handful of numpy expressions over the two arrays; the
 ``coeffs`` property is a read-only k -> array view for callers that think
 in single modes.  ``eval`` takes one point or an ``(S, n)`` stack of
@@ -42,6 +43,9 @@ from .errors import ImaginaryResidue
 
 # Coefficients below this magnitude are pruned outright.
 PRUNE_TOL = 1e-30
+# Modes below this share of their series' largest norm are pruned too: this
+# dust lies under the rounding of every sum it enters.
+DUST_TOL = 1e-17
 # Whole products whose majorant bound falls below this are skipped.  This
 # sits eight orders of magnitude under the tightest stated tolerance.
 DROP_TOL = 1e-20
@@ -158,8 +162,9 @@ class FourierSeries:
 
     Build from a mapping ``coeffs`` (k -> array; modes, shapes, order and
     reality are checked) or from arrays ``K`` (unique rows in lexicographic
-    order) and ``V``, which are taken as they are.  Either way coefficients
-    below ``PRUNE_TOL`` are pruned.
+    order) and ``V``, which are taken as they are.  Either way modes below
+    ``PRUNE_TOL`` or below ``DUST_TOL`` times the largest norm are pruned;
+    that dust is not counted in ``trunc_loss``.
     """
 
     def __init__(self, n, shape, order, coeffs=None, trunc_loss=0.0, K=None, V=None):
@@ -174,7 +179,7 @@ class FourierSeries:
             K = np.zeros((0, self.n), dtype=np.int64)
             V = np.zeros((0,) + self.shape, dtype=complex)
         norms = _norms(V)
-        dead = norms < PRUNE_TOL
+        dead = norms < max(PRUNE_TOL, DUST_TOL * norms.max(initial=0.0))
         if dead.any():
             K, V, norms = K[~dead], V[~dead], norms[~dead]
         self.K, self.V, self.norms = K, V, norms
@@ -411,7 +416,9 @@ def _convolve(a: FourierSeries, b: FourierSeries, vcombine, out_shape):
     values per coefficient, and one ``np.bincount`` per part sums it into
     the slots in pair order, as ``np.add.at`` would: bit for bit the same
     sums.  Per part, because a (P, 2C) index for a single ``bincount``
-    costs more to build than the scatter.  K is decoded from the slots."""
+    costs more to build than the scatter.  K is decoded from the slots.  The
+    series is built whole and then truncated: its dust floor is that of the
+    untruncated product, whatever the order."""
     order = max(a.order, b.order)
     loss = a.trunc_loss + b.trunc_loss
     if not len(a.K) or not len(b.K):
@@ -429,12 +436,12 @@ def _convolve(a: FourierSeries, b: FourierSeries, vcombine, out_shape):
         sums[:, c] = np.bincount(slot, weights=part, minlength=len(present))
     K = _modes(present, n, span)
     V = sums.view(complex).reshape((len(K),) + out_shape)
-    over = np.abs(K).sum(axis=1) > order
+    out = FourierSeries(n, out_shape, order, trunc_loss=loss, K=K, V=V)
+    over = np.abs(out.K).sum(axis=1) > order
     if over.any():
-        dropped = _norms(V[over])
-        loss += float(dropped[dropped >= PRUNE_TOL].sum())
-        K, V = K[~over], V[~over]
-    return FourierSeries(a.n, out_shape, order, trunc_loss=loss, K=K, V=V)
+        out.trunc_loss += float(out.norms[over].sum())
+        out.K, out.V, out.norms = out.K[~over], out.V[~over], out.norms[~over]
+    return out
 
 
 def fs_mul(a: FourierSeries, b: FourierSeries) -> FourierSeries:

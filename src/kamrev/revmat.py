@@ -64,10 +64,6 @@ class InvolutionStructure:
     def dim_minus(self) -> int:
         return self.fix_minus.shape[1]
 
-    def in_fix_plus(self, v, tol=1e-10) -> bool:
-        v = np.asarray(v, dtype=float)
-        return _norm(self.R @ v - v) <= tol * (1.0 + _norm(v))
-
     def in_fix_minus(self, v, tol=1e-10) -> bool:
         v = np.asarray(v, dtype=float)
         return _norm(self.R @ v + v) <= tol * (1.0 + _norm(v))

@@ -452,13 +452,6 @@ class InstantiatedField:
 
         return fn
 
-    def reversibility_errors(self):
-        S = self.family.S_w
-        ex = _parity_defect(involution_pullback(self.Xx, S), self.Xx).majorant()
-        ew = _parity_defect(involution_pullback(self.Xw, S), self.Xw, S).majorant()
-        scale = max(self.Xx.majorant(), self.Xw.majorant(), 1.0)
-        return ex / scale, ew / scale
-
 
 def check_transform_commutes(a, W0, W1, S, tol=1e-10):
     """Verify that x -> x + a(x), w -> W0(x) + W1(x) w commutes with the

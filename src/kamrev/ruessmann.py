@@ -22,8 +22,8 @@ import numpy as np
 
 from .diophantine import (DiophantineParams, _check_tau, _min_divisors, _sample_box,
                           is_diophantine_pair)
-from .errors import (ImplicitSolveFailure, NoConvergence, SmallDivisor,
-                     StepFailure)
+from .errors import (ImplicitSolveFailure, NoConvergence, SmallDivisor, StepFailure,
+                     TruncationOverflow)
 from .normalizer import NormalizerConfig, normalize
 from .revmat import RANK_RTOL
 from .revsystem import ReversibleFamily, verify_torus
@@ -268,7 +268,8 @@ def _run_points(grid, family, curve, params, work, T, deviation_tol, verify):
                     pt.reason = f"torus deviation {dev:.3e} above {deviation_tol:.1e}"
                     continue
             pt.accepted = True
-        except (SmallDivisor, NoConvergence, ImplicitSolveFailure, StepFailure) as exc:
+        except (SmallDivisor, NoConvergence, ImplicitSolveFailure, StepFailure,
+                TruncationOverflow) as exc:
             pt.reason = f"{type(exc).__name__}: {exc}"
     return points
 

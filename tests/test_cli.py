@@ -182,10 +182,14 @@ def _ruessmann_doc(fam, box, **extra):
                                "kmax": 6, "sampleCount": 64}),
     ("dioph-measure", lambda: {"boxOmega": [[1, 2], [1, 2]], "tau": 1, "gammas": [0.02],
                                "kmax": 6, "sampleCount": 64}),
+    # and of the curve's n = 2 components
+    ("ruessmann", lambda: _ruessmann_doc(make_curve_family(delta=1e-4, order=8),
+                                         [[0.0, 0.1]], tau=0.5)),
 ], ids=["rhs-normal", "rhs-right", "rhs-commutator", "rho-prime", "Q-vs-R",
         "rank-samples", "family-s", "grid-width", "grid-ragged", "grid-empty",
         "curve-n", "omega0-long", "omega0-short", "mu0-long", "mu0-absent",
-        "omega-vs-rhs", "direction-shape", "measure-tau", "measure-tau-at-n-1"])
+        "omega-vs-rhs", "direction-shape", "measure-tau", "measure-tau-at-n-1",
+        "ruessmann-tau"])
 def test_config_parts_that_disagree_exit_2_without_report(tmp_path, capsys,
                                                           command, make_doc):
     cfg = write_cfg(tmp_path, make_doc())
@@ -617,6 +621,21 @@ def test_ruessmann_pipeline_end_to_end(tmp_path):
     assert res["pipeline"]["rejectedFraction"] == 0.0
     lines = (tmp_path / "ruessmann-plot.csv").read_text().splitlines()
     assert len(lines) == 3
+
+
+def test_ruessmann_rejects_a_point_over_the_loss_budget_and_goes_on(tmp_path):
+    """The benchmark sweep's first three points (seed 1) at a loss budget no
+    conjugation meets: each point is rejected on its own, and the run ends
+    with exit 0 and a report."""
+    doc = _ruessmann_doc(make_curve_family(delta=1e-4, order=12), [[0.0, 0.1]],
+                         kmax=16, horizon=16, tol=1e-11, T=20.0, lossBudget=1e-20,
+                         grid=[[0.0], [0.02042053080271613], [0.030367996772663615]])
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["ruessmann", "--config", cfg, "--out", str(tmp_path), "--threads", "2"]) == 0
+    points = read_report(tmp_path, "ruessmann")["result"]["pipeline"]["points"]
+    assert len(points) == 3 and not any(p["accepted"] for p in points)
+    assert all(p["reason"].startswith("TruncationOverflow: conjugation dropped l1 mass")
+               for p in points)
 
 
 def test_ruessmann_reports_do_not_depend_on_threads(tmp_path):

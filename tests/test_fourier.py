@@ -124,6 +124,57 @@ def test_truncation_records_dropped_mass():
     assert small.trunc_loss > 0.0
 
 
+def _with_mode(s, k, value):
+    """s plus value cos(<k, x>)."""
+    return s + FourierSeries.cosine(s.n, k, value, s.order)
+
+
+def test_dust_below_1e_17_of_the_largest_mode_is_dropped():
+    big = FourierSeries.cosine(2, (1, 0), np.array([4.0, -2.0]), ORDER)  # norm 2 at +-k
+    s = _with_mode(_with_mode(big, (0, 3), np.array([0.0, 4e-18])), (2, 1),
+                   np.array([4e-16, 0.0]))
+    # the modes at 1e-18 of the largest norm are gone, those at 1e-16 kept
+    assert sorted(s.coeffs) == [(-2, -1), (-1, 0), (1, 0), (2, 1)]
+    np.testing.assert_array_equal(s.coeffs[(2, 1)], [2e-16, 0.0])
+    # the floor is relative: the same modes alone are all kept
+    assert len(FourierSeries.cosine(2, (0, 3), np.array([0.0, 4e-18]), ORDER).K) == 2
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scaling_keeps_the_modes_because_the_floor_is_relative(seed):
+    rng = np.random.default_rng(seed)
+    s = _with_mode(random_series(rng, 2, (2,), ORDER), (4, 1), np.array([1e-15, 0.0]))
+    small = s * 1e-10
+    np.testing.assert_array_equal(small.K, s.K)
+    np.testing.assert_array_equal((small * 1e10).K, s.K)
+
+
+def test_pruned_dust_is_not_counted_as_truncation_loss():
+    big = FourierSeries(1, (1,), ORDER, {(1,): np.array([1.0]), (-1,): np.array([1.0])},
+                        trunc_loss=3e-9)
+    dust = FourierSeries(1, (1,), ORDER, {(2,): np.array([1e-18]), (-2,): np.array([1e-18])},
+                         trunc_loss=1e-12)
+    total = big + dust
+    assert sorted(total.coeffs) == [(-1,), (1,)]
+    assert total.trunc_loss == 3e-9 + 1e-12
+
+
+def test_a_product_takes_its_dust_floor_before_truncation():
+    """cos x sin x lies beyond order 1, and the 1e-17 zero mode it meets is
+    dust next to it: cut at order 1, the product keeps no mode, as the
+    untruncated product keeps none up to order 1.  The loss is the mass
+    beyond the order alone."""
+    a = FourierSeries(1, (2,), 1, {(1,): np.array([0.5, 0]), (-1,): np.array([0.5, 0]),
+                                   (0,): np.array([0, 1e-17])})
+    b = FourierSeries(1, (2,), 1, {(1,): np.array([-50j, 0]), (-1,): np.array([50j, 0]),
+                                   (0,): np.array([0, 1.0])})
+    assert len(a.K) == len(b.K) == 3
+    full = fs_mul(FourierSeries(1, (2,), 2, K=a.K, V=a.V), FourierSeries(1, (2,), 2, K=b.K, V=b.V))
+    assert full.K.ravel().tolist() == [-2, 2]
+    cut = fs_mul(a, b)
+    assert len(cut.K) == 0 and cut.trunc_loss == full.majorant() == 50.0
+
+
 def test_strip_norm_weights_modes():
     s = FourierSeries.cosine(2, (1, 2), np.array([2.0]), ORDER)
     rho = 0.3

@@ -3,8 +3,10 @@
 The oracle keeps coefficients in a dict from mode tuples to arrays and
 works one mode at a time, as the series did before its modes moved into
 stacked arrays: the product sorts and stacks the stored modes, sums
-coinciding output modes with ``np.add.at``, prunes and truncates; the sum
-merges dicts; truncation walks the modes.  Random real series with
+coinciding output modes with ``np.add.at``, prunes the dust below the
+untruncated product's floor (``PRUNE_TOL``, or ``DUST_TOL`` times its
+largest mode norm) and truncates; the sum merges dicts and prunes below its
+own floor; truncation walks the modes.  Random real series with
 n in {1, 2, 3} and vector or matrix values must give the same mode sets,
 the same coefficients (1e-15 relative) and the same ``trunc_loss``; the
 loss is a sum of positive norms, which the oracle adds in another order,
@@ -30,8 +32,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kamrev import fourier
-from kamrev.fourier import (DROP_TOL, PRUNE_TOL, FourierSeries, _union, fs_matmul, fs_mul,
-                            fs_stack, order1)
+from kamrev.fourier import (DROP_TOL, DUST_TOL, PRUNE_TOL, FourierSeries, _union, fs_matmul,
+                            fs_mul, fs_stack, order1)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -39,8 +41,15 @@ SETTINGS = settings(max_examples=60, deadline=None)
 # -- the dict oracle -----------------------------------------------------------
 
 
+def _floor(norms):
+    """Dust floor: PRUNE_TOL, or DUST_TOL times the largest norm."""
+    return max([PRUNE_TOL] + [DUST_TOL * x for x in norms])
+
+
 def _pruned(coeffs):
-    return {k: v for k, v in coeffs.items() if v.size and np.max(np.abs(v)) >= PRUNE_TOL}
+    norms = {k: np.max(np.abs(v), initial=0.0) for k, v in coeffs.items()}
+    floor = _floor(norms.values())
+    return {k: v for k, v in coeffs.items() if norms[k] >= floor}
 
 
 def _majorant(coeffs):
@@ -71,7 +80,7 @@ def oracle_convolve(a, b, vcombine, out_shape):
     np.add.at(acc, np.ravel(inv), vals)
     norms = np.abs(acc).reshape(len(uk), -1).max(axis=1) if acc.size else np.zeros(len(uk))
     orders = np.abs(uk).sum(axis=1)
-    live = norms >= PRUNE_TOL
+    live = norms >= _floor(norms)  # the untruncated product's floor
     over = live & (orders > order)
     loss += float(norms[over].sum())
     return {tuple(int(c) for c in uk[i]): acc[i] for i in np.nonzero(live & ~over)[0]}, loss
@@ -269,9 +278,10 @@ def reference_convolve(a, b, vcombine, out_shape):
     np.add.at(V, np.ravel(inv), vals)
     over = np.abs(K).sum(axis=1) > order
     if over.any():
-        dropped = np.abs(V[over]).reshape(int(over.sum()), -1).max(axis=1)
-        loss += float(dropped[dropped >= PRUNE_TOL].sum())
-        K, V = K[~over], V[~over]
+        norms = np.abs(V).reshape(len(V), -1).max(axis=1)
+        live = norms >= _floor(norms)
+        loss += float(norms[over & live].sum())
+        K, V = K[live & ~over], V[live & ~over]
     return FourierSeries(a.n, out_shape, order, trunc_loss=loss, K=K, V=V)
 
 

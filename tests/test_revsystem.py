@@ -9,13 +9,13 @@ import pytest
 from conftest import GOLDEN, MU0, OMEGA0, make_curve_family, make_golden_family
 from kamrev.errors import ImaginaryResidue, RootFindFailure
 from kamrev.fourier import FourierSeries
-from kamrev.ftaylor import FourierTaylor
+from kamrev.ftaylor import FourierTaylor, involution_pullback
 from kamrev.revsystem import (InstantiatedField, ReversibleFamily, ToyEx1Result,
-                              ToyNoSolution, ToySolution, check_transform_commutes,
-                              classify_context, ft_embed, ft_fix_tail, ft_permute_vars,
-                              integrate, invert_angle_shift, symmetrize_w_rows,
-                              symmetrize_x_row, toy_ex1, toy_ex2, toy_linear,
-                              verify_torus)
+                              ToyNoSolution, ToySolution, _parity_defect,
+                              check_transform_commutes, classify_context, ft_embed,
+                              ft_fix_tail, ft_permute_vars, integrate, invert_angle_shift,
+                              symmetrize_w_rows, symmetrize_x_row, toy_ex1, toy_ex2,
+                              toy_linear, verify_torus)
 from kamrev.revmat import InvolutionStructure, RevMatrix
 
 XS = [np.array([0.3, -1.2]), np.array([2.0, 0.7])]
@@ -208,7 +208,11 @@ def test_parameter_jacobians_match_finite_differences():
 def test_reversibility_errors_vanish_for_conforming_family():
     fam = make_golden_family(delta=1e-3, order=8)
     inst = fam.instantiate(OMEGA0, np.array([0.01]), MU0)
-    assert max(inst.reversibility_errors()) < 1e-12
+    S = fam.S_w
+    # Xx must be even and Xw S-twisted odd under (x, w) -> (-x, S w)
+    ex = _parity_defect(involution_pullback(inst.Xx, S), inst.Xx).majorant()
+    ew = _parity_defect(involution_pullback(inst.Xw, S), inst.Xw, S).majorant()
+    assert max(ex, ew) / max(inst.Xx.majorant(), inst.Xw.majorant(), 1.0) < 1e-12
 
 
 def test_context_classification():
