@@ -15,17 +15,13 @@ is the complex conjugate of the coefficient at k for every stored k.  All
 arithmetic preserves the invariant exactly because complex multiplication
 commutes with conjugation flop for flop.
 
-Products are sparse convolutions over the stored modes.  A mode's slot
-code is an integer affine in k and increasing in lexicographic order, so a
-pair's code is one factor's code plus the other's linear part, and
-``np.bincount`` sums each real and imaginary part into its slot in pair
-order.  The rows are always
-in lexicographic order, so the pairs come in one fixed order and a product
-is bit for bit the same whatever built its operands.  Slots are numbered
-by a dense slot map, or by ``np.unique`` when the slot range dwarfs the
-pair count; sums of series merge their modes the same way.  No grid
-transforms are used.  A matrix product sums outer products over the inner
-index in order and calls no BLAS (see ``fs_matmul`` for its rounding).
+Products are sparse convolutions over the stored rows, in ``_convolve``,
+the one kernel that forms pairs; Fourier-Taylor fields (``ftaylor``) use it
+too.  A row's slot code is an integer affine in its key and increasing in
+lexicographic order, and ``np.bincount`` sums each real and imaginary part
+into its slot in pair order.  The rows are always in lexicographic order,
+so a product is bit for bit the same whatever built its operands.  No grid
+transforms are used, and no BLAS (see ``_matmul_pairs`` for the rounding).
 
 ``_l1_ball`` is the one enumerator of integer vectors by l1 radius: the
 angle shift takes its Taylor exponents of each degree from it, and
@@ -36,6 +32,8 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from functools import cached_property, lru_cache
+from itertools import accumulate
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,6 +47,9 @@ DUST_TOL = 1e-17
 # Whole products whose majorant bound falls below this are skipped.  This
 # sits eight orders of magnitude under the tightest stated tolerance.
 DROP_TOL = 1e-20
+# A Fourier-Taylor product forms its pair values this many pairs at a time
+# (at least one row of the first factor), which bounds its working memory.
+PAIR_BLOCK = 1 << 12
 # An angle shift's Taylor expansion stops at the first layer this small
 # relative to the operand, or at this degree.
 SHIFT_TOL = 1e-17
@@ -70,26 +71,33 @@ def _norms(V) -> np.ndarray:
     return np.abs(V).reshape(len(V), math.prod(V.shape[1:])).max(axis=1, initial=0.0)
 
 
-def _weights(n, span) -> np.ndarray:
-    """Place values of the dense slot code sum_j (k_j + span) base^(n-1-j),
-    base = 2 span + 1, of modes with entries within +-span.  The code is
-    affine in k and increases in lexicographic order, so sorting and
-    merging modes are 1-d."""
-    base = 2 * span + 1
-    if base ** n >= 2 ** 62:
-        raise OverflowError(f"modes with entries up to {span} in {n} angles overflow the slot codes")
-    return base ** np.arange(n - 1, -1, -1, dtype=np.int64)
+def _lattice(lo, hi):
+    """Place values w, radices hi - lo + 1 and slot count of the slot code
+    (k - lo) @ w of key rows with lo <= k <= hi, affine in k and increasing
+    in lexicographic order; a slot's key is code // w % radix + lo."""
+    radix = hi - lo + 1
+    w = [1]
+    for r in radix.tolist()[:0:-1]:
+        w.append(w[-1] * r)
+    size = w[-1] * int(radix[0])
+    if size >= 2 ** 62:
+        raise OverflowError(f"keys spanning {radix} overflow the slot codes")
+    return np.array(w[::-1], dtype=np.int64), radix, size
 
 
-def _codes(K, span) -> np.ndarray:
-    """Slot codes of the rows of K (entries within +-span)."""
-    w = _weights(K.shape[1], span)
-    return K @ w + span * int(w.sum())
+def _runs(E):
+    """The run of equal rows of the sorted array E that each row is in, and
+    the first row of each run."""
+    new = np.ones(len(E), dtype=bool)
+    new[1:] = (E[1:] != E[:-1]).any(axis=1)
+    return np.cumsum(new) - 1, np.flatnonzero(new)
 
 
-def _modes(codes, n, span) -> np.ndarray:
-    """The rows K whose slot codes are ``codes``: the inverse of ``_codes``."""
-    return codes[:, None] // _weights(n, span) % (2 * span + 1) - span
+def _alive(norms, E) -> np.ndarray:
+    """Mask of the rows at or above the dust floor of their block, a run of
+    equal rows of E: PRUNE_TOL, or DUST_TOL times the block's top norm."""
+    run, starts = _runs(E)
+    return norms >= np.maximum(PRUNE_TOL, DUST_TOL * np.maximum.reduceat(norms, starts)[run])
 
 
 def _slots(codes, size):
@@ -123,35 +131,69 @@ def _l1_ball(n: int, radius: int) -> np.ndarray:
 
 
 def _union(*Ks):
-    """Sorted union of mode arrays, and the union row each input row lands on."""
+    """Sorted union of key arrays, and the union row each input row lands on."""
     cat = np.concatenate(Ks)
-    n = cat.shape[1]
-    span = int(np.abs(cat).max()) if cat.size else 0
-    present, inv = _slots(_codes(cat, span), (2 * span + 1) ** n)
-    return _modes(present, n, span), np.split(inv, np.cumsum([len(K) for K in Ks[:-1]]))
+    lo = cat.min(axis=0, initial=0)
+    w, radix, size = _lattice(lo, cat.max(axis=0, initial=0))
+    present, inv = _slots((cat - lo) @ w, size)
+    ends = accumulate(len(K) for K in Ks)
+    return present[:, None] // w % radix + lo, [inv[e - len(K):e] for K, e in zip(Ks, ends)]
 
 
-class _ModeView(Mapping):
-    """Read-only k -> coefficient view of a series' arrays."""
+class _Rows:
+    """The linear structure a series and a Fourier-Taylor field share: both
+    store coefficient rows V under unique sorted key rows ``keys``."""
 
-    def __init__(self, s):
-        self._s = s
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if (other.n, other.q, other.shape) != (self.n, self.q, self.shape):
+            raise ValueError("operand mismatch in +")
+        if len(self.V) == len(other.V) and np.array_equal(self.keys, other.keys):
+            keys, V = self.keys, self.V + other.V
+        else:
+            keys, (rows_a, rows_b) = _union(self.keys, other.keys)
+            V = np.zeros((len(keys),) + self.shape, dtype=complex)
+            V[rows_a] = self.V
+            V[rows_b] += other.V
+        return self._from_keys(keys, V, max(self.order, other.order),
+                               max(self.degree, other.degree), self.trunc_loss + other.trunc_loss)
 
-    def __len__(self):
-        return len(self._s.K)
+    def __sub__(self, other):
+        return self + (-other)
 
-    def __iter__(self):
-        return iter(map(tuple, self._s.K.tolist()))
+    def __neg__(self):
+        return self._like(-self.V)
 
-    @cached_property
-    def _rows(self):
-        return {k: i for i, k in enumerate(self)}
+    def __mul__(self, scalar):
+        if isinstance(scalar, _Rows):
+            return NotImplemented
+        s = complex(scalar)
+        return self._like(self.V * (s.real if s.imag == 0.0 else s))
 
-    def __getitem__(self, k):
-        return self._s.V[self._rows[tuple(int(c) for c in k)]]
+    __rmul__ = __mul__
+
+    def map_stack(self, fn):
+        """Apply ``fn`` to the stacked coefficients V (rows on axis 0).
+
+        ``fn`` must be linear and real and act on the value axes only, e.g.
+        ``lambda V: V[:, :m]``; the value shape is read off its output."""
+        return self._like(fn(self.V))
+
+    def map_values(self, fn, shape=None):
+        """Apply ``fn`` to every coefficient array (must be linear and real)."""
+        shape = self.shape if shape is None else tuple(shape)
+        return self.map_stack(lambda V: np.array([fn(v) for v in V], dtype=complex)
+                              .reshape((len(V),) + shape))
+
+    def _keep(self, rows):
+        """Keep only ``rows`` of a series or field just built, in place."""
+        for name in ("A", "K", "V", "norms"):
+            if name in vars(self):
+                setattr(self, name, vars(self)[name][rows])
 
 
-class FourierSeries:
+class FourierSeries(_Rows):
     """Sparse truncated Fourier series sum_k c_k exp(i<k, x>) on T^n.
 
     Coefficients c_k are complex numpy arrays of a common ``shape``:
@@ -167,6 +209,8 @@ class FourierSeries:
     that dust is not counted in ``trunc_loss``.
     """
 
+    q = degree = 0  # a Fourier-Taylor field of degree 0 in no phase variables
+
     def __init__(self, n, shape, order, coeffs=None, trunc_loss=0.0, K=None, V=None):
         self.n = int(n)
         self.shape = tuple(int(s) for s in shape)
@@ -179,9 +223,10 @@ class FourierSeries:
             K = np.zeros((0, self.n), dtype=np.int64)
             V = np.zeros((0,) + self.shape, dtype=complex)
         norms = _norms(V)
-        dead = norms < max(PRUNE_TOL, DUST_TOL * norms.max(initial=0.0))
-        if dead.any():
-            K, V, norms = K[~dead], V[~dead], norms[~dead]
+        floor = max(PRUNE_TOL, DUST_TOL * norms.max(initial=0.0))
+        if norms.min(initial=floor) < floor:
+            live = norms >= floor
+            K, V, norms = K[live], V[live], norms[live]
         self.K, self.V, self.norms = K, V, norms
         if coeffs is not None:
             self._check_reality()
@@ -237,8 +282,9 @@ class FourierSeries:
         if scale == 0.0:
             return
         M = len(self.K)
-        span = int(np.abs(self.K).max())
-        codes = _codes(np.concatenate([self.K, -self.K]), span)
+        span = np.abs(self.K).max(axis=0)
+        w, _, _ = _lattice(-span, span)
+        codes = (np.concatenate([self.K, -self.K]) + span) @ w
         pos = np.minimum(np.searchsorted(codes[:M], codes[M:]), M - 1)
         found = (codes[:M][pos] == codes[M:]).reshape((M,) + (1,) * len(self.shape))
         bad = _norms(self.V - np.where(found, np.conj(self.V[pos]), 0.0))
@@ -251,8 +297,14 @@ class FourierSeries:
 
     @cached_property
     def coeffs(self) -> Mapping:
-        """Read-only k -> coefficient view of the stored modes."""
-        return _ModeView(self)
+        """Read-only k -> coefficient mapping of the stored modes."""
+        return MappingProxyType(dict(zip(map(tuple, self.K.tolist()), self.V)))
+
+    keys = property(lambda self: self.K, doc="Product keys of the stored rows: the modes.")
+
+    def _from_keys(self, keys, V, order, degree, loss):
+        """A series on the key rows ``keys``; ``degree`` is ignored."""
+        return FourierSeries(self.n, V.shape[1:], order, trunc_loss=loss, K=keys, V=V)
 
     def majorant(self) -> float:
         """l1 coefficient norm: an upper bound for sup |f| on the real torus."""
@@ -303,36 +355,6 @@ class FourierSeries:
         """V with row i multiplied by factors[i]."""
         return self.V * factors.reshape((-1,) + (1,) * len(self.shape))
 
-    def __add__(self, other):
-        if not isinstance(other, FourierSeries):
-            return NotImplemented
-        if other.n != self.n or other.shape != self.shape:
-            raise ValueError("series mismatch in + ")
-        if len(self.K) == len(other.K) and np.array_equal(self.K, other.K):
-            K, V = self.K, self.V + other.V
-        else:
-            K, (rows_a, rows_b) = _union(self.K, other.K)
-            V = np.zeros((len(K),) + self.shape, dtype=complex)
-            V[rows_a] = self.V
-            V[rows_b] += other.V
-        return self._like(V, K=K, order=max(self.order, other.order), loss=other.trunc_loss)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._like(-self.V)
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, FourierSeries):
-            return NotImplemented
-        s = complex(scalar)
-        if s.imag == 0.0:
-            s = s.real
-        return self._like(self.V * s)
-
-    __rmul__ = __mul__
-
     def truncate(self, order):
         """Drop modes beyond ``order``, recording the dropped l1 mass."""
         order = int(order)
@@ -355,19 +377,6 @@ class FourierSeries:
     def reflect(self):
         """Pullback under x -> -x; by reality this conjugates coefficients."""
         return self._like(np.conj(self.V))
-
-    def map_stack(self, fn):
-        """Apply ``fn`` to the stacked coefficients V (modes on axis 0).
-
-        ``fn`` must be linear and real and act on the value axes only, e.g.
-        ``lambda V: V[:, :m]``; the value shape is read off its output."""
-        return self._like(fn(self.V))
-
-    def map_values(self, fn, shape=None):
-        """Apply ``fn`` to every coefficient array (must be linear and real)."""
-        shape = self.shape if shape is None else tuple(shape)
-        return self.map_stack(lambda V: np.array([fn(v) for v in V], dtype=complex)
-                              .reshape((len(V),) + shape))
 
     # -- serialization ---------------------------------------------------------
 
@@ -406,66 +415,100 @@ class FourierSeries:
 # -- products ------------------------------------------------------------------
 
 
-def _convolve(a: FourierSeries, b: FourierSeries, vcombine, out_shape):
-    """Sparse convolution of stored modes with a vectorized value combiner.
+def _convolve(a, b, vcombine, out_shape):
+    """Sparse convolution of stored rows with a vectorized value combiner.
 
-    A pair's slot code is the sum of two per-factor code vectors, so no
-    (Ma Mb, n) key array is built; ``_slots`` numbers the occupied slots
-    (dense map, or ``np.unique`` when the range dwarfs the pair count).
-    The combined values are viewed as float64, 2C parts per pair for C
-    values per coefficient, and one ``np.bincount`` per part sums it into
-    the slots in pair order, as ``np.add.at`` would: bit for bit the same
-    sums.  Per part, because a (P, 2C) index for a single ``bincount``
-    costs more to build than the scatter.  K is decoded from the slots.  The
-    series is built whole and then truncated: its dust floor is that of the
-    untruncated product, whatever the order."""
-    order = max(a.order, b.order)
+    The operands are two series, or two Fourier-Taylor fields; a row's key
+    is its mode k, after its exponent alpha for a field (``keys``).  Pairs
+    of total degree above the degree are dropped before the sum, their
+    majorant products going to ``trunc_loss``.  A pair's slot code is the sum
+    of two per-factor code vectors; a mode column spans +- the factors'
+    largest |k_j| summed (stored modes come in +-k pairs), an exponent column
+    0 to that sum or the degree.  The pair values, all at once for series
+    and ``PAIR_BLOCK`` pairs at a time for fields, are viewed as float64, 2C
+    parts per pair for C values, and one ``np.bincount`` per part sums them
+    into the slots in pair order, as ``np.add.at`` would: bit for bit for a
+    series product, block by block for a field product.  The dust floor of
+    each term is taken from the untruncated product; then the modes beyond
+    the order go to ``trunc_loss``."""
+    if (a.n, a.q) != (b.n, b.q):
+        raise ValueError("operand mismatch in product")
+    order, degree, q = max(a.order, b.order), max(a.degree, b.degree), a.q
     loss = a.trunc_loss + b.trunc_loss
-    if not len(a.K) or not len(b.K):
-        return FourierSeries(a.n, out_shape, order, trunc_loss=loss)
-    if a.majorant() * b.majorant() < DROP_TOL:
-        return FourierSeries(a.n, out_shape, order,
-                             trunc_loss=loss + a.majorant() * b.majorant())
-    n = a.n
-    span = int(np.abs(a.K).max() + np.abs(b.K).max())
-    codes = ((a.K @ _weights(n, span))[:, None] + _codes(b.K, span)).ravel()
-    present, slot = _slots(codes, (2 * span + 1) ** n)
-    vals = np.ascontiguousarray(vcombine(a.V, b.V)).reshape(len(codes), -1).view(np.float64)
-    sums = np.empty((len(present), vals.shape[1]))
-    for c, part in enumerate(vals.T):
-        sums[:, c] = np.bincount(slot, weights=part, minlength=len(present))
-    K = _modes(present, n, span)
-    V = sums.view(complex).reshape((len(K),) + out_shape)
-    out = FourierSeries(n, out_shape, order, trunc_loss=loss, K=K, V=V)
+    Ka, Kb = a.keys, b.keys
+    drop = not len(Ka) or not len(Kb) or a.majorant() * b.majorant() < DROP_TOL
+    keep = None
+    if q and not drop:
+        da, db = Ka[:, :q].sum(axis=1), Kb[:, :q].sum(axis=1)
+        beyond = da[:, None] + db > degree
+        drop = beyond.all()
+        if beyond.any() and not drop:  # b's norms summed from each degree up
+            above = np.bincount(db, b.norms, minlength=degree + 2)[::-1].cumsum()[::-1]
+            loss += float((a.norms * above[degree + 1 - da]).sum())
+            keep = ~beyond
+    if drop:  # the whole product, with its majorant bound
+        return a._from_keys(np.zeros((0, Ka.shape[1]), dtype=np.int64),
+                            np.zeros((0,) + out_shape, dtype=complex), order, degree,
+                            loss + a.majorant() * b.majorant())
+    hi = np.abs(Ka).max(axis=0) + np.abs(Kb).max(axis=0)
+    lo = -hi
+    if q:
+        lo[:q], hi[:q] = 0, np.minimum(hi[:q], degree)
+    w, radix, size = _lattice(lo, hi)
+    codes = (Ka @ w)[:, None] + (Kb - lo) @ w
+    codes = codes.ravel() if keep is None else codes[keep]
+    present, slot = _slots(codes, size)
+    del codes  # the pair codes are held once, as slots, while the values are summed
+    sums, done = np.zeros((len(present), 2 * math.prod(out_shape))), 0
+    step = max(1, PAIR_BLOCK // len(Kb)) if q else len(Ka)
+    for i in range(0, len(Ka), step):
+        vals = vcombine(a.V[i:i + step], b.V)
+        vals = vals[keep[i:i + step]] if keep is not None else vals.reshape(
+            (vals.shape[0] * len(Kb),) + out_shape)
+        _scatter(sums, slot[done:done + len(vals)], vals)
+        done += len(vals)
+    keys = present[:, None] // w % radix + lo
+    out = a._from_keys(keys, sums.view(complex).reshape((len(keys),) + out_shape),
+                       order, degree, loss)
     over = np.abs(out.K).sum(axis=1) > order
     if over.any():
         out.trunc_loss += float(out.norms[over].sum())
-        out.K, out.V, out.norms = out.K[~over], out.V[~over], out.norms[~over]
+        out._keep(~over)
     return out
 
 
-def fs_mul(a: FourierSeries, b: FourierSeries) -> FourierSeries:
-    """Pointwise product with numpy broadcasting of the value shapes."""
-    out_shape = np.broadcast_shapes(a.shape, b.shape)
+def _scatter(sums, slot, vals):
+    """Add the complex rows vals into the rows ``slot`` of the (S, 2C) real
+    and imaginary part sums, one ``np.bincount`` per part, in row order."""
+    parts = np.ascontiguousarray(vals).reshape(len(vals), sums.shape[1] // 2).view(np.float64)
+    for c, part in enumerate(parts.T):
+        sums[:, c] += np.bincount(slot, weights=part, minlength=len(sums))
+
+
+def _mul_pairs(a_shape, b_shape):
+    """Value combiner of the pointwise product, with numpy broadcasting of
+    the value shapes, and its value shape."""
+    out_shape = np.broadcast_shapes(a_shape, b_shape)
     r = len(out_shape)
 
     def combine(Va, Vb):
-        sa = (len(Va), 1) + (1,) * (r - len(a.shape)) + a.shape
-        sb = (1, len(Vb)) + (1,) * (r - len(b.shape)) + b.shape
+        sa = (len(Va), 1) + (1,) * (r - len(a_shape)) + a_shape
+        sb = (1, len(Vb)) + (1,) * (r - len(b_shape)) + b_shape
         return Va.reshape(sa) * Vb.reshape(sb)
 
-    return _convolve(a, b, combine, out_shape)
+    return combine, out_shape
 
 
-def fs_matmul(a: FourierSeries, b: FourierSeries) -> FourierSeries:
-    """Pointwise matrix product: (r,c) @ (c,) or (r,c) @ (c,e).
+def _matmul_pairs(a_shape, b_shape):
+    """Value combiner of the pointwise matrix product (r,c) @ (c,) or
+    (r,c) @ (c,e), and its value shape.
 
     All pair values at once, as (Ma r, Mb e) outer products of a's column j
     with b's row j summed in order j = 0, 1, ..., with no BLAS call.  The
     per-pair ``np.matmul`` used before rounded as the CPU's BLAS kernel did,
     so results may differ from it in the last bit."""
-    out_shape = np.matmul(np.zeros(a.shape), np.zeros(b.shape)).shape
-    c = a.shape[-1]
+    out_shape = np.matmul(np.zeros(a_shape), np.zeros(b_shape)).shape
+    c = a_shape[-1]
 
     def combine(Va, Vb):
         # a vector factor gets a unit axis: A is (Ma, r, c), B is (Mb, c, e)
@@ -478,7 +521,17 @@ def fs_matmul(a: FourierSeries, b: FourierSeries) -> FourierSeries:
         G = G.reshape(len(A), A.shape[1], len(B), B.shape[2]).transpose(0, 2, 1, 3)
         return G.reshape((len(A), len(B)) + out_shape)
 
-    return _convolve(a, b, combine, out_shape)
+    return combine, out_shape
+
+
+def fs_mul(a: FourierSeries, b: FourierSeries) -> FourierSeries:
+    """Pointwise product with numpy broadcasting of the value shapes."""
+    return _convolve(a, b, *_mul_pairs(a.shape, b.shape))
+
+
+def fs_matmul(a: FourierSeries, b: FourierSeries) -> FourierSeries:
+    """Pointwise matrix product: (r,c) @ (c,) or (r,c) @ (c,e)."""
+    return _convolve(a, b, *_matmul_pairs(a.shape, b.shape))
 
 
 def fs_stack(series, axis=0):

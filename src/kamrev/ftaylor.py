@@ -1,9 +1,18 @@
 """Fourier-Taylor fields: Fourier in the angles, polynomial in phase variables.
 
-A field F(x, w) = sum_alpha F_alpha(x) w^alpha is stored as a sparse map
-from exponent tuples alpha (length q, total degree <= degree) to Fourier
-series coefficients F_alpha.  Products truncate both the Taylor degree and
-the Fourier order, recording dropped l1 mass in ``trunc_loss``.
+A field F(x, w) = sum_alpha F_alpha(x) w^alpha is stored as a FourierSeries
+is: int64 exponent rows ``A`` (M, q), int64 mode rows ``K`` (M, n) and
+complex values ``V`` (M,) + shape, row i the coefficient of
+w^A[i] exp(i<K[i], x>), unique and in lexicographic (alpha, k) order.  The
+rows of a term F_alpha are contiguous; each term drops its own dust.
+
+A product is one call of ``fourier._convolve`` over the key columns
+[A | K]: pairs of total degree above the degree are dropped before the sum,
+the rest summed into their (alpha, k) slots.  ``trunc_loss`` is the l1 mass
+dropped: the operands' losses, the majorant products of the pairs beyond
+the degree, and the summed modes beyond the Fourier order.  The series a
+field is built or lifted from bring no loss of their own, and the series it
+hands out (``coeffs``, ``taylor0``, ``linear_w``) carry none.
 
 The degree truncation is exact for compositions with maps that are affine
 in w: degrees only ever add, so nothing of degree <= D is lost by also
@@ -13,15 +22,13 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ImaginaryResidue, ImplicitSolveFailure
-from .fourier import FourierSeries, _chain, _union, fs_matmul, fs_mul, fs_stack
-
-
-def _exp_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+from .fourier import (DUST_TOL, PRUNE_TOL, FourierSeries, _alive, _chain, _convolve,
+                      _matmul_pairs, _mul_pairs, _norms, _Rows, _runs, _scatter, _union, fs_matmul)
 
 
 def _unit(q, j):
@@ -30,116 +37,127 @@ def _unit(q, j):
     return tuple(e)
 
 
-class FourierTaylor:
-    """Polynomial in w of degree <= ``degree`` with FourierSeries coefficients."""
+class FourierTaylor(_Rows):
+    """Polynomial in w of degree <= ``degree`` with Fourier series coefficients.
 
-    def __init__(self, n, q, shape, order, degree, terms, trunc_loss=0.0):
-        self.n = int(n)
-        self.q = int(q)
-        self.shape = tuple(shape)
-        self.order = int(order)
-        self.degree = int(degree)
+    Build from a mapping ``terms`` (alpha -> FourierSeries; terms beyond the
+    degree are dropped into ``trunc_loss``) or from arrays ``A``, ``K`` and
+    ``V`` (unique rows in (alpha, k) order), which are taken as they are."""
+
+    def __init__(self, n, q, shape, order, degree, terms=None, trunc_loss=0.0,
+                 A=None, K=None, V=None):
+        self.n, self.q, self.order, self.degree = int(n), int(q), int(order), int(degree)
+        self.shape = tuple(int(s) for s in shape)
         self.trunc_loss = float(trunc_loss)
-        clean = {}
-        for alpha, s in terms.items():
-            alpha = tuple(int(e) for e in alpha)
+        if terms is not None:
+            A, K, V = self._stacked(terms)
+        elif A is None:
+            A, K = np.zeros((0, self.q), dtype=np.int64), np.zeros((0, self.n), dtype=np.int64)
+            V = np.zeros((0,) + self.shape, dtype=complex)
+        norms = _norms(V)
+        # a term's dust floor is at most the whole field's
+        if norms.min(initial=np.inf) < max(PRUNE_TOL, DUST_TOL * norms.max(initial=0.0)):
+            live = _alive(norms, A)
+            A, K, V, norms = A[live], K[live], V[live], norms[live]
+        self.A, self.K, self.V, self.norms = A, K, V, norms
+
+    def _stacked(self, terms):
+        rows = [(np.zeros((0, self.q), dtype=np.int64), np.zeros((0, self.n), dtype=np.int64),
+                 np.zeros((0,) + self.shape, dtype=complex))]
+        for alpha, s in sorted(((tuple(int(e) for e in a), s) for a, s in terms.items()),
+                               key=lambda item: item[0]):
             if len(alpha) != self.q or any(e < 0 for e in alpha):
                 raise ValueError(f"bad exponent {alpha} for q={self.q}")
             if sum(alpha) > self.degree:
                 self.trunc_loss += s.majorant()
-                continue
-            if s.shape != self.shape or s.n != self.n:
+            elif s.shape != self.shape or s.n != self.n:
                 raise ValueError(f"coefficient at {alpha}: shape {s.shape} != {self.shape}")
-            if len(s.K):
-                clean[alpha] = s
-        self.terms = clean
+            else:
+                rows.append((np.full((len(s.K), self.q), alpha, dtype=np.int64), s.K, s.V))
+        return tuple(np.concatenate(x) for x in zip(*rows))
 
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def zero(cls, n, q, shape, order, degree):
-        return cls(n, q, shape, order, degree, {})
-
-    @classmethod
     def from_series(cls, s: FourierSeries, q, degree):
-        return cls(s.n, q, s.shape, s.order, degree, {(0,) * q: s})
+        """s as a field constant in w; s's own loss is not carried over."""
+        return cls(s.n, q, s.shape, s.order, degree,
+                   A=np.zeros((len(s.K), q), dtype=np.int64), K=s.K, V=s.V)
 
     @classmethod
     def build(cls, n, q, order, degree, entries, shape=None):
         """entries: alpha -> FourierSeries | array (constant in x)."""
-        terms = {}
-        for alpha, v in entries.items():
-            if isinstance(v, FourierSeries):
-                terms[alpha] = v
-            else:
-                terms[alpha] = FourierSeries.constant(n, np.asarray(v, dtype=float), order)
-        if shape is None:
-            shape = next(iter(terms.values())).shape
+        terms = {alpha: v if isinstance(v, FourierSeries) else
+                 FourierSeries.constant(n, np.asarray(v, dtype=float), order)
+                 for alpha, v in entries.items()}
+        shape = next(iter(terms.values())).shape if shape is None else shape
         return cls(n, q, shape, order, degree, terms)
 
-    def _like(self, terms, shape=None):
-        return FourierTaylor(self.n, self.q, self.shape if shape is None else shape,
-                             self.order, self.degree, terms, trunc_loss=self.trunc_loss)
+    def _like(self, V, A=None, K=None):
+        """Field on the rows A, K (default: these) with values V; the number
+        of phase variables and the value shape are read off A and V."""
+        A = self.A if A is None else A
+        return FourierTaylor(self.n, A.shape[1], V.shape[1:], self.order, self.degree,
+                             trunc_loss=self.trunc_loss, A=A, K=self.K if K is None else K, V=V)
 
-    # -- linear structure --------------------------------------------------------
+    def _from_keys(self, keys, V, order, degree, loss):
+        """A field on the key rows ``keys`` = [A | K] with values V."""
+        return FourierTaylor(self.n, self.q, V.shape[1:], order, degree, trunc_loss=loss,
+                             A=keys[:, :self.q], K=keys[:, self.q:], V=V)
 
-    def __add__(self, other):
-        if not isinstance(other, FourierTaylor):
-            return NotImplemented
-        if (other.n, other.q, other.shape) != (self.n, self.q, self.shape):
-            raise ValueError("field mismatch in +")
-        out = dict(self.terms)
-        for alpha, s in other.terms.items():
-            t = out.get(alpha)
-            out[alpha] = s if t is None else t + s
-        out = {a: s for a, s in out.items() if len(s.K)}
-        return FourierTaylor(self.n, self.q, self.shape, max(self.order, other.order),
-                             max(self.degree, other.degree), out,
-                             trunc_loss=self.trunc_loss + other.trunc_loss)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._like({a: -s for a, s in self.terms.items()})
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, FourierTaylor):
-            return NotImplemented
-        return self._like({a: s * scalar for a, s in self.terms.items()})
-
-    __rmul__ = __mul__
+    def with_rows(self, A, K, V):
+        """A field like this one on rows in any order; rows with equal
+        (alpha, k) are summed, and q and the value shape are read off A and V."""
+        q, shape = A.shape[1], V.shape[1:]
+        keys, (slot,) = _union(np.hstack([A, K]))
+        sums = np.zeros((len(keys), 2 * math.prod(shape)))
+        _scatter(sums, slot, V)
+        out = sums.view(complex).reshape((len(keys),) + shape)
+        return self._like(out, keys[:, :q], keys[:, q:])
 
     # -- queries -----------------------------------------------------------------
 
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """Product keys of the stored rows: [A | K]."""
+        return np.hstack([self.A, self.K])
+
+    @cached_property
+    def coeffs(self):
+        """Read-only alpha -> coefficient series F_alpha of the stored terms,
+        in exponent order, with no loss of their own."""
+        starts = _runs(self.A)[1].tolist()
+        return MappingProxyType({tuple(self.A[i].tolist()): FourierSeries(
+            self.n, self.shape, self.order, K=self.K[i:j], V=self.V[i:j])
+            for i, j in zip(starts, starts[1:] + [len(self.V)])})
+
     def majorant(self) -> float:
         """Bound for sup |F| over the real torus times the unit polydisc in w."""
-        return float(sum(s.majorant() for s in self.terms.values()))
+        return float(self.norms.sum())
 
     def taylor0(self) -> FourierSeries:
-        s = self.terms.get((0,) * self.q)
-        if s is None:
-            return FourierSeries.zero(self.n, self.shape, self.order)
-        return s
+        """The degree-0 part, with no loss of its own."""
+        rows = ~self.A.any(axis=1)
+        return FourierSeries(self.n, self.shape, self.order, K=self.K[rows], V=self.V[rows])
 
     def linear_w(self) -> FourierSeries:
         """The degree-1 part as a (shape + (q,)) series of partial coefficients."""
-        zero = FourierSeries.zero(self.n, self.shape, self.order)
-        cols = [self.terms.get(_unit(self.q, j), zero) for j in range(self.q)]
-        return fs_stack(cols, axis=-1)
+        rows = self.A.sum(axis=1) == 1
+        K, (slot,) = _union(self.K[rows])
+        V = np.zeros((len(K),) + self.shape + (self.q,), dtype=complex)
+        V[slot, ..., np.argmax(self.A[rows], axis=1)] = self.V[rows]
+        return FourierSeries(self.n, V.shape[1:], self.order, K=K, V=V)
 
     @cached_property
     def _evaluator(self):
-        """Built on first use: the union K (M, n) of the terms' modes, the
-        coefficients C (M, terms, values) on it, the exponents E (terms, q)
-        and 1e-10 times each term's majorant per value component."""
-        series = list(self.terms.values())
-        K, rows = _union(*(s.K for s in series))
-        C = np.zeros((len(K), len(series), math.prod(self.shape)), dtype=complex)
-        for t, (s, r) in enumerate(zip(series, rows)):
-            C[r, t] = s.V.reshape(len(s.K), -1)
-        E = np.array(list(self.terms), dtype=np.int64).reshape(len(series), self.q)
-        return K, C, E, 1e-10 * np.abs(C).sum(axis=0)
+        """Built on first use: the union K (M, n) of the terms' modes, as
+        floats, the coefficients C (M, terms, values) on it, the exponents
+        E (terms, q) and 1e-10 times each term's majorant per value component."""
+        term, starts = _runs(self.A)
+        K, (slot,) = _union(self.K)
+        C = np.zeros((len(K), len(starts), math.prod(self.shape)), dtype=complex)
+        C[slot, term] = self.V.reshape(len(self.V), -1)
+        return K.astype(float), C, self.A[starts], 1e-10 * np.abs(C).sum(axis=0)
 
     def eval(self, x, w):
         """Value at one point (x, w): sum over the terms of F_alpha(x) w^alpha.
@@ -151,7 +169,7 @@ class FourierTaylor:
         times that component's majorant in that term.  That is at least as
         strict as a check per term, and stays so in the fused x and w rows
         of ``InstantiatedField``."""
-        if not self.terms:
+        if not len(self.V):
             return np.zeros(self.shape)
         K, C, E, limits = self._evaluator
         phases = np.exp(1j * np.einsum("j,mj->m", np.asarray(x, dtype=float), K))
@@ -169,60 +187,30 @@ class FourierTaylor:
     # -- calculus ----------------------------------------------------------------
 
     def deriv_w(self, j):
-        out = {}
-        for alpha, s in self.terms.items():
-            if alpha[j] == 0:
-                continue
-            beta = list(alpha)
-            beta[j] -= 1
-            out[tuple(beta)] = s * alpha[j]
-        return self._like(out)
+        rows = self.A[:, j] > 0
+        A = self.A[rows] - np.eye(self.q, dtype=np.int64)[j]
+        return self._like(self.V[rows] * (A[:, j] + 1.0).reshape((-1,) + (1,) * len(self.shape)),
+                          A=A, K=self.K[rows])
 
     def grad_x(self):
         """Jacobian in the angles: value shape becomes shape + (n,)."""
-        out = {a: fs_stack([s.deriv_x(j) for j in range(self.n)], axis=-1)
-               for a, s in self.terms.items()}
-        return self._like(out, shape=self.shape + (self.n,))
+        dK = (1j * self.K).reshape((len(self.K),) + (1,) * len(self.shape) + (self.n,))
+        return self._like(self.V[..., None] * dK)
 
     def grad_w(self):
-        """Jacobian in w: value shape becomes shape + (q,)."""
-        zero = FourierSeries.zero(self.n, self.shape, self.order)
-        betas = set()
-        for alpha in self.terms:
-            for j in range(self.q):
-                if alpha[j] > 0:
-                    b = list(alpha)
-                    b[j] -= 1
-                    betas.add(tuple(b))
-        out = {}
-        for beta in betas:
-            cols = []
-            for j in range(self.q):
-                alpha = _exp_add(beta, _unit(self.q, j))
-                s = self.terms.get(alpha)
-                cols.append(zero if s is None else s * alpha[j])
-            out[beta] = fs_stack(cols, axis=-1)
-        return self._like(out, shape=self.shape + (self.q,))
-
-    # -- structure maps ------------------------------------------------------------
-
-    def map_stack(self, fn):
-        """Apply ``fn`` to the stacked coefficients of every term, as
-        ``FourierSeries.map_stack`` does; the value shape is read off its output."""
-        shape = fn(np.zeros((0,) + self.shape, dtype=complex)).shape[1:]
-        return self._like({a: s.map_stack(fn) for a, s in self.terms.items()}, shape=shape)
-
-    def map_values(self, fn, shape):
-        """Apply a linear value-space map to every coefficient array."""
-        return FourierTaylor(self.n, self.q, tuple(shape), self.order, self.degree,
-                             {a: s.map_values(fn, shape=shape) for a, s in self.terms.items()},
-                             trunc_loss=self.trunc_loss)
+        """Jacobian in w: value shape becomes shape + (q,).  Row i of variable j
+        becomes A[i, j] V[i] in column j at exponent A[i] - e_j."""
+        M, q, unit = len(self.V), self.q, np.eye(self.q, dtype=np.int64)
+        has = self.A > 0
+        factor = (self.A[:, :, None] * unit).reshape((M, q) + (1,) * len(self.shape) + (q,))
+        V = self.V.reshape((M, 1) + self.shape + (1,)) * factor
+        K = np.broadcast_to(self.K[:, None], (M, q, self.n))
+        return self.with_rows((self.A[:, None] - unit)[has], K[has], V[has])
 
     # -- serialization -----------------------------------------------------------
 
     def to_json(self):
-        entries = [{"alpha": list(a), "series": s.to_json()}
-                   for a, s in sorted(self.terms.items())]
+        entries = [{"alpha": list(a), "series": s.to_json()} for a, s in self.coeffs.items()]
         return {"n": self.n, "q": self.q, "shape": list(self.shape),
                 "N": self.order, "D": self.degree, "terms": entries}
 
@@ -235,55 +223,38 @@ class FourierTaylor:
 
     def __repr__(self):
         return (f"FourierTaylor(n={self.n}, q={self.q}, shape={self.shape}, "
-                f"order={self.order}, degree={self.degree}, terms={len(self.terms)})")
+                f"order={self.order}, degree={self.degree}, terms={len(self.coeffs)})")
 
 
 # -- products --------------------------------------------------------------------
 
 
-def _ft_product(a: FourierTaylor, b: FourierTaylor, series_op, out_shape):
-    if (a.n, a.q) != (b.n, b.q):
-        raise ValueError("field mismatch in product")
-    degree = max(a.degree, b.degree)
-    order = max(a.order, b.order)
-    acc = {}
-    loss = a.trunc_loss + b.trunc_loss
-    for alpha, sa in a.terms.items():
-        da = sum(alpha)
-        for beta, sb in b.terms.items():
-            if da + sum(beta) > degree:
-                loss += sa.majorant() * sb.majorant()
-                continue
-            gamma = _exp_add(alpha, beta)
-            prod = series_op(sa, sb)
-            loss += prod.trunc_loss - sa.trunc_loss - sb.trunc_loss
-            got = acc.get(gamma)
-            acc[gamma] = prod if got is None else got + prod
-    acc = {g: s for g, s in acc.items() if len(s.K)}
-    return FourierTaylor(a.n, a.q, out_shape, order, degree, acc, trunc_loss=max(loss, 0.0))
-
-
 def ft_mul(a: FourierTaylor, b: FourierTaylor) -> FourierTaylor:
-    out_shape = np.broadcast_shapes(a.shape, b.shape)
-    return _ft_product(a, b, fs_mul, out_shape)
+    """Pointwise product with numpy broadcasting of the value shapes."""
+    return _convolve(a, b, *_mul_pairs(a.shape, b.shape))
 
 
 def ft_matmul(a: FourierTaylor, b: FourierTaylor) -> FourierTaylor:
-    out_shape = np.matmul(np.zeros(a.shape), np.zeros(b.shape)).shape
-    return _ft_product(a, b, fs_matmul, out_shape)
+    """Pointwise matrix product of the values."""
+    return _convolve(a, b, *_matmul_pairs(a.shape, b.shape))
 
 
 def ft_series_matmul(M: FourierSeries, F: FourierTaylor) -> FourierTaylor:
-    """Left-multiply every term of F by the w-independent matrix series M."""
-    out_shape = np.matmul(np.zeros(M.shape), np.zeros(F.shape)).shape
-    terms = {}
-    loss = F.trunc_loss + M.trunc_loss
-    for alpha, s in F.terms.items():
-        prod = fs_matmul(M, s)
-        loss += prod.trunc_loss - M.trunc_loss - s.trunc_loss
-        terms[alpha] = prod
-    return FourierTaylor(F.n, F.q, out_shape, max(M.order, F.order), F.degree,
-                         terms, trunc_loss=max(loss, 0.0))
+    """Left-multiply F by the w-independent matrix series M; M's loss is
+    counted once."""
+    lifted = FourierTaylor(M.n, F.q, M.shape, M.order, F.degree, trunc_loss=M.trunc_loss,
+                           A=np.zeros((len(M.K), F.q), dtype=np.int64), K=M.K, V=M.V)
+    return _convolve(lifted, F, *_matmul_pairs(M.shape, F.shape))
+
+
+def ft_sum(fields):
+    """The sum of equally shaped fields, their rows merged at once."""
+    parts = [F for F in fields if len(F.V)] or fields[:1]
+    out = parts[0]._like(parts[0].V) if len(parts) == 1 else parts[0].with_rows(
+        *(np.concatenate([getattr(F, x) for F in parts]) for x in "AKV"))
+    out.order, out.degree = max(F.order for F in fields), max(F.degree for F in fields)
+    out.trunc_loss = sum(F.trunc_loss for F in fields)
+    return out
 
 
 # -- substitution of an affine change of phase variables ---------------------------
@@ -319,15 +290,18 @@ class WSubstitution:
 
     def apply(self, F: FourierTaylor, coeff_map=None) -> FourierTaylor:
         """Substitute into F; ``coeff_map`` transforms each coefficient series first
-        (angle shift or reflection), applied before the w-substitution."""
-        out = FourierTaylor.zero(F.n, self.q, F.shape, max(F.order, self.order), self.degree)
-        for alpha, s in F.terms.items():
+        (angle shift or reflection), applied before the w-substitution.  The
+        loss is F's, the products' and what ``coeff_map`` records on each
+        coefficient, which enters it with no loss of its own."""
+        terms = [FourierTaylor(F.n, self.q, F.shape, max(F.order, self.order), self.degree,
+                               trunc_loss=F.trunc_loss)]
+        for alpha, s in F.coeffs.items():
             c = s if coeff_map is None else coeff_map(s)
-            if not len(c.K):
-                continue
-            lifted = FourierTaylor.from_series(c, self.q, self.degree)
-            out = out + ft_mul(lifted, self.monomial(alpha))
-        return out
+            terms[0].trunc_loss += c.trunc_loss
+            if len(c.K):
+                terms.append(ft_mul(FourierTaylor.from_series(c, self.q, self.degree),
+                                    self.monomial(alpha)))
+        return ft_sum(terms)
 
 
 def involution_pullback(F: FourierTaylor, S) -> FourierTaylor:
@@ -366,7 +340,7 @@ def ft_neumann_solve(M: FourierSeries, rhs: FourierTaylor):
 
     M does not depend on w, so (I + M)^{-1} is found once, by the Neumann
     iteration on the identity, and then applied to every term."""
-    if not rhs.terms:
+    if not len(rhs.V):
         return rhs
     eye = FourierSeries.constant(M.n, np.eye(M.shape[0]), rhs.order)
     inv = fs_neumann_solve(M, eye)

@@ -75,7 +75,8 @@ def conjugate_field(Xx: FourierTaylor, Xw: FourierTaylor, a: FourierSeries,
     eye = FourierSeries.constant(n, np.eye(q), W1.order)
     if a.majorant() == 0.0 and W0.majorant() == 0.0 and (W1 - eye).majorant() == 0.0:
         return Xx, Xw
-    shift = AngleShift(a)
+    # the shift applies the stored a; a's own loss enters once, through Da
+    shift = AngleShift(FourierSeries(n, a.shape, a.order, K=a.K, V=a.V))
     sub = WSubstitution(W0, W1, Xx.degree)
     XxT = sub.apply(Xx, coeff_map=shift.apply)
     XwT = sub.apply(Xw, coeff_map=shift.apply)

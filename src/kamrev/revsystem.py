@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RootFindFailure, StepFailure
-from .ftaylor import FourierTaylor, involution_pullback
+from .ftaylor import FourierTaylor, _unit, ft_sum, involution_pullback
 from .fourier import FourierSeries
 from .revmat import InvolutionStructure, RevMatrix, solve_fix_range
 
@@ -50,33 +50,20 @@ def ft_embed(F: FourierTaylor, total: int, offset: int) -> FourierTaylor:
 
 def ft_permute_vars(F: FourierTaylor, perm, q_new: int) -> FourierTaylor:
     """Re-index the polynomial variables: new exponent slot perm[i] <- old slot i."""
-    terms = {}
-    for alpha, s in F.terms.items():
-        beta = [0] * q_new
-        for i, e in enumerate(alpha):
-            beta[perm[i]] = e
-        terms[tuple(beta)] = s
-    return FourierTaylor(F.n, q_new, F.shape, F.order, F.degree, terms,
-                         trunc_loss=F.trunc_loss)
+    A = np.zeros((len(F.A), q_new), dtype=np.int64)
+    A[:, list(perm)] = F.A
+    return F.with_rows(A, F.K, F.V)
 
 
 def ft_fix_tail(F: FourierTaylor, q_main: int, values) -> FourierTaylor:
     """Evaluate the trailing variables of F at constants, keeping the first
     q_main variables free."""
-    values = np.asarray(values, dtype=float)
-    acc = {}
-    for alpha, s in F.terms.items():
-        head, tail = alpha[:q_main], alpha[q_main:]
-        factor = 1.0
-        for val, e in zip(values, tail):
-            factor *= val ** e
-        if factor == 0.0:
-            continue
-        got = acc.get(head)
-        term = s * factor
-        acc[head] = term if got is None else got + term
-    return FourierTaylor(F.n, q_main, F.shape, F.order, F.degree, acc,
-                         trunc_loss=F.trunc_loss)
+    if not F.A[:, q_main:].any():  # the rows stay unique and sorted
+        return F._like(F.V, A=F.A[:, :q_main])
+    factor = (np.asarray(values, dtype=float) ** F.A[:, q_main:]).prod(axis=1)
+    rows = factor != 0.0
+    V = F.V[rows] * factor[rows].reshape((-1,) + (1,) * len(F.shape))
+    return F.with_rows(F.A[rows, :q_main], F.K[rows], V)
 
 
 def _rows_times(V, X):
@@ -152,10 +139,10 @@ class ReversibleFamily:
         self.h = h if h is not None else self._zero_main(self.d)
 
     def _zero_ext(self, dim):
-        return FourierTaylor.zero(self.n, self.q + self.m, (dim,), self.order, self.degree)
+        return FourierTaylor(self.n, self.q + self.m, (dim,), self.order, self.degree)
 
     def _zero_main(self, dim):
-        return FourierTaylor.zero(self.n, self.q, (dim,), self.order, self.degree)
+        return FourierTaylor(self.n, self.q, (dim,), self.order, self.degree)
 
     def context(self) -> str:
         """Dichotomy class of the zero torus of the unperturbed family."""
@@ -231,20 +218,18 @@ class ReversibleFamily:
             defect = _parity_defect(involution_pullback(F, S), F, V)
             checks.append((defect.majorant(), F.majorant(), name))
 
-        # order conditions: xi = O(y,z), eta = O2(y,z), zeta = O2(y,z,sigma)
-        for alpha, sr in self.xi.terms.items():
-            if sum(alpha[:self.q]) < 1:
-                checks.append((sr.majorant(), 0.0, f"xi term {alpha} has no (y,z) factor"))
-        for alpha, sr in self.eta.terms.items():
-            if sum(alpha[:self.q]) < 2:
-                checks.append((sr.majorant(), 0.0, f"eta term {alpha} below order 2 in (y,z)"))
-        for alpha, sr in self.zeta.terms.items():
-            if sum(alpha) < 2:
-                checks.append((sr.majorant(), 0.0, f"zeta term {alpha} below total order 2"))
-        for F, name in ((self.xi, "xi"), (self.eta, "eta"), (self.zeta, "zeta")):
-            for alpha, sr in F.terms.items():
-                if sr.K.any():
-                    checks.append((sr.majorant(), 0.0, f"{name} term {alpha} depends on x"))
+        # order conditions: xi = O(y,z), eta = O2(y,z), zeta = O2(y,z,sigma);
+        # then none of them may depend on x
+        q = self.q
+        conditions = [(self.xi, "xi", self.xi.A[:, :q].sum(axis=1) < 1, "has no (y,z) factor"),
+                      (self.eta, "eta", self.eta.A[:, :q].sum(axis=1) < 2,
+                       "below order 2 in (y,z)"),
+                      (self.zeta, "zeta", self.zeta.A.sum(axis=1) < 2, "below total order 2")]
+        conditions += [(F, name, F.K.any(axis=1), "depends on x") for F, name, _, _ in conditions]
+        for F, name, rows, what in conditions:
+            alphas, term = np.unique(F.A[rows], axis=0, return_inverse=True)
+            for alpha, mag in zip(alphas.tolist(), np.bincount(term.ravel(), F.norms[rows])):
+                checks.append((float(mag), 0.0, f"{name} term {tuple(alpha)} {what}"))
         return _violations(checks, tol)
 
     # -- evaluation ------------------------------------------------------------------
@@ -256,48 +241,33 @@ class ReversibleFamily:
         n, m, d, q = self.n, self.m, self.d, self.q
         N, D = self.order, self.degree
 
-        xi_s = ft_fix_tail(self.xi, q, sigma)
-        eta_s = ft_fix_tail(self.eta, q, sigma)
-        zeta_s = ft_fix_tail(self.zeta, q, sigma)
-        Q = self.Q_at(omega, mu)
+        xi_s, eta_s, zeta_s = (ft_fix_tail(F, q, sigma) for F in (self.xi, self.eta, self.zeta))
 
-        Xx = FourierTaylor.from_series(
-            FourierSeries.constant(n, omega, N), q, D) + xi_s + self.f
+        def const(value):
+            return FourierTaylor.from_series(FourierSeries.constant(n, value, N), q, D)
 
-        Xw = FourierTaylor.zero(n, q, (q,), N, D)
-        if m:
-            const_y = FourierSeries.constant(n, np.concatenate([sigma, np.zeros(d)]), N)
-            Xw = Xw + FourierTaylor.from_series(const_y, q, D)
-            Xw = Xw + ft_embed(eta_s + self.g, q, 0)
-        Xw = Xw + self._z_linear_ft(Q)
-        Xw = Xw + ft_embed(zeta_s + self.h, q, m)
+        Xx = ft_sum([const(omega), xi_s, self.f])
+        # y rows: sigma + eta + g; z rows: Q z + zeta + h
+        Xw = ft_sum([const(np.concatenate([sigma, np.zeros(d)])),
+                     self._z_linear_ft(self.Q_at(omega, mu))]
+                    + [ft_embed(F, q, 0) for F in (eta_s, self.g)]
+                    + [ft_embed(F, q, m) for F in (zeta_s, self.h)])
 
         # w-row parameter jacobians: slots (omega | sigma)
         jac = [self._z_linear_ft(self.dQ_at(omega, mu, j)) for j in range(n)]
         for j in range(m):
-            dXw_y = ft_fix_tail(self.eta.deriv_w(q + j), q, sigma)
-            dXw_z = ft_fix_tail(self.zeta.deriv_w(q + j), q, sigma)
-            const = np.zeros(q)
-            const[j] = 1.0
-            jac.append(FourierTaylor.from_series(FourierSeries.constant(n, const, N), q, D)
-                       + ft_embed(dXw_y, q, 0) + ft_embed(dXw_z, q, m))
+            jac.append(ft_sum([const(np.eye(q)[j]),
+                               ft_embed(ft_fix_tail(self.eta.deriv_w(q + j), q, sigma), q, 0),
+                               ft_embed(ft_fix_tail(self.zeta.deriv_w(q + j), q, sigma), q, m)]))
 
         return InstantiatedField(self, omega, sigma, mu, Xx, Xw, jac)
 
     def _z_linear_ft(self, M) -> FourierTaylor:
-        n, m, d, q = self.n, self.m, self.d, self.q
-        lin = {}
-        if M.size == 0 or float(np.max(np.abs(M))) == 0.0:
-            return FourierTaylor.zero(n, q, (q,), self.order, self.degree)
-        for j in range(d):
-            if np.max(np.abs(M[:, j])) == 0.0:
-                continue
-            alpha = [0] * q
-            alpha[m + j] = 1
-            vec = np.zeros(q)
-            vec[m:] = M[:, j]
-            lin[tuple(alpha)] = FourierSeries.constant(n, vec, self.order)
-        return FourierTaylor(n, q, (q,), self.order, self.degree, lin)
+        """The field w -> (0, M z), z the last d entries of w."""
+        m, q = self.m, self.q
+        return FourierTaylor.build(self.n, q, self.order, self.degree, {
+            _unit(q, m + j): np.concatenate([np.zeros(m), M[:, j]]) for j in range(self.d)},
+            shape=(q,))
 
     def with_perturbation(self, f, g, h) -> "ReversibleFamily":
         return ReversibleFamily(self.n, self.m, self.p, self.s, self.omega_star,
@@ -308,7 +278,7 @@ class ReversibleFamily:
 
     def to_json(self):
         def piece(F):
-            return F.to_json() if F.terms else None
+            return F.to_json() if len(F.V) else None
 
         return {
             "n": self.n, "m": self.m, "p": self.p, "s": self.s,

@@ -22,8 +22,7 @@ import numpy as np
 
 from .diophantine import (DiophantineParams, _check_tau, _min_divisors, _sample_box,
                           is_diophantine_pair)
-from .errors import (ImplicitSolveFailure, NoConvergence, SmallDivisor, StepFailure,
-                     TruncationOverflow)
+from .errors import ImplicitSolveFailure, KamrevError
 from .normalizer import NormalizerConfig, normalize
 from .revmat import RANK_RTOL
 from .revsystem import ReversibleFamily, verify_torus
@@ -235,8 +234,9 @@ def _identify(family, curve, mu_curve, omega, mu0, cfg):
 
 
 def _run_points(grid, family, curve, params, work, T, deviation_tol, verify):
-    """The results of the grid points, in order; each point is independent
-    of the others."""
+    """The results of the grid points, in order; each point is independent of
+    the others.  A ``KamrevError`` rejects its point with the reason
+    ``<class>: <message>``; any other exception propagates."""
     points = []
     for mu_curve in grid:
         pt = GridPointResult(mu=mu_curve.copy(), accepted=False, reason="")
@@ -268,8 +268,7 @@ def _run_points(grid, family, curve, params, work, T, deviation_tol, verify):
                     pt.reason = f"torus deviation {dev:.3e} above {deviation_tol:.1e}"
                     continue
             pt.accepted = True
-        except (SmallDivisor, NoConvergence, ImplicitSolveFailure, StepFailure,
-                TruncationOverflow) as exc:
+        except KamrevError as exc:
             pt.reason = f"{type(exc).__name__}: {exc}"
     return points
 
@@ -291,7 +290,7 @@ def _inherited_chunk(index):
 
 def _run_forked(chunks, args):
     """Run chunks[1:] in forked workers and chunks[0] here, and return the
-    points in grid order.  An exception in any chunk propagates."""
+    points in grid order.  An exception that escapes any chunk propagates."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 

@@ -2,20 +2,21 @@
 
 Oracle throughout: pointwise evaluation at sampled (x, w), with numpy doing
 the arithmetic on the evaluated values.  The compiled ``eval`` itself is
-checked against the per-term loop it replaced, on Hypothesis-drawn fields.
+checked against the per-term loop it replaced, on Hypothesis-drawn fields,
+and the products against the term-pair loop they replaced.
 """
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from kamrev import ftaylor
+from kamrev import fourier, ftaylor
 from kamrev.errors import ImaginaryResidue, ImplicitSolveFailure
-from kamrev.fourier import FourierSeries, fs_matmul
+from kamrev.fourier import DROP_TOL, FourierSeries, fs_matmul, fs_mul
 from kamrev.ftaylor import (FourierTaylor, WSubstitution, fs_neumann_solve,
                             ft_matmul, ft_mul, ft_neumann_solve, ft_series_matmul,
                             involution_pullback)
 from test_fourier import ANGLE, nonreal_series
-from test_fourier_oracle import DIMS, ENTRY, ORDERS, SETTINGS, real_series
+from test_fourier_oracle import DIMS, ENTRY, MATMUL_SHAPES, ORDERS, SETTINGS, real_series
 
 N_ANGLE, Q, ORDER, DEGREE = 2, 3, 10, 3
 
@@ -51,7 +52,7 @@ def per_term_eval(F, x, w):
     Returns the value and the scale sum |w^alpha| |F_alpha| it is made of."""
     w = np.asarray(w, dtype=float)
     out, scale = np.zeros(F.shape), 0.0
-    for alpha, s in F.terms.items():
+    for alpha, s in F.coeffs.items():
         mono = 1.0
         for wj, e in zip(w, alpha):
             mono *= wj ** e
@@ -93,6 +94,112 @@ def test_compiled_eval_matches_per_term_loop(data, n, q, shape):
         got = F.eval(x, w)
         assert got.shape == F.shape
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * scale
+
+
+# -- the term-pair product loop the one-kernel products replaced ------------------
+
+
+def reference_product(a, b, series_op, out_shape):
+    """One series product per pair of terms, summed per exponent.  Returns
+    the field and the three losses it records, kept apart: pairs beyond
+    the degree (their majorant products), pair products below ``DROP_TOL``,
+    which the series product skips (the same), and each pair product's own
+    Fourier loss."""
+    degree, order = max(a.degree, b.degree), max(a.order, b.order)
+    acc, deg_loss, drop_loss, fourier_loss = {}, 0.0, 0.0, 0.0
+    for alpha, sa in a.coeffs.items():
+        for beta, sb in b.coeffs.items():
+            if sum(alpha) + sum(beta) > degree:
+                deg_loss += sa.majorant() * sb.majorant()
+                continue
+            if sa.majorant() * sb.majorant() < DROP_TOL:
+                drop_loss += sa.majorant() * sb.majorant()
+                continue
+            gamma = tuple(x + y for x, y in zip(alpha, beta))
+            prod = series_op(sa, sb)
+            fourier_loss += prod.trunc_loss - sa.trunc_loss - sb.trunc_loss
+            acc[gamma] = prod if gamma not in acc else acc[gamma] + prod
+    out = FourierTaylor(a.n, a.q, out_shape, order, degree,
+                        {g: s for g, s in acc.items() if len(s.K)})
+    return out, deg_loss, drop_loss, fourier_loss
+
+
+def reference_series_matmul(M, F, out_shape):
+    """``fs_matmul(M, F_alpha)`` for every term, and the losses as above."""
+    terms, fourier_loss = {}, 0.0
+    for alpha, s in F.coeffs.items():
+        prod = fs_matmul(M, s)
+        fourier_loss += prod.trunc_loss - M.trunc_loss - s.trunc_loss
+        terms[alpha] = prod
+    out = FourierTaylor(F.n, F.q, out_shape, max(M.order, F.order), F.degree, terms)
+    return out, 0.0, 0.0, fourier_loss
+
+
+def widened(F, order):
+    """F at another truncation order, with no loss of its own: at a larger
+    order its products drop no modes."""
+    if isinstance(F, FourierSeries):
+        return FourierSeries(F.n, F.shape, order, K=F.K, V=F.V)
+    return FourierTaylor(F.n, F.q, F.shape, order, F.degree, A=F.A, K=F.K, V=F.V)
+
+
+def assert_product_matches_reference(product, reference, a, b):
+    """Coefficients to 1e-14 maj(a) maj(b), plus the pair products the
+    reference skipped below DROP_TOL, which the kernel sums; the loss of the
+    pairs beyond the degree to 1e-14 relative; the Fourier loss at most the
+    reference's with those skipped pairs, since the kernel truncates the sum
+    over pairs and not each pair.  Returns which losses the case met."""
+    scale = a.majorant() * b.majorant()
+    got = product(a, b)
+    if scale < DROP_TOL:  # the whole product is skipped, its bound the loss
+        assert not len(got.V)
+        assert got.trunc_loss == pytest.approx(a.trunc_loss + b.trunc_loss + scale, rel=1e-14)
+        return set()
+    bare = product(widened(a, a.order), widened(b, b.order))
+    assert got.trunc_loss == pytest.approx(a.trunc_loss + b.trunc_loss + bare.trunc_loss,
+                                           rel=1e-14, abs=0.0)
+    want, deg_loss, drop_loss, fourier_loss = reference(a, b)
+    got_c, want_c = dict(got.coeffs), dict(want.coeffs)
+    for alpha in set(got_c) | set(want_c):
+        g = got_c.get(alpha, FourierSeries.zero(got.n, got.shape, got.order))
+        w = want_c.get(alpha, FourierSeries.zero(got.n, got.shape, got.order))
+        assert (g - w).majorant() <= 1e-14 * scale + drop_loss
+    wide = product(widened(a, 2 * got.order), widened(b, 2 * got.order))
+    assert wide.trunc_loss == pytest.approx(deg_loss, rel=1e-14, abs=0.0)
+    assert bare.trunc_loss - wide.trunc_loss <= fourier_loss + drop_loss + 1e-14 * scale
+    return {name for name, loss in (("degree", deg_loss), ("fourier", fourier_loss)) if loss}
+
+
+@pytest.mark.parametrize("pair_block", [fourier.PAIR_BLOCK, 1], ids=["blocks", "row-by-row"])
+def test_products_match_the_term_pair_loop(monkeypatch, pair_block):
+    """ft_mul, ft_matmul and ft_series_matmul on Hypothesis-drawn fields with
+    vector and matrix values; the draws must meet pairs beyond the degree
+    and pairs beyond the Fourier order.  With a pair block of one pair the
+    kernel forms and sums the pairs one row of the first factor at a time."""
+    monkeypatch.setattr(fourier, "PAIR_BLOCK", pair_block)
+    seen = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([1, 2]), q=st.integers(1, 3),
+           shape=st.sampled_from([(), (2,), (2, 3)]), shapes=MATMUL_SHAPES)
+    def check(data, n, q, shape, shapes):
+        def field(shape):
+            return data.draw(real_fields(n, q, shape, degree=data.draw(st.integers(1, 3))))
+
+        a, b, c = field(shape), field(shape), field(())
+        A, B = field(shapes[0]), field(shapes[1])
+        M = data.draw(real_series(n, shapes[0], data.draw(ORDERS)))
+        mul = np.broadcast_shapes(shape, ())
+        mat = np.matmul(np.zeros(shapes[0]), np.zeros(shapes[1])).shape
+        cases = [(ft_mul, lambda x, y: reference_product(x, y, fs_mul, shape), a, b),
+                 (ft_mul, lambda x, y: reference_product(x, y, fs_mul, mul), a, c),
+                 (ft_matmul, lambda x, y: reference_product(x, y, fs_matmul, mat), A, B),
+                 (ft_series_matmul, lambda x, y: reference_series_matmul(x, y, mat), M, B)]
+        for product, reference, x, y in cases:
+            seen.update(assert_product_matches_reference(product, reference, x, y))
+
+    check()
+    assert seen == {"degree", "fourier"}
 
 
 def test_eval_checks_every_term_against_its_own_majorant():
@@ -240,7 +347,7 @@ def test_neumann_solves_small_perturbation():
     M3 = FourierSeries.cosine(N_ANGLE, (1, -1), 0.05 * rng.standard_normal((Q, Q)),
                               ORDER)
     rhs_m = random_ft(rng, (Q, 2), nterms=6)
-    assert len({sum(a) for a in rhs_m.terms}) > 1
+    assert len({sum(a) for a in rhs_m.coeffs}) > 1
     um = ft_neumann_solve(M3, rhs_m)
     assert um.shape == (Q, 2)
     for x, w in SAMPLES:
@@ -294,6 +401,6 @@ def test_json_roundtrip():
     F = random_ft(rng, (2,))
     back = FourierTaylor.from_json(F.to_json())
     assert back.n == F.n and back.q == F.q and back.shape == F.shape
-    assert set(back.terms) == set(F.terms)
+    assert set(back.coeffs) == set(F.coeffs)
     for x, w in SAMPLES:
         assert np.allclose(back.eval(x, w), F.eval(x, w), atol=1e-14)

@@ -164,7 +164,7 @@ def test_fused_field_checks_each_block_for_imaginary_residue():
     broken = InstantiatedField(fam, inst.omega, inst.sigma, inst.mu, inst.Xx, Xw,
                                inst.jacobians)
     x, w = np.array([0.7, 0.2]), WS[0]
-    assert 1e-11 * np.sin(0.7) < 1e-10 * broken.field.terms[(0, 0, 0)].majorant()
+    assert 1e-11 * np.sin(0.7) < 1e-10 * broken.field.coeffs[(0, 0, 0)].majorant()
     for call in (lambda: Xw.eval(x, w), lambda: broken.eval(x, w)):
         with pytest.raises(ImaginaryResidue):
             call()

@@ -15,7 +15,7 @@ from conftest import GOLDEN, MU0, OMEGA0, make_config, make_curve_family, \
     make_golden_family
 from kamrev import ruessmann
 from kamrev.cli import _curve_from_config
-from kamrev.errors import SingularMode
+from kamrev.errors import KamrevError, SingularMode
 from kamrev.ruessmann import (FrequencyCurve, PolynomialCurve, diophantine_fraction,
                               is_ruessmann_nondegenerate, persistence_pipeline,
                               uniform_grid)
@@ -282,8 +282,9 @@ def test_pipeline_in_forked_workers_returns_the_serial_points(workers):
                          ids=["RuntimeError", "SingularMode"])
 @pytest.mark.parametrize("where", ["worker", "caller"])
 def test_pipeline_chunk_errors_propagate_and_leave_no_process(monkeypatch, error, where):
-    """An exception the pipeline does not catch leaves it unchanged from
-    either side of the fork, and every worker is joined."""
+    """A point's KamrevError rejects that point, from either side of the fork;
+    any other exception leaves the pipeline unchanged.  Either way every
+    worker is joined."""
     caller = os.getpid()
     identify = ruessmann._identify
 
@@ -293,11 +294,22 @@ def test_pipeline_chunk_errors_propagate_and_leave_no_process(monkeypatch, error
         return identify(family, curve, mu_curve, *args)
 
     monkeypatch.setattr(ruessmann, "_identify", failing)
-    with pytest.raises(type(error)) as info:
-        persistence_pipeline(make_curve_family(delta=DELTA, order=8), drift_curve(),
-                             make_config(horizon=16, tol=1e-11), grid=SPLIT_GRID[:4],
-                             verify=False, workers=2)
-    assert str(info.value) == str(error) and vars(info.value) == vars(error)
+
+    def run():
+        return persistence_pipeline(make_curve_family(delta=DELTA, order=8), drift_curve(),
+                                    make_config(horizon=16, tol=1e-11), grid=SPLIT_GRID[:4],
+                                    verify=False, workers=2)
+
+    if isinstance(error, KamrevError):
+        # the caller runs mu = 0 and 0.03, the worker 0.05 and 0.08
+        failed = [False, where == "caller", where == "worker", where == "worker"]
+        points = run().points
+        assert [pt.reason == f"SingularMode: {error}" for pt in points] == failed
+        assert not any(pt.accepted for pt, bad in zip(points, failed) if bad)
+    else:
+        with pytest.raises(type(error)) as info:
+            run()
+        assert str(info.value) == str(error) and vars(info.value) == vars(error)
     assert multiprocessing.active_children() == []
     assert ruessmann._INHERITED is None
 
