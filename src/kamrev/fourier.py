@@ -186,6 +186,19 @@ class _Rows:
         return self.map_stack(lambda V: np.array([fn(v) for v in V], dtype=complex)
                               .reshape((len(V),) + shape))
 
+    def truncate(self, order):
+        """Drop modes beyond ``order``, recording the dropped l1 mass."""
+        order = int(order)
+        if order == self.order:
+            return self
+        keep = np.abs(self.K).sum(axis=1) <= order
+        return self._from_keys(self.keys[keep], self.V[keep], order, self.degree,
+                               self.trunc_loss + float(self.norms[~keep].sum()))
+
+    def reflect(self):
+        """Pullback under x -> -x; by reality this conjugates coefficients."""
+        return self._like(np.conj(self.V))
+
     def _keep(self, rows):
         """Keep only ``rows`` of a series or field just built, in place."""
         for name in ("A", "K", "V", "norms"):
@@ -344,39 +357,21 @@ class FourierSeries(_Rows):
 
     # -- linear operations -----------------------------------------------------
 
-    def _like(self, V, K=None, order=None, loss=0.0):
-        """Series on the modes K (default: these) with values V, whose value
-        shape is read off V."""
-        return FourierSeries(self.n, V.shape[1:], self.order if order is None else order,
-                             trunc_loss=self.trunc_loss + loss,
-                             K=self.K if K is None else K, V=V)
+    def _like(self, V):
+        """Series on these modes with values V, whose value shape is read off V."""
+        return FourierSeries(self.n, V.shape[1:], self.order, trunc_loss=self.trunc_loss,
+                             K=self.K, V=V)
 
-    def _scaled(self, factors):
-        """V with row i multiplied by factors[i]."""
-        return self.V * factors.reshape((-1,) + (1,) * len(self.shape))
-
-    def truncate(self, order):
-        """Drop modes beyond ``order``, recording the dropped l1 mass."""
-        order = int(order)
-        if order == self.order:
-            return self
-        keep = np.abs(self.K).sum(axis=1) <= order
-        return self._like(self.V[keep], K=self.K[keep], order=order,
-                          loss=float(self.norms[~keep].sum()))
-
-    # -- calculus and symmetry -------------------------------------------------
+    # -- calculus ----------------------------------------------------------------
 
     def directional_derivative(self, omega):
         """Coefficientwise map c_k -> i <k, omega> c_k (derivative along the flow)."""
-        return self._like(self._scaled(1j * (self.K @ np.asarray(omega, dtype=float))))
+        factors = 1j * (self.K @ np.asarray(omega, dtype=float))
+        return self._like(self.V * factors.reshape((-1,) + (1,) * len(self.shape)))
 
     def deriv_x(self, j):
         """Partial derivative in the j-th angle: c_k -> i k_j c_k."""
-        return self._like(self._scaled(1j * self.K[:, j]))
-
-    def reflect(self):
-        """Pullback under x -> -x; by reality this conjugates coefficients."""
-        return self._like(np.conj(self.V))
+        return self.directional_derivative(np.eye(self.n)[j])
 
     # -- serialization ---------------------------------------------------------
 
@@ -500,8 +495,8 @@ def _mul_pairs(a_shape, b_shape):
 
 
 def _matmul_pairs(a_shape, b_shape):
-    """Value combiner of the pointwise matrix product (r,c) @ (c,) or
-    (r,c) @ (c,e), and its value shape.
+    """Value combiner of the pointwise matrix product (r,c) or (c,) @ (c,) or
+    (c,e), and its value shape.
 
     All pair values at once, as (Ma r, Mb e) outer products of a's column j
     with b's row j summed in order j = 0, 1, ..., with no BLAS call.  The
@@ -530,7 +525,7 @@ def fs_mul(a: FourierSeries, b: FourierSeries) -> FourierSeries:
 
 
 def fs_matmul(a: FourierSeries, b: FourierSeries) -> FourierSeries:
-    """Pointwise matrix product: (r,c) @ (c,) or (r,c) @ (c,e)."""
+    """Pointwise matrix product: (r,c) or (c,) @ (c,) or (c,e)."""
     return _convolve(a, b, *_matmul_pairs(a.shape, b.shape))
 
 
@@ -565,47 +560,67 @@ def _chain(memo, beta, step):
 
 
 class AngleShift:
-    """Composition operator g(x) -> g(x + a(x)) shared across many series.
+    """Composition operator g(x) -> g(x + a(x)), a a small (n,)-valued series,
+    on series and Fourier-Taylor fields g.
 
-    ``a`` is a small (n,)-valued series.  The composition is the Taylor
-    expansion g(x + a) = sum_beta d^beta g(x) a(x)^beta / beta!, truncated
-    once a layer's majorant falls below SHIFT_TOL relative to the operand
-    (or at degree SHIFT_MAX_DEGREE).  Powers of a are memoized so the
-    expansion is shared by every series composed with the same shift; the
-    derivatives of g are memoized within one composition.
+    g(x + a) = g + the layers sum_{|beta| = d} a^beta d^beta g / beta!, d >= 1,
+    each one product, ``fs_matmul`` (series) or ``ft_series_matmul`` (fields),
+    of the powers a^beta / beta! stacked once per shift as a (B,) series with
+    g's rows stacked as (i k)^beta V, a loss-free (B,) + shape array.  The
+    rows of each alpha of g (a series has one) stop at their first layer of
+    majorant at most SHIFT_TOL times theirs, or at SHIFT_MAX_DEGREE, and
+    leave the stack.  The sum is cut to g's order; its loss is g's once, the
+    layers' and the cut mass.
     """
 
     def __init__(self, a: FourierSeries):
         if a.shape != (a.n,):
             raise ValueError("angle shift needs an (n,)-valued series")
-        self.n = a.n
-        self.trivial = a.majorant() == 0.0
-        one = FourierSeries.constant(a.n, np.array(1.0 + 0j), a.order)
-        self._pow = {(0,) * a.n: one}
+        self.n, self.trivial = a.n, a.majorant() == 0.0
+        self._pow = {(0,) * a.n: FourierSeries.constant(a.n, np.array(1.0 + 0j), a.order)}
         self._comp = [a.map_stack(lambda V, j=j: V[:, j]) for j in range(a.n)]
+        self._layers = {}
 
-    def _power(self, beta):
-        return _chain(self._pow, beta, lambda p, j: fs_mul(p, self._comp[j]))
-
-    def apply(self, s: FourierSeries) -> FourierSeries:
-        if self.trivial or not len(s.K):
-            return s
-        scale = s.majorant() + 1e-300
-        derivs = {(0,) * self.n: s}
-        acc = s
-        for degree in range(1, SHIFT_MAX_DEGREE + 1):
-            layer_mag = 0.0
+    def _layer(self, degree):
+        """Memoized: the betas (B, n) of |beta| = degree with a^beta not zero,
+        and their a^beta / beta!, whose loss is a^beta's over beta!, stacked
+        as a (B,) series (None if B = 0)."""
+        if degree not in self._layers:
             ball = _l1_ball(self.n, degree)
-            for beta in map(tuple, ball[(ball >= 0).all(axis=1)
-                                        & (ball.sum(axis=1) == degree)].tolist()):
-                p = self._power(beta)
-                if p.majorant() == 0.0:
-                    continue
-                ds = _chain(derivs, beta, lambda d, j: d.deriv_x(j))
-                term = fs_mul(p, ds) * (1.0 / math.prod(map(math.factorial, beta)))
-                layer_mag += term.majorant()
-                acc = acc + term
-            if layer_mag <= SHIFT_TOL * scale:
-                break
-        return acc.truncate(s.order)
+            powers = [(b, _chain(self._pow, b, lambda p, j: fs_mul(p, self._comp[j]))) for b in
+                      map(tuple, ball[(ball >= 0).all(axis=1) & (ball.sum(axis=1) == degree)].tolist())]
+            powers = [(b, p) for b, p in powers if p.majorant() > 0.0]
+            inv = np.array([1.0 / math.prod(map(math.factorial, b)) for b, _ in powers])
+            S = fs_stack([p for _, p in powers]) if powers else None
+            P = None if S is None else FourierSeries(self.n, S.shape, S.order, K=S.K, V=S.V * inv,
+                                                     trunc_loss=inv @ [p.trunc_loss for _, p in powers])
+            self._layers[degree] = np.array([b for b, _ in powers], dtype=float), P
+        return self._layers[degree]
 
+    def apply(self, g):
+        """g(x + a(x)), for a series or a Fourier-Taylor field g."""
+        if self.trivial or not len(g.V):
+            return g
+        from .ftaylor import ft_series_matmul  # ftaylor imports this module
+        product = fs_matmul if isinstance(g, FourierSeries) else ft_series_matmul
+        code = (g.degree + 1) ** np.arange(g.q)[::-1]  # of alpha, in alpha's order
+        alphas, block = np.unique(g.keys[:, :g.q] @ code, return_inverse=True)
+        floor = SHIFT_TOL * (np.bincount(block, g.norms) + 1e-300)
+        flat = (math.prod(g.shape),) if len(g.shape) > 1 else g.shape
+        K, V = g.K.astype(float), g.V.reshape(len(g.V), 1, -1)
+        live, acc = np.ones(len(g.V), dtype=bool), g
+        for degree in range(1, SHIFT_MAX_DEGREE + 1):
+            betas, P = self._layer(degree)
+            if P is None:
+                break
+            factor = (1, 1j, -1, -1j)[degree % 4] * (K[live, None] ** betas).prod(axis=2)
+            layer = product(P, g._from_keys(g.keys[live], (factor[:, :, None] * V[live]).reshape(
+                (len(factor), len(betas)) + flat), g.order, g.degree, 0.0))
+            if layer.shape != g.shape:
+                layer = layer.map_stack(lambda W: W.reshape((len(W),) + g.shape))
+            acc = acc + layer
+            live &= (np.bincount(np.searchsorted(alphas, layer.keys[:, :g.q] @ code), layer.norms,
+                                 minlength=len(alphas)) > floor)[block]
+            if not live.any():
+                break
+        return acc.truncate(g.order)

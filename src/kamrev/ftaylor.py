@@ -31,12 +31,6 @@ from .fourier import (DUST_TOL, PRUNE_TOL, FourierSeries, _alive, _chain, _convo
                       _matmul_pairs, _mul_pairs, _norms, _Rows, _runs, _scatter, _union, fs_matmul)
 
 
-def _unit(q, j):
-    e = [0] * q
-    e[j] = 1
-    return tuple(e)
-
-
 class FourierTaylor(_Rows):
     """Polynomial in w of degree <= ``degree`` with Fourier series coefficients.
 
@@ -240,8 +234,8 @@ def ft_matmul(a: FourierTaylor, b: FourierTaylor) -> FourierTaylor:
 
 
 def ft_series_matmul(M: FourierSeries, F: FourierTaylor) -> FourierTaylor:
-    """Left-multiply F by the w-independent matrix series M; M's loss is
-    counted once."""
+    """Left-multiply F by the w-independent (r,c) or (c,) series M, as
+    ``fs_matmul`` multiplies values; M's loss is counted once."""
     lifted = FourierTaylor(M.n, F.q, M.shape, M.order, F.degree, trunc_loss=M.trunc_loss,
                            A=np.zeros((len(M.K), F.q), dtype=np.int64), K=M.K, V=M.V)
     return _convolve(lifted, F, *_matmul_pairs(M.shape, F.shape))
@@ -274,12 +268,10 @@ class WSubstitution:
         self.q = W1.shape[0]
         if W1.shape != (self.q, self.q):
             raise ValueError("W1 must be square")
-        self.n = W1.n
-        self.order = W1.order
-        self.degree = int(degree)
+        self.n, self.order, self.degree = W1.n, W1.order, int(degree)
         terms = {} if W0 is None else {(0,) * self.q: W0}
-        for i in range(self.q):
-            terms[_unit(self.q, i)] = W1.map_stack(lambda V, i=i: V[:, :, i])
+        for i, e in enumerate(np.eye(self.q, dtype=np.int64)):
+            terms[tuple(e)] = W1.map_stack(lambda V, i=i: V[:, :, i])
         self.affine = FourierTaylor(self.n, self.q, (self.q,), self.order, self.degree, terms)
         self._gen = [self.affine.map_stack(lambda V, j=j: V[:, j]) for j in range(self.q)]
         one = FourierSeries.constant(self.n, np.array(1.0), self.order)
@@ -288,27 +280,18 @@ class WSubstitution:
     def monomial(self, alpha) -> FourierTaylor:
         return _chain(self._mono, alpha, lambda p, j: ft_mul(p, self._gen[j]))
 
-    def apply(self, F: FourierTaylor, coeff_map=None) -> FourierTaylor:
-        """Substitute into F; ``coeff_map`` transforms each coefficient series first
-        (angle shift or reflection), applied before the w-substitution.  The
-        loss is F's, the products' and what ``coeff_map`` records on each
-        coefficient, which enters it with no loss of its own."""
-        terms = [FourierTaylor(F.n, self.q, F.shape, max(F.order, self.order), self.degree,
-                               trunc_loss=F.trunc_loss)]
-        for alpha, s in F.coeffs.items():
-            c = s if coeff_map is None else coeff_map(s)
-            terms[0].trunc_loss += c.trunc_loss
-            if len(c.K):
-                terms.append(ft_mul(FourierTaylor.from_series(c, self.q, self.degree),
-                                    self.monomial(alpha)))
-        return ft_sum(terms)
+    def apply(self, F: FourierTaylor) -> FourierTaylor:
+        """Substitute into F; the loss is F's and the products'."""
+        zero = FourierTaylor(F.n, self.q, F.shape, max(F.order, self.order), self.degree,
+                             trunc_loss=F.trunc_loss)
+        return ft_sum([zero] + [ft_mul(FourierTaylor.from_series(s, self.q, self.degree),
+                                       self.monomial(alpha)) for alpha, s in F.coeffs.items()])
 
 
 def involution_pullback(F: FourierTaylor, S) -> FourierTaylor:
     """Pullback of F under (x, w) -> (-x, S w) for a constant linear S."""
     W1 = FourierSeries.constant(F.n, np.asarray(S, dtype=float), F.order)
-    sub = WSubstitution(None, W1, F.degree)
-    return sub.apply(F, coeff_map=lambda s: s.reflect())
+    return WSubstitution(None, W1, F.degree).apply(F.reflect())
 
 
 # -- small implicit solves -----------------------------------------------------------

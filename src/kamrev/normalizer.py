@@ -78,8 +78,8 @@ def conjugate_field(Xx: FourierTaylor, Xw: FourierTaylor, a: FourierSeries,
     # the shift applies the stored a; a's own loss enters once, through Da
     shift = AngleShift(FourierSeries(n, a.shape, a.order, K=a.K, V=a.V))
     sub = WSubstitution(W0, W1, Xx.degree)
-    XxT = sub.apply(Xx, coeff_map=shift.apply)
-    XwT = sub.apply(Xw, coeff_map=shift.apply)
+    XxT = sub.apply(shift.apply(Xx))
+    XwT = sub.apply(shift.apply(Xw))
 
     Da = _deriv_matrix(a)
     Xx_bar = ft_neumann_solve(Da, XxT)

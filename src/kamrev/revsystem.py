@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RootFindFailure, StepFailure
-from .ftaylor import FourierTaylor, _unit, ft_sum, involution_pullback
+from .ftaylor import FourierTaylor, ft_sum, involution_pullback
 from .fourier import FourierSeries
 from .revmat import InvolutionStructure, RevMatrix, solve_fix_range
 
@@ -248,26 +248,33 @@ class ReversibleFamily:
 
         Xx = ft_sum([const(omega), xi_s, self.f])
         # y rows: sigma + eta + g; z rows: Q z + zeta + h
+        g_w, h_w, sigma_derivs = self._fixed_pieces
         Xw = ft_sum([const(np.concatenate([sigma, np.zeros(d)])),
-                     self._z_linear_ft(self.Q_at(omega, mu))]
-                    + [ft_embed(F, q, 0) for F in (eta_s, self.g)]
-                    + [ft_embed(F, q, m) for F in (zeta_s, self.h)])
+                     self._z_linear_ft(self.Q_at(omega, mu)),
+                     ft_embed(eta_s, q, 0), g_w, ft_embed(zeta_s, q, m), h_w])
 
         # w-row parameter jacobians: slots (omega | sigma)
         jac = [self._z_linear_ft(self.dQ_at(omega, mu, j)) for j in range(n)]
-        for j in range(m):
-            jac.append(ft_sum([const(np.eye(q)[j]),
-                               ft_embed(ft_fix_tail(self.eta.deriv_w(q + j), q, sigma), q, 0),
-                               ft_embed(ft_fix_tail(self.zeta.deriv_w(q + j), q, sigma), q, m)]))
+        for j, (d_eta, d_zeta) in enumerate(sigma_derivs):
+            jac.append(ft_sum([const(np.eye(q)[j]), ft_embed(ft_fix_tail(d_eta, q, sigma), q, 0),
+                               ft_embed(ft_fix_tail(d_zeta, q, sigma), q, m)]))
 
         return InstantiatedField(self, omega, sigma, mu, Xx, Xw, jac)
+
+    @cached_property
+    def _fixed_pieces(self):
+        """instantiate's parameter-free pieces, built once: g and h in the y
+        and z rows, and (d eta, d zeta) / d sigma_j for each slot j of sigma."""
+        q, m = self.q, self.m
+        return (ft_embed(self.g, q, 0), ft_embed(self.h, q, m),
+                [(self.eta.deriv_w(q + j), self.zeta.deriv_w(q + j)) for j in range(m)])
 
     def _z_linear_ft(self, M) -> FourierTaylor:
         """The field w -> (0, M z), z the last d entries of w."""
         m, q = self.m, self.q
         return FourierTaylor.build(self.n, q, self.order, self.degree, {
-            _unit(q, m + j): np.concatenate([np.zeros(m), M[:, j]]) for j in range(self.d)},
-            shape=(q,))
+            tuple(e): np.concatenate([np.zeros(m), M[:, j]])
+            for j, e in enumerate(np.eye(q, dtype=np.int64)[m:])}, shape=(q,))
 
     def with_perturbation(self, f, g, h) -> "ReversibleFamily":
         return ReversibleFamily(self.n, self.m, self.p, self.s, self.omega_star,

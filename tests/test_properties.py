@@ -16,16 +16,21 @@ s = N |omega|_inf + 2 d max|Q_ij| (N the order, d the size of Q), plus the
 modes of Phi dropped below PRUNE_TOL, each of which leaves at most
 s PRUNE_TOL of F unmatched:
 |E| <= 1e-13 (|F| + s |Phi|) + (modes of F) s PRUNE_TOL, with |.| the majorant.
+
+``AngleShift.apply`` is checked against the loop it replaced, kept here as
+``reference_shift``, and against the composition law
+S_b(S_a g) = S_{b + S_b a} g of the shifts S_a g(x) = g(x + a(x)).
 """
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, strategies as st
 
 from kamrev.cohomology import solve_commutator, solve_normal, solve_right, solve_scalar
 from kamrev.diophantine import DiophantineParams, is_diophantine_pair
-from kamrev.fourier import (DROP_TOL, PRUNE_TOL, FourierSeries, _l1_ball, fs_matmul,
-                            fs_mul)
+from kamrev.fourier import (DROP_TOL, PRUNE_TOL, SHIFT_MAX_DEGREE, SHIFT_TOL, AngleShift,
+                            FourierSeries, _chain, _l1_ball, fs_matmul, fs_mul)
 from kamrev.ftaylor import FourierTaylor, involution_pullback
 from kamrev.revmat import InvolutionStructure, RevMatrix
 from test_fourier_oracle import DIMS, ENTRY, ORDERS, PAIR_SHAPES, SETTINGS, real_series
@@ -162,3 +167,109 @@ def test_coupled_solves_are_right_inverses_of_their_operators(data, n, order, h,
     size = order * np.abs(omega).max() + 4 * h * np.abs(Q.Q).max()
     bound = 1e-13 * (F.majorant() + size * phi.majorant()) + len(F.K) * size * PRUNE_TOL
     assert E.majorant() <= bound
+
+
+# -- the angle shift -------------------------------------------------------------
+
+
+def reference_shift(a, g):
+    """g(x + a(x)) as it was computed before each Taylor layer became one
+    product: each coefficient series of a field on its own, each beta term
+    its own product carrying g's loss, and each series stopping at its first
+    layer whose summed term majorants are at most SHIFT_TOL times its own.
+    A field's loss is its own plus that of each shifted coefficient."""
+    if isinstance(g, FourierTaylor):
+        terms = {alpha: reference_shift(a, s) for alpha, s in g.coeffs.items()}
+        return FourierTaylor(g.n, g.q, g.shape, g.order, g.degree, terms,
+                             trunc_loss=g.trunc_loss + sum(s.trunc_loss for s in terms.values()))
+    if a.majorant() == 0.0 or not len(g.K):
+        return g
+    comps = [a.map_stack(lambda V, j=j: V[:, j]) for j in range(a.n)]
+    powers = {(0,) * a.n: FourierSeries.constant(a.n, np.array(1.0 + 0j), a.order)}
+    derivs, acc = {(0,) * a.n: g}, g
+    for degree in range(1, SHIFT_MAX_DEGREE + 1):
+        layer = 0.0
+        ball = _l1_ball(a.n, degree)
+        for beta in map(tuple, ball[(ball >= 0).all(axis=1) & (ball.sum(axis=1) == degree)].tolist()):
+            p = _chain(powers, beta, lambda p, j: fs_mul(p, comps[j]))
+            if p.majorant() == 0.0:
+                continue
+            ds = _chain(derivs, beta, lambda d, j: d.deriv_x(j))
+            term = fs_mul(p, ds) * (1.0 / math.prod(map(math.factorial, beta)))
+            layer += term.majorant()
+            acc = acc + term
+        if layer <= SHIFT_TOL * (g.majorant() + 1e-300):
+            break
+    return acc.truncate(g.order)
+
+
+@st.composite
+def small_shift(draw, n, order=None, kmax=3):
+    """An (n,)-valued series of majorant between 1e-3 and 0.05 (or zero), of
+    the given order or of one drawn."""
+    a = draw(real_series(n, (n,), draw(ORDERS) if order is None else order, kmax))
+    return a * (draw(st.floats(1e-3, 0.05)) / a.majorant()) if a.majorant() else a
+
+
+def _unit_blocks(g):
+    """g with each coefficient series scaled to majorant 1."""
+    if isinstance(g, FourierSeries):
+        return g * (1.0 / g.majorant()) if g.majorant() else g
+    return FourierTaylor(g.n, g.q, g.shape, g.order, g.degree,
+                         {alpha: _unit_blocks(s) for alpha, s in g.coeffs.items()})
+
+
+SHAPES = [(), (2,), (2, 2)]
+
+
+@SETTINGS
+@given(data=st.data(), n=DIMS, q=st.integers(0, 2), degree=st.integers(1, 3),
+       shape=st.sampled_from(SHAPES), order=ORDERS, spread=st.sampled_from([1.0, 1e9]))
+def test_angle_shift_matches_the_per_coefficient_loop(data, n, q, degree, shape, order, spread):
+    """On a series (q = 0) or a field, every coefficient series agrees with
+    the reference to 1e-14 times its own majorant, and the loss is at most
+    the reference's (to rounding of the sums).  With spread 1e9 a constant
+    term 1e9 times the others is added at alpha = 0: a stop taken against
+    the whole field would then cut every other term at about 1e-8 of its
+    own size.  A loss the operand carries is counted once."""
+    a = data.draw(small_shift(n))
+    if q == 0:
+        g = _unit_blocks(data.draw(real_series(n, shape, order)))
+    else:
+        g = _unit_blocks(data.draw(fourier_taylor(n, q, shape, order, degree)))
+        if spread > 1.0:
+            big = FourierSeries.constant(n, np.full(shape, spread), order)
+            g = g + FourierTaylor.from_series(big, q, degree)
+    got, want = AngleShift(a).apply(g), reference_shift(a, g)
+    assert (got.n, got.q, got.shape, got.order, got.degree) == (g.n, g.q, g.shape, g.order, g.degree)
+    diff = got - want
+    if q == 0:
+        assert diff.majorant() <= 1e-14 * g.majorant()
+    else:
+        for alpha, d in diff.coeffs.items():
+            assert d.majorant() <= 1e-14 * g.coeffs[alpha].majorant(), alpha
+    assert got.trunc_loss <= want.trunc_loss * (1 + 1e-12)
+    lossy = g * 1.0
+    lossy.trunc_loss = 1e-3
+    assert AngleShift(a).apply(lossy).trunc_loss == pytest.approx(
+        got.trunc_loss - g.trunc_loss + 1e-3, rel=1e-12)
+
+
+@SETTINGS
+@given(data=st.data(), n=st.integers(1, 2), shape=st.sampled_from(SHAPES), order=st.integers(6, 10))
+def test_angle_shifts_compose(data, n, shape, order):
+    """S_b(S_a g) = S_c g with c = b + S_b a, for g, a and b with modes
+    |k_j| <= 1, so that little falls past the order.  Bound: 1e-13 maj(g)
+    of rounding, plus the mass either side records as dropped (a dropped
+    mode comes back below the order at most once, through a shift of size
+    below 0.1), plus (order + 1) maj(g) times c's loss, as c's dropped tail
+    moves g by at most its derivative times that tail."""
+    g = data.draw(real_series(n, shape, order, kmax=1))
+    a, b = (data.draw(small_shift(n, order, kmax=1)) for _ in range(2))
+    Sb = AngleShift(b)
+    left = Sb.apply(AngleShift(a).apply(g))
+    c = b + Sb.apply(a)
+    right = AngleShift(c).apply(g)
+    bound = (1e-13 * g.majorant() + left.trunc_loss + right.trunc_loss
+             + (order + 1) * g.majorant() * c.trunc_loss)
+    assert (left - right).majorant() <= bound

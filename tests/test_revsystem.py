@@ -9,7 +9,7 @@ import pytest
 from conftest import GOLDEN, MU0, OMEGA0, make_curve_family, make_golden_family
 from kamrev.errors import ImaginaryResidue, RootFindFailure
 from kamrev.fourier import FourierSeries
-from kamrev.ftaylor import FourierTaylor, involution_pullback
+from kamrev.ftaylor import FourierTaylor, ft_sum, involution_pullback
 from kamrev.revsystem import (InstantiatedField, ReversibleFamily, ToyEx1Result,
                               ToyNoSolution, ToySolution, _parity_defect,
                               check_transform_commutes, classify_context, ft_embed,
@@ -139,6 +139,45 @@ def test_instantiate_matches_hand_written_field(seed):
         for w in WS:
             got = np.concatenate([inst.Xx.eval(x, w), inst.Xw.eval(x, w)])
             assert np.allclose(got, hand_rhs(omega, sigma, mu, x, w), atol=1e-12)
+
+
+def rebuilt_w_rows(fam, omega, sigma, mu):
+    """Xw and its jacobians as instantiate built them before it kept its
+    parameter-free pieces: every piece made again, in the same sum order."""
+    q, m, d = fam.q, fam.m, fam.d
+
+    def const(value):
+        return FourierTaylor.from_series(FourierSeries.constant(fam.n, value, fam.order),
+                                         q, fam.degree)
+
+    eta_s, zeta_s = (ft_fix_tail(F, q, sigma) for F in (fam.eta, fam.zeta))
+    Xw = ft_sum([const(np.concatenate([sigma, np.zeros(d)])), fam._z_linear_ft(fam.Q_at(omega, mu))]
+                + [ft_embed(F, q, 0) for F in (eta_s, fam.g)]
+                + [ft_embed(F, q, m) for F in (zeta_s, fam.h)])
+    jac = [fam._z_linear_ft(fam.dQ_at(omega, mu, j)) for j in range(fam.n)]
+    for j in range(m):
+        jac.append(ft_sum([const(np.eye(q)[j]),
+                           ft_embed(ft_fix_tail(fam.eta.deriv_w(q + j), q, sigma), q, 0),
+                           ft_embed(ft_fix_tail(fam.zeta.deriv_w(q + j), q, sigma), q, m)]))
+    return [Xw] + jac
+
+
+@pytest.mark.parametrize("make", [lambda: make_golden_family(delta=1e-2, order=8, seed=5),
+                                  lambda: make_curve_family(order=8)], ids=["golden", "curve"])
+def test_instantiate_keeps_its_fields_bit_for_bit(make):
+    """instantiate builds g, h and the sigma derivatives of eta and zeta once
+    per family; every later call gives the fields it gave when it rebuilt
+    them, to the bit."""
+    fam = make()
+    omega = fam.omega_star + np.array([0.01, -0.02])
+    for sigma, mu in (([0.03] * fam.m, [0.01] * fam.s), ([-0.02] * fam.m, [0.0] * fam.s)):
+        sigma, mu = np.array(sigma), np.array(mu)
+        inst = fam.instantiate(omega, sigma, mu)
+        for got, want in zip([inst.Xw] + inst.jacobians, rebuilt_w_rows(fam, omega, sigma, mu)):
+            for name in ("A", "K", "V"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert got.trunc_loss == want.trunc_loss
+    assert "_fixed_pieces" in vars(fam)
 
 
 def test_fused_field_equals_its_blocks():
