@@ -416,8 +416,10 @@ def _convolve(a, b, vcombine, out_shape):
     The operands are two series, or two Fourier-Taylor fields; a row's key
     is its mode k, after its exponent alpha for a field (``keys``).  Pairs
     of total degree above the degree are dropped before the sum, their
-    majorant products going to ``trunc_loss``.  A pair's slot code is the sum
-    of two per-factor code vectors; a mode column spans +- the factors'
+    majorant products going to ``trunc_loss``.  A whole product whose
+    majorants' product is under DROP_TOL is skipped, with that product, times
+    c for a (., c) @ (c, .) product, as its loss.  A pair's slot code is the
+    sum of two per-factor code vectors; a mode column spans +- the factors'
     largest |k_j| summed (stored modes come in +-k pairs), an exponent column
     0 to that sum or the degree.  The pair values, all at once for series
     and ``PAIR_BLOCK`` pairs at a time for fields, are viewed as float64, 2C
@@ -431,8 +433,8 @@ def _convolve(a, b, vcombine, out_shape):
     order, degree, q = max(a.order, b.order), max(a.degree, b.degree), a.q
     loss = a.trunc_loss + b.trunc_loss
     Ka, Kb = a.keys, b.keys
-    drop = not len(Ka) or not len(Kb) or a.majorant() * b.majorant() < DROP_TOL
-    keep = None
+    skip = not len(Ka) or not len(Kb) or a.majorant() * b.majorant() < DROP_TOL
+    drop, keep = skip, None
     if q and not drop:
         da, db = Ka[:, :q].sum(axis=1), Kb[:, :q].sum(axis=1)
         beyond = da[:, None] + db > degree
@@ -441,10 +443,12 @@ def _convolve(a, b, vcombine, out_shape):
             above = np.bincount(db, b.norms, minlength=degree + 2)[::-1].cumsum()[::-1]
             loss += float((a.norms * above[degree + 1 - da]).sum())
             keep = ~beyond
-    if drop:  # the whole product, with its majorant bound
+    if drop:  # the whole product, with its majorant bound; an entry of a
+        # product skipped under DROP_TOL sums c products in (., c) @ (c, .)
+        summed = vcombine(np.ones((1,) + a.shape), np.ones((1,) + b.shape)).max() if skip else 1
         return a._from_keys(np.zeros((0, Ka.shape[1]), dtype=np.int64),
                             np.zeros((0,) + out_shape, dtype=complex), order, degree,
-                            loss + a.majorant() * b.majorant())
+                            loss + summed * a.majorant() * b.majorant())
     hi = np.abs(Ka).max(axis=0) + np.abs(Kb).max(axis=0)
     lo = -hi
     if q:
@@ -567,34 +571,47 @@ class AngleShift:
     each one product, ``fs_matmul`` (series) or ``ft_series_matmul`` (fields),
     of the powers a^beta / beta! stacked once per shift as a (B,) series with
     g's rows stacked as (i k)^beta V, a loss-free (B,) + shape array.  The
-    rows of each alpha of g (a series has one) stop at their first layer of
-    majorant at most SHIFT_TOL times theirs, or at SHIFT_MAX_DEGREE, and
-    leave the stack.  The sum is cut to g's order; its loss is g's once, the
+    rows of each alpha of g (a series has one) stop at their first layer
+    whose bound sum_beta maj(a^beta / beta!) maj(d^beta g) there is at most
+    SHIFT_TOL times their majorant, or at SHIFT_MAX_DEGREE, and leave the
+    stack.  The bound sums a majorant per beta, as the layer's beta terms
+    may cancel, so a block stops no earlier than on the sum of its term
+    majorants.  The sum is cut to g's order; its loss is g's once, the
     layers' and the cut mass.
     """
 
     def __init__(self, a: FourierSeries):
         if a.shape != (a.n,):
             raise ValueError("angle shift needs an (n,)-valued series")
-        self.n, self.trivial = a.n, a.majorant() == 0.0
-        self._pow = {(0,) * a.n: FourierSeries.constant(a.n, np.array(1.0 + 0j), a.order)}
+        self.n = a.n
+        self.trivial = a.majorant() == 0.0
+        one = FourierSeries.constant(a.n, np.array(1.0 + 0j), a.order)
+        self._pow = {(0,) * a.n: one}
         self._comp = [a.map_stack(lambda V, j=j: V[:, j]) for j in range(a.n)]
         self._layers = {}
 
+    def _power(self, beta):
+        return _chain(self._pow, beta, lambda p, j: fs_mul(p, self._comp[j]))
+
     def _layer(self, degree):
-        """Memoized: the betas (B, n) of |beta| = degree with a^beta not zero,
-        and their a^beta / beta!, whose loss is a^beta's over beta!, stacked
-        as a (B,) series (None if B = 0)."""
+        """Memoized: the betas (B, n) of |beta| = degree whose a^beta has modes
+        or a loss (no modes: skipped under DROP_TOL, or cut away by the order),
+        their a^beta / beta! stacked as a (B,) series, whose loss is a^beta's
+        over beta!, and the majorant of each; None if B = 0."""
         if degree not in self._layers:
             ball = _l1_ball(self.n, degree)
-            powers = [(b, _chain(self._pow, b, lambda p, j: fs_mul(p, self._comp[j]))) for b in
-                      map(tuple, ball[(ball >= 0).all(axis=1) & (ball.sum(axis=1) == degree)].tolist())]
-            powers = [(b, p) for b, p in powers if p.majorant() > 0.0]
-            inv = np.array([1.0 / math.prod(map(math.factorial, b)) for b, _ in powers])
-            S = fs_stack([p for _, p in powers]) if powers else None
-            P = None if S is None else FourierSeries(self.n, S.shape, S.order, K=S.K, V=S.V * inv,
-                                                     trunc_loss=inv @ [p.trunc_loss for _, p in powers])
-            self._layers[degree] = np.array([b for b, _ in powers], dtype=float), P
+            betas = ball[(ball >= 0).all(axis=1) & (ball.sum(axis=1) == degree)]
+            powers = [(beta, self._power(beta)) for beta in map(tuple, betas.tolist())]
+            powers = [(beta, p) for beta, p in powers if p.majorant() > 0.0 or p.trunc_loss > 0.0]
+            layer = None
+            if powers:
+                inv = np.array([1.0 / math.prod(map(math.factorial, beta)) for beta, _ in powers])
+                S = fs_stack([p for _, p in powers])
+                loss = float(inv @ [p.trunc_loss for _, p in powers])
+                P = FourierSeries(self.n, S.shape, S.order, trunc_loss=loss, K=S.K, V=S.V * inv)
+                layer = (np.array([beta for beta, _ in powers], dtype=float), P,
+                         np.abs(P.V).sum(axis=0))
+            self._layers[degree] = layer
         return self._layers[degree]
 
     def apply(self, g):
@@ -603,24 +620,31 @@ class AngleShift:
             return g
         from .ftaylor import ft_series_matmul  # ftaylor imports this module
         product = fs_matmul if isinstance(g, FourierSeries) else ft_series_matmul
-        code = (g.degree + 1) ** np.arange(g.q)[::-1]  # of alpha, in alpha's order
-        alphas, block = np.unique(g.keys[:, :g.q] @ code, return_inverse=True)
-        floor = SHIFT_TOL * (np.bincount(block, g.norms) + 1e-300)
+        # the rows of one alpha form a block; a series is one block
+        code = (g.degree + 1) ** np.arange(g.q)
+        _, block = np.unique(g.keys[:, :g.q] @ code, return_inverse=True)
+        floor = SHIFT_TOL * np.bincount(block, g.norms)
+        # a matrix value is multiplied as a flat vector
         flat = (math.prod(g.shape),) if len(g.shape) > 1 else g.shape
-        K, V = g.K.astype(float), g.V.reshape(len(g.V), 1, -1)
-        live, acc = np.ones(len(g.V), dtype=bool), g
+        K = g.K.astype(float)
+        V = g.V.reshape(len(g.V), 1, -1)
+        live = np.ones(len(g.V), dtype=bool)
+        acc = g
         for degree in range(1, SHIFT_MAX_DEGREE + 1):
-            betas, P = self._layer(degree)
-            if P is None:
+            layer = self._layer(degree)
+            if layer is None:
                 break
+            betas, P, P_maj = layer
             factor = (1, 1j, -1, -1j)[degree % 4] * (K[live, None] ** betas).prod(axis=2)
-            layer = product(P, g._from_keys(g.keys[live], (factor[:, :, None] * V[live]).reshape(
-                (len(factor), len(betas)) + flat), g.order, g.degree, 0.0))
-            if layer.shape != g.shape:
-                layer = layer.map_stack(lambda W: W.reshape((len(W),) + g.shape))
-            acc = acc + layer
-            live &= (np.bincount(np.searchsorted(alphas, layer.keys[:, :g.q] @ code), layer.norms,
-                                 minlength=len(alphas)) > floor)[block]
+            rows = (factor[:, :, None] * V[live]).reshape((len(factor), len(betas)) + flat)
+            term = product(P, g._from_keys(g.keys[live], rows, g.order, g.degree, 0.0))
+            if term.shape != g.shape:
+                term = term.map_stack(lambda W: W.reshape((len(W),) + g.shape))
+            acc = acc + term
+            # the norm of row r of d^beta g is |(i k_r)^beta| times r's norm
+            bound = np.bincount(block[live], (np.abs(factor) @ P_maj) * g.norms[live],
+                                minlength=len(floor))
+            live &= (bound > floor)[block]
             if not live.any():
                 break
         return acc.truncate(g.order)

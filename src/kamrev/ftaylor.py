@@ -31,6 +31,12 @@ from .fourier import (DUST_TOL, PRUNE_TOL, FourierSeries, _alive, _chain, _convo
                       _matmul_pairs, _mul_pairs, _norms, _Rows, _runs, _scatter, _union, fs_matmul)
 
 
+def _unit(q, j):
+    e = [0] * q
+    e[j] = 1
+    return tuple(e)
+
+
 class FourierTaylor(_Rows):
     """Polynomial in w of degree <= ``degree`` with Fourier series coefficients.
 
@@ -268,10 +274,12 @@ class WSubstitution:
         self.q = W1.shape[0]
         if W1.shape != (self.q, self.q):
             raise ValueError("W1 must be square")
-        self.n, self.order, self.degree = W1.n, W1.order, int(degree)
+        self.n = W1.n
+        self.order = W1.order
+        self.degree = int(degree)
         terms = {} if W0 is None else {(0,) * self.q: W0}
-        for i, e in enumerate(np.eye(self.q, dtype=np.int64)):
-            terms[tuple(e)] = W1.map_stack(lambda V, i=i: V[:, :, i])
+        for i in range(self.q):
+            terms[_unit(self.q, i)] = W1.map_stack(lambda V, i=i: V[:, :, i])
         self.affine = FourierTaylor(self.n, self.q, (self.q,), self.order, self.degree, terms)
         self._gen = [self.affine.map_stack(lambda V, j=j: V[:, j]) for j in range(self.q)]
         one = FourierSeries.constant(self.n, np.array(1.0), self.order)
@@ -282,16 +290,19 @@ class WSubstitution:
 
     def apply(self, F: FourierTaylor) -> FourierTaylor:
         """Substitute into F; the loss is F's and the products'."""
-        zero = FourierTaylor(F.n, self.q, F.shape, max(F.order, self.order), self.degree,
-                             trunc_loss=F.trunc_loss)
-        return ft_sum([zero] + [ft_mul(FourierTaylor.from_series(s, self.q, self.degree),
-                                       self.monomial(alpha)) for alpha, s in F.coeffs.items()])
+        terms = [FourierTaylor(F.n, self.q, F.shape, max(F.order, self.order), self.degree,
+                               trunc_loss=F.trunc_loss)]
+        for alpha, s in F.coeffs.items():
+            terms.append(ft_mul(FourierTaylor.from_series(s, self.q, self.degree),
+                                self.monomial(alpha)))
+        return ft_sum(terms)
 
 
 def involution_pullback(F: FourierTaylor, S) -> FourierTaylor:
     """Pullback of F under (x, w) -> (-x, S w) for a constant linear S."""
     W1 = FourierSeries.constant(F.n, np.asarray(S, dtype=float), F.order)
-    return WSubstitution(None, W1, F.degree).apply(F.reflect())
+    sub = WSubstitution(None, W1, F.degree)
+    return sub.apply(F.reflect())
 
 
 # -- small implicit solves -----------------------------------------------------------

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RootFindFailure, StepFailure
-from .ftaylor import FourierTaylor, ft_sum, involution_pullback
+from .ftaylor import FourierTaylor, _unit, ft_sum, involution_pullback
 from .fourier import FourierSeries
 from .revmat import InvolutionStructure, RevMatrix, solve_fix_range
 
@@ -273,8 +273,8 @@ class ReversibleFamily:
         """The field w -> (0, M z), z the last d entries of w."""
         m, q = self.m, self.q
         return FourierTaylor.build(self.n, q, self.order, self.degree, {
-            tuple(e): np.concatenate([np.zeros(m), M[:, j]])
-            for j, e in enumerate(np.eye(q, dtype=np.int64)[m:])}, shape=(q,))
+            _unit(q, m + j): np.concatenate([np.zeros(m), M[:, j]]) for j in range(self.d)},
+            shape=(q,))
 
     def with_perturbation(self, f, g, h) -> "ReversibleFamily":
         return ReversibleFamily(self.n, self.m, self.p, self.s, self.omega_star,

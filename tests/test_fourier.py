@@ -124,6 +124,15 @@ def test_truncation_records_dropped_mass():
     assert small.trunc_loss > 0.0
 
 
+def test_a_matrix_product_skipped_whole_records_a_bound_on_its_mass():
+    # under DROP_TOL: each entry of (1, 4) @ (4,) sums four products of 1e-11
+    row = FourierSeries.constant(2, np.full((1, 4), 1e-11), ORDER)
+    col = FourierSeries.constant(2, np.full((4,), 1e-11), ORDER)
+    p = fs_matmul(row, col)
+    assert not p.coeffs
+    assert p.trunc_loss == pytest.approx(4e-22, rel=1e-12, abs=0.0)
+
+
 def _with_mode(s, k, value):
     """s plus value cos(<k, x>)."""
     return s + FourierSeries.cosine(s.n, k, value, s.order)

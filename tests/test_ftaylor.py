@@ -152,8 +152,10 @@ def assert_product_matches_reference(product, reference, a, b):
     scale = a.majorant() * b.majorant()
     got = product(a, b)
     if scale < DROP_TOL:  # the whole product is skipped, its bound the loss
+        summed = 1 if product is ft_mul else a.shape[-1]  # products in one entry
         assert not len(got.V)
-        assert got.trunc_loss == pytest.approx(a.trunc_loss + b.trunc_loss + scale, rel=1e-14)
+        assert got.trunc_loss == pytest.approx(a.trunc_loss + b.trunc_loss + summed * scale,
+                                               rel=1e-14, abs=0.0)
         return set()
     bare = product(widened(a, a.order), widened(b, b.order))
     assert got.trunc_loss == pytest.approx(a.trunc_loss + b.trunc_loss + bare.trunc_loss,

@@ -22,11 +22,13 @@ s PRUNE_TOL of F unmatched:
 S_b(S_a g) = S_{b + S_b a} g of the shifts S_a g(x) = g(x + a(x)).
 """
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from kamrev import fourier
 from kamrev.cohomology import solve_commutator, solve_normal, solve_right, solve_scalar
 from kamrev.diophantine import DiophantineParams, is_diophantine_pair
 from kamrev.fourier import (DROP_TOL, PRUNE_TOL, SHIFT_MAX_DEGREE, SHIFT_TOL, AngleShift,
@@ -176,8 +178,16 @@ def reference_shift(a, g):
     """g(x + a(x)) as it was computed before each Taylor layer became one
     product: each coefficient series of a field on its own, each beta term
     its own product carrying g's loss, and each series stopping at its first
-    layer whose summed term majorants are at most SHIFT_TOL times its own.
-    A field's loss is its own plus that of each shifted coefficient."""
+    layer whose bound sum_beta maj(a^beta) maj(d^beta g) / beta! is at most
+    SHIFT_TOL times its own majorant.  A power with no modes but a loss
+    (skipped under DROP_TOL, or a zero component of a lossy a) still adds
+    its term's loss.  A field's loss is its own plus that of each shifted
+    coefficient.
+
+    The loop stopped on the summed majorants of its terms, after each term's
+    cut to the order.  A layer whose terms cancel, or fall past the order,
+    then stopped it before the next layers brought mass back (see
+    ``test_angle_shift_keeps_the_layers_after_one_that_sums_to_zero``)."""
     if isinstance(g, FourierTaylor):
         terms = {alpha: reference_shift(a, s) for alpha, s in g.coeffs.items()}
         return FourierTaylor(g.n, g.q, g.shape, g.order, g.degree, terms,
@@ -188,17 +198,17 @@ def reference_shift(a, g):
     powers = {(0,) * a.n: FourierSeries.constant(a.n, np.array(1.0 + 0j), a.order)}
     derivs, acc = {(0,) * a.n: g}, g
     for degree in range(1, SHIFT_MAX_DEGREE + 1):
-        layer = 0.0
+        bound = 0.0
         ball = _l1_ball(a.n, degree)
         for beta in map(tuple, ball[(ball >= 0).all(axis=1) & (ball.sum(axis=1) == degree)].tolist()):
             p = _chain(powers, beta, lambda p, j: fs_mul(p, comps[j]))
-            if p.majorant() == 0.0:
+            if p.majorant() == 0.0 and p.trunc_loss == 0.0:
                 continue
             ds = _chain(derivs, beta, lambda d, j: d.deriv_x(j))
-            term = fs_mul(p, ds) * (1.0 / math.prod(map(math.factorial, beta)))
-            layer += term.majorant()
-            acc = acc + term
-        if layer <= SHIFT_TOL * (g.majorant() + 1e-300):
+            inv = 1.0 / math.prod(map(math.factorial, beta))
+            bound += p.majorant() * inv * ds.majorant()
+            acc = acc + fs_mul(p, ds) * inv
+        if bound <= SHIFT_TOL * g.majorant():
             break
     return acc.truncate(g.order)
 
@@ -222,37 +232,105 @@ def _unit_blocks(g):
 SHAPES = [(), (2,), (2, 2)]
 
 
-@SETTINGS
-@given(data=st.data(), n=DIMS, q=st.integers(0, 2), degree=st.integers(1, 3),
-       shape=st.sampled_from(SHAPES), order=ORDERS, spread=st.sampled_from([1.0, 1e9]))
-def test_angle_shift_matches_the_per_coefficient_loop(data, n, q, degree, shape, order, spread):
-    """On a series (q = 0) or a field, every coefficient series agrees with
-    the reference to 1e-14 times its own majorant, and the loss is at most
-    the reference's (to rounding of the sums).  With spread 1e9 a constant
-    term 1e9 times the others is added at alpha = 0: a stop taken against
-    the whole field would then cut every other term at about 1e-8 of its
-    own size.  A loss the operand carries is counted once."""
-    a = data.draw(small_shift(n))
-    if q == 0:
-        g = _unit_blocks(data.draw(real_series(n, shape, order)))
-    else:
-        g = _unit_blocks(data.draw(fourier_taylor(n, q, shape, order, degree)))
-        if spread > 1.0:
-            big = FourierSeries.constant(n, np.full(shape, spread), order)
-            g = g + FourierTaylor.from_series(big, q, degree)
-    got, want = AngleShift(a).apply(g), reference_shift(a, g)
+def _blocks(F):
+    """The coefficient series of a field by alpha; a series is one block."""
+    return dict(F.coeffs) if isinstance(F, FourierTaylor) else {(): F}
+
+
+def check_shift(a, g):
+    """AngleShift(a).apply(g) against the reference, both with no product
+    skipped whole (DROP_TOL = 0): each coefficient series agrees to 1e-14 of
+    its own majorant.  With DROP_TOL in force, the products skipped whole
+    move each coefficient series by at most the extra loss they record; a
+    difference of losses resolves that only where the other losses do not
+    bury it in their rounding.  When nothing is skipped, the loss is at
+    most the reference's (to rounding of the sums).  A loss the operand
+    carries is counted once."""
+    with mock.patch.object(fourier, "DROP_TOL", 0.0):
+        exact, want = AngleShift(a).apply(g), reference_shift(a, g)
+    got = AngleShift(a).apply(g)
     assert (got.n, got.q, got.shape, got.order, got.degree) == (g.n, g.q, g.shape, g.order, g.degree)
-    diff = got - want
-    if q == 0:
-        assert diff.majorant() <= 1e-14 * g.majorant()
-    else:
-        for alpha, d in diff.coeffs.items():
-            assert d.majorant() <= 1e-14 * g.coeffs[alpha].majorant(), alpha
-    assert got.trunc_loss <= want.trunc_loss * (1 + 1e-12)
+    skipped = got.trunc_loss - exact.trunc_loss
+    assert skipped >= 0.0
+    size = {alpha: s.majorant() for alpha, s in _blocks(g).items()}
+    for alpha, d in _blocks(exact - want).items():
+        assert d.majorant() <= 1e-14 * size[alpha], alpha
+    for alpha, d in _blocks(got - exact).items():
+        assert d.majorant() <= 1e-14 * size[alpha] + skipped, alpha
+    if skipped == 0.0:
+        assert got.trunc_loss <= want.trunc_loss * (1 + 1e-12)
     lossy = g * 1.0
     lossy.trunc_loss = 1e-3
     assert AngleShift(a).apply(lossy).trunc_loss == pytest.approx(
-        got.trunc_loss - g.trunc_loss + 1e-3, rel=1e-12)
+        got.trunc_loss - g.trunc_loss + 1e-3, rel=1e-12, abs=0.0)
+
+
+@SETTINGS
+@given(data=st.data(), n=DIMS, q=st.integers(0, 2), degree=st.integers(1, 3),
+       shape=st.sampled_from(SHAPES), order=ORDERS, spread=st.sampled_from([1.0, 1e9]),
+       scale=st.sampled_from([1.0, 1e-9]))
+def test_angle_shift_matches_the_per_coefficient_loop(data, n, q, degree, shape, order, spread,
+                                                      scale):
+    """``check_shift`` on a series (q = 0) or a field whose coefficient
+    series have majorant ``scale``.  At scale 1e-9 the deeper layers fall
+    under DROP_TOL and are skipped whole; a then has order 20 and modes
+    |k_j| <= 1, so that no power of a or layer is cut to the order, as each
+    layer would carry such a power's cut mass (some 1e-4, whatever g's size)
+    and bury the skipped layers' 1e-20 in its rounding.  With spread 1e9 a
+    constant term 1e9 times the others is added at alpha = 0: a stop taken
+    against the whole field would then cut every other term at about 1e-8
+    of its size."""
+    a = data.draw(small_shift(n) if scale == 1.0 else small_shift(n, 20, kmax=1))
+    if q == 0:
+        g = _unit_blocks(data.draw(real_series(n, shape, order))) * scale
+    else:
+        g = _unit_blocks(data.draw(fourier_taylor(n, q, shape, order, degree))) * scale
+        if spread > 1.0:
+            big = FourierSeries.constant(n, np.full(shape, spread * scale), order)
+            g = g + FourierTaylor.from_series(big, q, degree)
+    check_shift(a, g)
+
+
+EPS = 0.01
+
+
+@pytest.mark.parametrize("case", ["cancel", "cut"])
+def test_angle_shift_keeps_the_layers_after_one_that_sums_to_zero(case):
+    """"cancel": a = eps (sin x2, -sin x1) is orthogonal to grad g for
+    g = cos x1 + cos x2, so the first layer's two beta terms,
+    -+eps sin x1 sin x2, sum to zero; the second layer, (eps^2 / 2)
+    (-sin^2 x2 cos x1 - sin^2 x1 cos x2), about 5e-5, must still be added.
+    "cut": at order 1, a = eps sin x and g = sin x give a first layer
+    (eps / 2) sin 2x, all past the order; the second, with a^2 cut to
+    eps^2 / 2, adds -(eps^2 / 4) sin x.  Both on a series and on a field."""
+    if case == "cancel":
+        order = 12
+        a = (FourierSeries.sine(2, (0, 1), np.array([EPS, 0.0]), order)
+             + FourierSeries.sine(2, (1, 0), np.array([0.0, -EPS]), order))
+        g = (FourierSeries.cosine(2, (1, 0), np.array(1.0), order)
+             + FourierSeries.cosine(2, (0, 1), np.array(1.0), order))
+        shifted = AngleShift(a).apply(g)
+        for x in np.random.default_rng(5).uniform(-np.pi, np.pi, (8, 2)):
+            assert abs(shifted.eval(x) - np.cos(x + a.eval(x)).sum()) <= 1e-14
+    else:
+        order = 1
+        a = FourierSeries.sine(1, (1,), np.array([EPS]), order)
+        g = FourierSeries.sine(1, (1,), np.array(1.0), order)
+        moved = AngleShift(a).apply(g) - g  # sin x = (e^ix - e^-ix) / 2i
+        assert abs(moved.coeffs[(1,)] * 2j + EPS ** 2 / 4) <= EPS ** 4
+    check_shift(a, g)
+    check_shift(a, FourierTaylor(g.n, 1, (), order, 1, {(0,): g, (1,): g * 0.5}))
+
+
+def test_angle_shift_keeps_the_loss_of_a_power_skipped_under_drop_tol():
+    """a = (eps1 sin x3, 0, eps2 cos x3) at order 1, eps1 = 2^-5, eps2 = 2^-7:
+    a^beta for beta = (1, 0, 9) is eps1 eps2^9, about 3e-21, and is skipped
+    under DROP_TOL with no modes.  It must still bring its recorded loss to
+    its layer, as with DROP_TOL = 0 it is formed and its cut to the order
+    recorded (``check_shift``: the skipped products record no less)."""
+    a = (FourierSeries.sine(3, (0, 0, 1), np.array([2.0 ** -5, 0.0, 0.0]), 1)
+         + FourierSeries.cosine(3, (0, 0, 1), np.array([0.0, 0.0, 2.0 ** -7]), 1))
+    check_shift(a, FourierSeries.sine(3, (2, 0, 0), np.array(1.0), 2))
 
 
 @SETTINGS
