@@ -7,8 +7,9 @@ exp(i<K[i], x>).  Modes whose norm is below ``PRUNE_TOL``, or below
 ``DUST_TOL`` times the largest norm of the series, are never stored.  Every
 operation is a fixed handful of numpy expressions over the two arrays; the
 ``coeffs`` property is a read-only k -> array view for callers that think
-in single modes.  ``eval`` takes one point or an ``(S, n)`` stack of
-points, so a trajectory is evaluated with one set of array operations.
+in single modes.  A series is a Fourier-Taylor field with no phase
+variables; ``_Rows`` holds the dust pruning, majorant and ``eval`` of both,
+which takes a point or a stack and checks each value component's residue.
 
 Reality of the represented function is an invariant: the coefficient at -k
 is the complex conjugate of the coefficient at k for every stored k.  All
@@ -141,8 +142,70 @@ def _union(*Ks):
 
 
 class _Rows:
-    """The linear structure a series and a Fourier-Taylor field share: both
-    store coefficient rows V under unique sorted key rows ``keys``."""
+    """What a series and a Fourier-Taylor field share: both store coefficient
+    rows V under unique sorted key rows ``keys``, [A | K] for a field and K
+    for a series, which is a field with no phase variables (``q`` = 0)."""
+
+    def _store(self, A, K, V):
+        """Set K, V and their norms, less the dust: rows below PRUNE_TOL or
+        DUST_TOL times the top norm of their term, a run of equal rows of A
+        (a series passes no columns, so it is one term).  Returns the kept A."""
+        norms = _norms(V)
+        floor = max(PRUNE_TOL, DUST_TOL * norms.max(initial=0.0))
+        if norms.min(initial=floor) < floor:  # a term's floor is at most this
+            live = _alive(norms, A) if A.shape[1] else norms >= floor
+            A, K, V, norms = A[live], K[live], V[live], norms[live]
+        self.K, self.V, self.norms, self._majorant = K, V, norms, None
+        return A
+
+    def majorant(self) -> float:
+        """l1 sum of the row norms: an upper bound for sup |F| over the real
+        torus (times the unit polydisc in w for a field)."""
+        if self._majorant is None:
+            self._majorant = float(self.norms.sum())
+        return self._majorant
+
+    def _like(self, V):
+        """Rows like these with values V, whose value shape is read off V."""
+        return self._from_keys(self.keys, V, self.order, self.degree, self.trunc_loss)
+
+    @cached_property
+    def _evaluator(self):
+        """Built on first use: the union K (M, n) of the terms' modes, as
+        floats, the coefficients C (M, terms, values) on it, the exponents
+        E (terms, q) and 1e-10 times each term's majorant per value component."""
+        A = self.keys[:, :self.q]
+        term, starts = _runs(A)
+        K, (slot,) = _union(self.K)
+        C = np.zeros((len(K), len(starts), math.prod(self.shape)), dtype=complex)
+        C[slot, term] = self.V.reshape(len(self.V), -1)
+        return K.astype(float), C, A[starts], 1e-10 * np.abs(C).sum(axis=0)
+
+    def eval(self, x, w=()):
+        """Value at a point (x, w), or at each row of an (S, n) stack of x with
+        an (S, q) stack of w or one w: the sum of the terms F_alpha(x) w^alpha
+        (a series is one term and takes no w).  The first call compiles
+        ``_evaluator``; a call is then one set of phases exp(i<k, x>), one
+        contraction per term and one monomial-weighted sum, each stack row
+        summed as it would be alone.  Every term must be real at x: the
+        imaginary part of each value component may not exceed 1e-10 times
+        that component's majorant in the term, which stays strict in the
+        fused x and w rows of ``InstantiatedField``."""
+        x = np.asarray(x, dtype=float)
+        if not len(self.V):
+            return np.zeros(x.shape[:-1] + self.shape)
+        K, C, E, limits = self._evaluator
+        phases = np.exp(1j * np.einsum("...j,mj->...m", x, K))
+        out = np.einsum("...m,mtp->...tp", phases, C)
+        resid = np.abs(out.imag)
+        bad = resid > limits
+        if bad.any():
+            *_, t, p = where = np.unravel_index(np.argmax(bad), bad.shape)
+            raise ImaginaryResidue(
+                f"imaginary residue {resid[where]:.3e} of term {tuple(E[t].tolist())}, "
+                f"component {p}, exceeds {limits[t, p]:.3e} (1e-10 times its majorant)")
+        mono = (np.asarray(w, dtype=float)[..., None, :] ** E).prod(axis=-1)
+        return (mono[..., None, :] @ out.real).reshape(x.shape[:-1] + self.shape)
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -169,7 +232,9 @@ class _Rows:
         if isinstance(scalar, _Rows):
             return NotImplemented
         s = complex(scalar)
-        return self._like(self.V * (s.real if s.imag == 0.0 else s))
+        out = self._like(self.V * (s.real if s.imag == 0.0 else s))
+        out.trunc_loss *= abs(s)
+        return out
 
     __rmul__ = __mul__
 
@@ -204,6 +269,7 @@ class _Rows:
         for name in ("A", "K", "V", "norms"):
             if name in vars(self):
                 setattr(self, name, vars(self)[name][rows])
+        self._majorant = None
 
 
 class FourierSeries(_Rows):
@@ -229,18 +295,9 @@ class FourierSeries(_Rows):
         self.shape = tuple(int(s) for s in shape)
         self.order = int(order)
         self.trunc_loss = float(trunc_loss)
-        self._majorant = None
-        if coeffs is not None:
-            K, V = self._checked_arrays(coeffs)
-        elif K is None:
-            K = np.zeros((0, self.n), dtype=np.int64)
-            V = np.zeros((0,) + self.shape, dtype=complex)
-        norms = _norms(V)
-        floor = max(PRUNE_TOL, DUST_TOL * norms.max(initial=0.0))
-        if norms.min(initial=floor) < floor:
-            live = norms >= floor
-            K, V, norms = K[live], V[live], norms[live]
-        self.K, self.V, self.norms = K, V, norms
+        if coeffs is not None or K is None:  # no arrays: the mapping, or no modes
+            K, V = self._checked_arrays(coeffs or {})
+        self._store(K[:, :0], K, V)
         if coeffs is not None:
             self._check_reality()
 
@@ -319,12 +376,6 @@ class FourierSeries(_Rows):
         """A series on the key rows ``keys``; ``degree`` is ignored."""
         return FourierSeries(self.n, V.shape[1:], order, trunc_loss=loss, K=keys, V=V)
 
-    def majorant(self) -> float:
-        """l1 coefficient norm: an upper bound for sup |f| on the real torus."""
-        if self._majorant is None:
-            self._majorant = float(self.norms.sum())
-        return self._majorant
-
     def strip_norm(self, rho) -> float:
         """Majorant sum |c_k| e^{|k| rho} of sup over the complex strip of width rho."""
         rho = float(rho)
@@ -338,29 +389,6 @@ class FourierSeries(_Rows):
         if not len(zero):
             return np.zeros(self.shape)
         return np.real(self.V[zero[0]]).copy()
-
-    def eval(self, x):
-        """Evaluate at a point x of the torus, or at each row of an (S, n)
-        stack (result (S,) + shape).  Values must be real: the imaginary part
-        may not exceed 1e-10 times the majorant.  ``np.einsum`` sums a row of
-        a stack as it sums the row alone, and starts no BLAS threads."""
-        x = np.asarray(x, dtype=float)
-        if len(self.K) == 0:
-            return np.zeros(x.shape[:-1] + self.shape)
-        phases = np.exp(1j * np.einsum("...j,mj->...m", x, self.K))
-        out = np.einsum("...m,mp->...p", phases, self.V.reshape(len(self.K), -1))
-        mag = self.majorant()
-        resid = float(np.max(np.abs(out.imag))) if out.size else 0.0
-        if resid > 1e-10 * mag:
-            raise ImaginaryResidue(f"imaginary residue {resid:.3e} exceeds 1e-10 * {mag:.3e}")
-        return out.real.reshape(x.shape[:-1] + self.shape)
-
-    # -- linear operations -----------------------------------------------------
-
-    def _like(self, V):
-        """Series on these modes with values V, whose value shape is read off V."""
-        return FourierSeries(self.n, V.shape[1:], self.order, trunc_loss=self.trunc_loss,
-                             K=self.K, V=V)
 
     # -- calculus ----------------------------------------------------------------
 
@@ -417,38 +445,40 @@ def _convolve(a, b, vcombine, out_shape):
     is its mode k, after its exponent alpha for a field (``keys``).  Pairs
     of total degree above the degree are dropped before the sum, their
     majorant products going to ``trunc_loss``.  A whole product whose
-    majorants' product is under DROP_TOL is skipped, with that product, times
-    c for a (., c) @ (c, .) product, as its loss.  A pair's slot code is the
-    sum of two per-factor code vectors; a mode column spans +- the factors'
-    largest |k_j| summed (stored modes come in +-k pairs), an exponent column
-    0 to that sum or the degree.  The pair values, all at once for series
-    and ``PAIR_BLOCK`` pairs at a time for fields, are viewed as float64, 2C
-    parts per pair for C values, and one ``np.bincount`` per part sums them
-    into the slots in pair order, as ``np.add.at`` would: bit for bit for a
-    series product, block by block for a field product.  The dust floor of
-    each term is taken from the untruncated product; then the modes beyond
-    the order go to ``trunc_loss``."""
+    majorants' product is under DROP_TOL is skipped, with that product as its
+    loss; both count c times in (., c) @ (c, .), where an entry sums c pairs.
+    A pair's slot code is the sum of two per-factor code vectors; a mode
+    column spans +- the factors' largest |k_j| summed (stored modes come in
+    +-k pairs), an exponent column 0 to that sum or the degree.  The pair
+    values, all at once for series and ``PAIR_BLOCK`` pairs at a time for
+    fields, are viewed as float64, 2C parts per pair for C values, and one
+    ``np.bincount`` per part sums them into the slots in pair order, as
+    ``np.add.at`` would: bit for bit for a series product, block by block for
+    a field product.  The dust floor of each term is taken from the
+    untruncated product; then the modes beyond the order go to
+    ``trunc_loss``."""
     if (a.n, a.q) != (b.n, b.q):
         raise ValueError("operand mismatch in product")
     order, degree, q = max(a.order, b.order), max(a.degree, b.degree), a.q
     loss = a.trunc_loss + b.trunc_loss
     Ka, Kb = a.keys, b.keys
     skip = not len(Ka) or not len(Kb) or a.majorant() * b.majorant() < DROP_TOL
-    drop, keep = skip, None
+    drop, keep, dropped = skip, None, 0.0
     if q and not drop:
         da, db = Ka[:, :q].sum(axis=1), Kb[:, :q].sum(axis=1)
         beyond = da[:, None] + db > degree
         drop = beyond.all()
         if beyond.any() and not drop:  # b's norms summed from each degree up
             above = np.bincount(db, b.norms, minlength=degree + 2)[::-1].cumsum()[::-1]
-            loss += float((a.norms * above[degree + 1 - da]).sum())
+            dropped = float((a.norms * above[degree + 1 - da]).sum())
             keep = ~beyond
-    if drop:  # the whole product, with its majorant bound; an entry of a
-        # product skipped under DROP_TOL sums c products in (., c) @ (c, .)
-        summed = vcombine(np.ones((1,) + a.shape), np.ones((1,) + b.shape)).max() if skip else 1
+    if drop:  # the whole product, with its majorant bound
+        dropped = a.majorant() * b.majorant()
+    if dropped:  # an entry of a (., c) @ (c, .) product sums c pair products
+        loss += vcombine(np.ones((1,) + a.shape), np.ones((1,) + b.shape)).max() * dropped
+    if drop:
         return a._from_keys(np.zeros((0, Ka.shape[1]), dtype=np.int64),
-                            np.zeros((0,) + out_shape, dtype=complex), order, degree,
-                            loss + summed * a.majorant() * b.majorant())
+                            np.zeros((0,) + out_shape, dtype=complex), order, degree, loss)
     hi = np.abs(Ka).max(axis=0) + np.abs(Kb).max(axis=0)
     lo = -hi
     if q:

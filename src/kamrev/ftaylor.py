@@ -4,7 +4,9 @@ A field F(x, w) = sum_alpha F_alpha(x) w^alpha is stored as a FourierSeries
 is: int64 exponent rows ``A`` (M, q), int64 mode rows ``K`` (M, n) and
 complex values ``V`` (M,) + shape, row i the coefficient of
 w^A[i] exp(i<K[i], x>), unique and in lexicographic (alpha, k) order.  The
-rows of a term F_alpha are contiguous; each term drops its own dust.
+rows of a term F_alpha are contiguous; each term drops its own dust.  A
+series is the case q = 0; both share ``_Rows``'s pruning, majorant and
+``eval``, which takes a point (x, w) or stacks of them.
 
 A product is one call of ``fourier._convolve`` over the key columns
 [A | K]: pairs of total degree above the degree are dropped before the sum,
@@ -26,9 +28,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ImaginaryResidue, ImplicitSolveFailure
-from .fourier import (DUST_TOL, PRUNE_TOL, FourierSeries, _alive, _chain, _convolve,
-                      _matmul_pairs, _mul_pairs, _norms, _Rows, _runs, _scatter, _union, fs_matmul)
+from .errors import ImplicitSolveFailure
+from .fourier import (FourierSeries, _chain, _convolve, _matmul_pairs, _mul_pairs, _Rows, _runs,
+                      _scatter, _union, fs_matmul)
 
 
 def _unit(q, j):
@@ -49,17 +51,9 @@ class FourierTaylor(_Rows):
         self.n, self.q, self.order, self.degree = int(n), int(q), int(order), int(degree)
         self.shape = tuple(int(s) for s in shape)
         self.trunc_loss = float(trunc_loss)
-        if terms is not None:
-            A, K, V = self._stacked(terms)
-        elif A is None:
-            A, K = np.zeros((0, self.q), dtype=np.int64), np.zeros((0, self.n), dtype=np.int64)
-            V = np.zeros((0,) + self.shape, dtype=complex)
-        norms = _norms(V)
-        # a term's dust floor is at most the whole field's
-        if norms.min(initial=np.inf) < max(PRUNE_TOL, DUST_TOL * norms.max(initial=0.0)):
-            live = _alive(norms, A)
-            A, K, V, norms = A[live], K[live], V[live], norms[live]
-        self.A, self.K, self.V, self.norms = A, K, V, norms
+        if terms is not None or A is None:  # no arrays: the terms, or none
+            A, K, V = self._stacked(terms or {})
+        self.A = self._store(A, K, V)
 
     def _stacked(self, terms):
         rows = [(np.zeros((0, self.q), dtype=np.int64), np.zeros((0, self.n), dtype=np.int64),
@@ -93,12 +87,11 @@ class FourierTaylor(_Rows):
         shape = next(iter(terms.values())).shape if shape is None else shape
         return cls(n, q, shape, order, degree, terms)
 
-    def _like(self, V, A=None, K=None):
-        """Field on the rows A, K (default: these) with values V; the number
-        of phase variables and the value shape are read off A and V."""
-        A = self.A if A is None else A
+    def _on_rows(self, A, K, V):
+        """Field like this one on the rows A, K with values V; the number of
+        phase variables and the value shape are read off A and V."""
         return FourierTaylor(self.n, A.shape[1], V.shape[1:], self.order, self.degree,
-                             trunc_loss=self.trunc_loss, A=A, K=self.K if K is None else K, V=V)
+                             trunc_loss=self.trunc_loss, A=A, K=K, V=V)
 
     def _from_keys(self, keys, V, order, degree, loss):
         """A field on the key rows ``keys`` = [A | K] with values V."""
@@ -109,18 +102,18 @@ class FourierTaylor(_Rows):
         """A field like this one on rows in any order; rows with equal
         (alpha, k) are summed, and q and the value shape are read off A and V."""
         q, shape = A.shape[1], V.shape[1:]
-        keys, (slot,) = _union(np.hstack([A, K]))
+        keys, (slot,) = _union(np.concatenate([A, K], axis=1))
         sums = np.zeros((len(keys), 2 * math.prod(shape)))
         _scatter(sums, slot, V)
         out = sums.view(complex).reshape((len(keys),) + shape)
-        return self._like(out, keys[:, :q], keys[:, q:])
+        return self._on_rows(keys[:, :q], keys[:, q:], out)
 
     # -- queries -----------------------------------------------------------------
 
     @cached_property
     def keys(self) -> np.ndarray:
         """Product keys of the stored rows: [A | K]."""
-        return np.hstack([self.A, self.K])
+        return np.concatenate([self.A, self.K], axis=1)  # no np.hstack dispatch
 
     @cached_property
     def coeffs(self):
@@ -130,10 +123,6 @@ class FourierTaylor(_Rows):
         return MappingProxyType({tuple(self.A[i].tolist()): FourierSeries(
             self.n, self.shape, self.order, K=self.K[i:j], V=self.V[i:j])
             for i, j in zip(starts, starts[1:] + [len(self.V)])})
-
-    def majorant(self) -> float:
-        """Bound for sup |F| over the real torus times the unit polydisc in w."""
-        return float(self.norms.sum())
 
     def taylor0(self) -> FourierSeries:
         """The degree-0 part, with no loss of its own."""
@@ -148,49 +137,13 @@ class FourierTaylor(_Rows):
         V[slot, ..., np.argmax(self.A[rows], axis=1)] = self.V[rows]
         return FourierSeries(self.n, V.shape[1:], self.order, K=K, V=V)
 
-    @cached_property
-    def _evaluator(self):
-        """Built on first use: the union K (M, n) of the terms' modes, as
-        floats, the coefficients C (M, terms, values) on it, the exponents
-        E (terms, q) and 1e-10 times each term's majorant per value component."""
-        term, starts = _runs(self.A)
-        K, (slot,) = _union(self.K)
-        C = np.zeros((len(K), len(starts), math.prod(self.shape)), dtype=complex)
-        C[slot, term] = self.V.reshape(len(self.V), -1)
-        return K.astype(float), C, self.A[starts], 1e-10 * np.abs(C).sum(axis=0)
-
-    def eval(self, x, w):
-        """Value at one point (x, w): sum over the terms of F_alpha(x) w^alpha.
-
-        Compiled once, on the first call, into ``_evaluator``; a call is then
-        one set of phases exp(i<k, x>), one contraction to a value per term
-        and one monomial-weighted sum.  Every term must be real at x: the
-        imaginary part of each of its value components may not exceed 1e-10
-        times that component's majorant in that term.  That is at least as
-        strict as a check per term, and stays so in the fused x and w rows
-        of ``InstantiatedField``."""
-        if not len(self.V):
-            return np.zeros(self.shape)
-        K, C, E, limits = self._evaluator
-        phases = np.exp(1j * np.einsum("j,mj->m", np.asarray(x, dtype=float), K))
-        out = np.einsum("m,mtp->tp", phases, C)
-        resid = np.abs(out.imag)
-        bad = resid > limits
-        if bad.any():
-            t, p = np.unravel_index(np.argmax(bad), bad.shape)
-            raise ImaginaryResidue(
-                f"imaginary residue {resid[t, p]:.3e} of term {tuple(E[t].tolist())}, "
-                f"component {p}, exceeds {limits[t, p]:.3e} (1e-10 times its majorant)")
-        mono = (np.asarray(w, dtype=float) ** E).prod(axis=1)
-        return (mono @ out.real).reshape(self.shape)
-
     # -- calculus ----------------------------------------------------------------
 
     def deriv_w(self, j):
         rows = self.A[:, j] > 0
         A = self.A[rows] - np.eye(self.q, dtype=np.int64)[j]
-        return self._like(self.V[rows] * (A[:, j] + 1.0).reshape((-1,) + (1,) * len(self.shape)),
-                          A=A, K=self.K[rows])
+        return self._on_rows(A, self.K[rows],
+                             self.V[rows] * (A[:, j] + 1.0).reshape((-1,) + (1,) * len(self.shape)))
 
     def grad_x(self):
         """Jacobian in the angles: value shape becomes shape + (n,)."""

@@ -208,7 +208,6 @@ class VersalityReport:
     miniversal: bool
     codim: int
     rank_deficit: int
-    missing: np.ndarray | None
 
 
 def is_versal(unfolding: Unfolding) -> VersalityReport:
@@ -223,27 +222,10 @@ def is_versal(unfolding: Unfolding) -> VersalityReport:
         M = np.stack(cols, axis=1)
         rank = np.linalg.matrix_rank(M, tol=RANK_RTOL * max(_norm(M), 1.0))
     else:
-        M = None
         rank = 0
     versal = rank == target
-    missing = None
-    if not versal:
-        # Some gl_minus element outside the span: largest projection residual.
-        best, best_res = None, 0.0
-        if M is not None and rank > 0:
-            Uspan, s, _ = np.linalg.svd(M, full_matrices=False)
-            Uspan = Uspan[:, s > RANK_RTOL * max(s[0], 1e-300)]
-        else:
-            Uspan = np.zeros((inv.dim ** 2, 0))
-        for E in inv.gl_minus_basis():
-            v = E.ravel()
-            res = v - Uspan @ (Uspan.T @ v)
-            if _norm(res) > best_res:
-                best_res = _norm(res)
-                best = res.reshape(Q.Q.shape)
-        missing = best
     mini = versal and len(unfolding.directions) == codim
-    return VersalityReport(versal, mini, codim, target - rank, missing)
+    return VersalityReport(versal, mini, codim, target - rank)
 
 
 # -- the nilpotent block, its interleaved form, and the conjugator ----------------

@@ -59,7 +59,7 @@ def ft_fix_tail(F: FourierTaylor, q_main: int, values) -> FourierTaylor:
     """Evaluate the trailing variables of F at constants, keeping the first
     q_main variables free."""
     if not F.A[:, q_main:].any():  # the rows stay unique and sorted
-        return F._like(F.V, A=F.A[:, :q_main])
+        return F._on_rows(F.A[:, :q_main], F.K, F.V)
     factor = (np.asarray(values, dtype=float) ** F.A[:, q_main:]).prod(axis=1)
     rows = factor != 0.0
     V = F.V[rows] * factor[rows].reshape((-1,) + (1,) * len(F.shape))
@@ -166,38 +166,27 @@ class ReversibleFamily:
 
     # -- parameter-dependent linear part -----------------------------------------
 
-    def Q_at(self, omega, mu) -> np.ndarray:
+    def Q_at(self, omega, mu, j=None) -> np.ndarray:
+        """Q at the parameters, or with ``j`` its derivative along parameter
+        slot j of (omega_1..omega_n, mu_1..mu_s)."""
         t = np.concatenate([np.asarray(omega, dtype=float) - self.omega_star,
                             np.asarray(mu, dtype=float).reshape(self.s)])
         out = np.zeros((self.d, self.d))
         for powers, M in self.Q_terms.items():
-            factor = 1.0
-            for base, e in zip(t, powers):
-                factor *= base ** e
+            if j is not None and powers[j] == 0:
+                continue  # its base ** -1 below could make 0 * inf = nan
+            factor = 1.0 if j is None else float(powers[j])
+            for i, (base, e) in enumerate(zip(t, powers)):
+                factor *= base ** (e - 1 if i == j else e)
             out = out + factor * M
         return out
 
     def Q_rev_at(self, omega, mu) -> RevMatrix:
         return RevMatrix(self.Q_at(omega, mu), self.inv)
 
-    def dQ_at(self, omega, mu, j) -> np.ndarray:
-        """Derivative of Q along parameter slot j of (omega_1..omega_n, mu_1..mu_s)."""
-        t = np.concatenate([np.asarray(omega, dtype=float) - self.omega_star,
-                            np.asarray(mu, dtype=float).reshape(self.s)])
-        out = np.zeros((self.d, self.d))
-        for powers, M in self.Q_terms.items():
-            e_j = powers[j]
-            if e_j == 0:
-                continue
-            factor = float(e_j)
-            for i, (base, e) in enumerate(zip(t, powers)):
-                factor *= base ** (e - 1 if i == j else e)
-            out = out + factor * M
-        return out
-
     def unfolding_directions(self, omega, mu):
         """dQ/dmu_j at the given point — the versality directions."""
-        return [self.dQ_at(omega, mu, self.n + j) for j in range(self.s)]
+        return [self.Q_at(omega, mu, self.n + j) for j in range(self.s)]
 
     # -- validation ----------------------------------------------------------------
 
@@ -254,7 +243,7 @@ class ReversibleFamily:
                      ft_embed(eta_s, q, 0), g_w, ft_embed(zeta_s, q, m), h_w])
 
         # w-row parameter jacobians: slots (omega | sigma)
-        jac = [self._z_linear_ft(self.dQ_at(omega, mu, j)) for j in range(n)]
+        jac = [self._z_linear_ft(self.Q_at(omega, mu, j)) for j in range(n)]
         for j, (d_eta, d_zeta) in enumerate(sigma_derivs):
             jac.append(ft_sum([const(np.eye(q)[j]), ft_embed(ft_fix_tail(d_eta, q, sigma), q, 0),
                                ft_embed(ft_fix_tail(d_zeta, q, sigma), q, m)]))

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from kamrev.errors import ImaginaryResidue
 from kamrev.fourier import AngleShift, FourierSeries, fs_matmul, fs_mul, fs_stack, order1
+from kamrev.ftaylor import FourierTaylor
 from test_fourier_oracle import DIMS, ORDERS, SETTINGS, real_series
 
 ORDER = 12
@@ -253,6 +254,31 @@ def test_eval_raises_on_an_imaginary_residue():
     assert np.array_equal(s.eval(np.array([[0.0, 0.2]])), [[1e-6, 0.0]])
     with pytest.raises(ImaginaryResidue):
         s.eval(np.array([[0.0, 0.2], [0.7, 0.2], [0.0, -1.0]]))
+
+
+def test_eval_checks_each_value_component_against_its_own_majorant():
+    """Component 0 is 1; component 1 is 1e-6 cos x_1 + 1e-13 exp(i x_1), whose
+    residue is far below 1e-10 times the series' majorant, but not its own."""
+    s = FourierSeries(2, (2,), ORDER, K=np.array([[-1, 0], [0, 0], [1, 0]]),
+                      V=np.array([[0.0, 5e-7], [1.0, 0.0], [0.0, 5e-7 + 1e-13]], dtype=complex))
+    x = np.array([np.pi / 2, 0.0])
+    assert 1e-13 < 1e-10 * s.majorant()
+    with pytest.raises(ImaginaryResidue):
+        s.eval(x)
+    with pytest.raises(ImaginaryResidue):
+        s.eval(np.array([[0.0, 0.0], x]))
+    # at x_1 = 0 both components are real
+    np.testing.assert_allclose(s.eval(np.array([0.0, 0.3])), [1.0, 1e-6 + 1e-13], rtol=1e-15)
+
+
+@pytest.mark.parametrize("scalar", [1e3, 1e-3, -2.0, 0.5j])
+def test_a_scalar_factor_scales_the_loss(scalar):
+    s = FourierSeries(2, (2,), ORDER, trunc_loss=1e-9,
+                      coeffs={(0, 0): np.array([1.0, 2.0])})
+    F = FourierTaylor(2, 1, (2,), ORDER, 2, {(1,): s}, trunc_loss=1e-9)
+    for x in (s, F):
+        for scaled in (x * scalar, scalar * x):
+            assert scaled.trunc_loss == pytest.approx(abs(scalar) * 1e-9, rel=1e-15, abs=0.0)
 
 
 def test_json_roundtrip_is_exact():

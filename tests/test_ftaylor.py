@@ -86,14 +86,23 @@ def real_fields(draw, n, q, shape, degree=3):
 @SETTINGS
 @given(data=st.data(), n=DIMS, q=st.integers(0, 3), shape=st.sampled_from([(), (2,), (2, 3)]))
 def test_compiled_eval_matches_per_term_loop(data, n, q, shape):
+    """Each point against the per-term loop; the points as an (S, n) stack of
+    x with an (S, q) stack of w, or with one w, give each row bit for bit
+    what that row gives alone."""
     F = data.draw(real_fields(n, q, shape))
-    for _ in range(3):
-        x = np.array(data.draw(st.lists(ANGLE, min_size=n, max_size=n)))
-        w = 1.5 * np.array(data.draw(st.lists(ENTRY, min_size=q, max_size=q)))
+    X, W = np.zeros((3, n)), np.zeros((3, q))
+    for x, w in zip(X, W):
+        x[:] = data.draw(st.lists(ANGLE, min_size=n, max_size=n))
+        w[:] = 1.5 * np.array(data.draw(st.lists(ENTRY, min_size=q, max_size=q)))
         want, scale = per_term_eval(F, x, w)
         got = F.eval(x, w)
         assert got.shape == F.shape
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * scale
+    for w_stack in (W, W[0]):
+        stacked = F.eval(X, w_stack)
+        assert stacked.shape == (3,) + F.shape
+        for x, w, row in zip(X, np.broadcast_to(w_stack, W.shape), stacked):
+            np.testing.assert_array_equal(row, F.eval(x, w))
 
 
 # -- the term-pair product loop the one-kernel products replaced ------------------
@@ -102,15 +111,17 @@ def test_compiled_eval_matches_per_term_loop(data, n, q, shape):
 def reference_product(a, b, series_op, out_shape):
     """One series product per pair of terms, summed per exponent.  Returns
     the field and the three losses it records, kept apart: pairs beyond
-    the degree (their majorant products), pair products below ``DROP_TOL``,
-    which the series product skips (the same), and each pair product's own
-    Fourier loss."""
+    the degree (their majorant products, times c for a (., c) @ (c, .)
+    product, whose entries each sum c of them), pair products below
+    ``DROP_TOL``, which the series product skips (their majorant products),
+    and each pair product's own Fourier loss."""
     degree, order = max(a.degree, b.degree), max(a.order, b.order)
+    summed = a.shape[-1] if series_op is fs_matmul else 1
     acc, deg_loss, drop_loss, fourier_loss = {}, 0.0, 0.0, 0.0
     for alpha, sa in a.coeffs.items():
         for beta, sb in b.coeffs.items():
             if sum(alpha) + sum(beta) > degree:
-                deg_loss += sa.majorant() * sb.majorant()
+                deg_loss += summed * sa.majorant() * sb.majorant()
                 continue
             if sa.majorant() * sb.majorant() < DROP_TOL:
                 drop_loss += sa.majorant() * sb.majorant()
@@ -215,6 +226,16 @@ def test_eval_checks_every_term_against_its_own_majorant():
         F.eval(x, w)
     # at x_1 = 0 every term is real
     assert np.allclose(F.eval(np.array([0.0, 0.2]), w), [1e6 + 1e-6, 0.0], rtol=1e-15)
+
+
+def test_a_matrix_product_records_its_pairs_above_the_degree_c_times():
+    # at degree 1 the degree-2 term is dropped; each of its entries sums three
+    # products of ones in (2, 3) @ (3,), so its majorant is 3
+    A = FourierTaylor.build(2, 1, ORDER, 1, {(1,): np.ones((2, 3))})
+    b = FourierTaylor.build(2, 1, ORDER, 1, {(1,): np.ones(3)})
+    p = ft_matmul(A, b)
+    assert not len(p.V)
+    assert p.trunc_loss == 3.0
 
 
 def test_build_accepts_plain_arrays():

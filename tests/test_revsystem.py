@@ -154,7 +154,7 @@ def rebuilt_w_rows(fam, omega, sigma, mu):
     Xw = ft_sum([const(np.concatenate([sigma, np.zeros(d)])), fam._z_linear_ft(fam.Q_at(omega, mu))]
                 + [ft_embed(F, q, 0) for F in (eta_s, fam.g)]
                 + [ft_embed(F, q, m) for F in (zeta_s, fam.h)])
-    jac = [fam._z_linear_ft(fam.dQ_at(omega, mu, j)) for j in range(fam.n)]
+    jac = [fam._z_linear_ft(fam.Q_at(omega, mu, j)) for j in range(fam.n)]
     for j in range(m):
         jac.append(ft_sum([const(np.eye(q)[j]),
                            ft_embed(ft_fix_tail(fam.eta.deriv_w(q + j), q, sigma), q, 0),
