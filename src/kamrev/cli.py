@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .cohomology import (solve_commutator, solve_normal, solve_right,
                          solve_scalar, verify_estimate)
-from .diophantine import (DiophantineParams, complement_measure_estimate,
+from .diophantine import (DiophantineParams, check_tau, complement_measure_estimate,
                           is_diophantine_pair)
 from .errors import KamrevError, NotAntiInvariant
 from .fourier import FourierSeries
@@ -105,6 +105,9 @@ def _config_hash(config):
 
 def _effective_seed(config, args):
     if args.seed is not None:
+        # numpy's generators refuse a negative seed, as the run schema does
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be at least 0, got {args.seed}")
         return int(args.seed)
     return int(config.get("seed", 0)) if isinstance(config, dict) else 0
 
@@ -155,11 +158,12 @@ def _decode(command, config, config_path):
         if command in ("dioph-check", "cohomology-solve", "ruessmann"):
             cfg["params"] = DiophantineParams(cfg["tau"], cfg["gamma"], cfg["kmax"])
             if "omega" in cfg:
-                cfg["params"].validate_for(len(cfg["omega"]))
+                check_tau(cfg["tau"], len(cfg["omega"]))
         if command == "dioph-measure":
             cfg["gammas"] = cfg.get("gammas") or [cfg["gamma"]]
-            DiophantineParams(cfg["tau"], min(cfg["gammas"]), cfg["kmax"]).validate_for(
-                len(cfg["boxOmega"]))
+            # built only for its checks of gamma and kmax
+            DiophantineParams(cfg["tau"], min(cfg["gammas"]), cfg["kmax"])
+            check_tau(cfg["tau"], len(cfg["boxOmega"]))
         # every matrix and vector the config gives acts on the space R reflects
         mats = [M for M in (cfg.get("Q"), *cfg.get("directions", []), *cfg.get("QPoly", []))
                 if M is not None]
@@ -188,7 +192,7 @@ def _decode(command, config, config_path):
                 raise ValueError("rhoPrime must lie in (0, rho)")
         if command == "ruessmann":
             n, dim = len(cfg["curve"]["components"]), len(cfg["curve"]["box"])
-            cfg["params"].validate_for(n)
+            check_tau(cfg["tau"], n)
             if cfg.setdefault("rankSamples", 64) < n:
                 raise ValueError(f"rankSamples must be at least the curve's n = {n}")
             if n != cfg["family"].n:

@@ -104,11 +104,8 @@ class DiophantineParams:
         if self.kmax < 1:
             raise ValueError("kmax must be at least 1")
 
-    def validate_for(self, n: int):
-        _check_tau(self.tau, n)
 
-
-def _check_tau(tau: float, n: int):
+def check_tau(tau: float, n: int):
     # at or below n - 1 a scanned fraction grows with the horizon, not converging
     if tau <= n - 1:
         raise ValueError(f"tau must exceed n-1 = {n - 1}")
@@ -197,7 +194,7 @@ def is_diophantine_pair(omega, Q: RevMatrix | None,
     """Check the pair condition up to the horizon; Q = None means beta empty
     (the classical vector condition)."""
     omega = np.asarray(omega, dtype=float)
-    params.validate_for(len(omega))
+    check_tau(params.tau, len(omega))
     beta = classify_spectrum(Q).beta if Q is not None else np.zeros(0)
     best, worst_k, worst_K = scan_divisors(omega, beta, params.tau, params.kmax)
     # margin is signed headroom of the normalized divisor over gamma
@@ -218,7 +215,7 @@ def complement_measure_estimate(box_omega, box_beta, tau: float, gammas,
     """
     box_omega = [tuple(map(float, iv)) for iv in box_omega]
     box_beta = [tuple(map(float, iv)) for iv in box_beta]
-    _check_tau(tau, len(box_omega))
+    check_tau(tau, len(box_omega))
     gammas = np.asarray(gammas, dtype=float)
     if np.any(gammas < 0):
         raise ValueError("gamma must be nonnegative")

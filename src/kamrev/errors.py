@@ -9,17 +9,6 @@ KamrevError, so callers (and the command-line driver) can distinguish
 class KamrevError(Exception):
     """Base class for structured computational failures."""
 
-    def __reduce__(self):
-        # rebuilt without calling __init__, so that a subclass with its own
-        # arguments survives the trip back from a worker process
-        return _rebuild, (type(self), self.args), self.__dict__
-
-
-def _rebuild(cls, args):
-    exc = cls.__new__(cls)
-    exc.args = args
-    return exc
-
 
 class ImaginaryResidue(KamrevError):
     """A supposedly real evaluation left a non-negligible imaginary part."""

@@ -264,6 +264,11 @@ class _Rows:
         """Pullback under x -> -x; by reality this conjugates coefficients."""
         return self._like(np.conj(self.V))
 
+    def grad_x(self):
+        """Jacobian in the angles: value shape becomes shape + (n,)."""
+        dK = (1j * self.K).reshape((len(self.K),) + (1,) * len(self.shape) + (self.n,))
+        return self._like(self.V[..., None] * dK)
+
     def _keep(self, rows):
         """Keep only ``rows`` of a series or field just built, in place."""
         for name in ("A", "K", "V", "norms"):
@@ -318,10 +323,6 @@ class FourierSeries(_Rows):
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zero(cls, n, shape, order):
-        return cls(n, shape, order)
-
-    @classmethod
     def constant(cls, n, value, order):
         value = np.asarray(value, dtype=complex)
         return cls(n, value.shape, order, K=np.zeros((1, n), dtype=np.int64),
@@ -344,7 +345,7 @@ class FourierSeries(_Rows):
         k = tuple(int(c) for c in k)
         mk = tuple(-c for c in k)
         if k == mk:
-            return cls.zero(n, value.shape, order)
+            return cls(n, value.shape, order)
         return cls(n, value.shape, order, {k: -0.5j * value, mk: 0.5j * value})
 
     def _check_reality(self, tol=1e-12):
@@ -533,9 +534,8 @@ def _matmul_pairs(a_shape, b_shape):
     (c,e), and its value shape.
 
     All pair values at once, as (Ma r, Mb e) outer products of a's column j
-    with b's row j summed in order j = 0, 1, ..., with no BLAS call.  The
-    per-pair ``np.matmul`` used before rounded as the CPU's BLAS kernel did,
-    so results may differ from it in the last bit."""
+    with b's row j summed in order j = 0, 1, ..., with no BLAS call, so the
+    rounding does not depend on the CPU's BLAS kernel."""
     out_shape = np.matmul(np.zeros(a_shape), np.zeros(b_shape)).shape
     c = a_shape[-1]
 

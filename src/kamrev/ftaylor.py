@@ -78,15 +78,6 @@ class FourierTaylor(_Rows):
         return cls(s.n, q, s.shape, s.order, degree,
                    A=np.zeros((len(s.K), q), dtype=np.int64), K=s.K, V=s.V)
 
-    @classmethod
-    def build(cls, n, q, order, degree, entries, shape=None):
-        """entries: alpha -> FourierSeries | array (constant in x)."""
-        terms = {alpha: v if isinstance(v, FourierSeries) else
-                 FourierSeries.constant(n, np.asarray(v, dtype=float), order)
-                 for alpha, v in entries.items()}
-        shape = next(iter(terms.values())).shape if shape is None else shape
-        return cls(n, q, shape, order, degree, terms)
-
     def _on_rows(self, A, K, V):
         """Field like this one on the rows A, K with values V; the number of
         phase variables and the value shape are read off A and V."""
@@ -144,11 +135,6 @@ class FourierTaylor(_Rows):
         A = self.A[rows] - np.eye(self.q, dtype=np.int64)[j]
         return self._on_rows(A, self.K[rows],
                              self.V[rows] * (A[:, j] + 1.0).reshape((-1,) + (1,) * len(self.shape)))
-
-    def grad_x(self):
-        """Jacobian in the angles: value shape becomes shape + (n,)."""
-        dK = (1j * self.K).reshape((len(self.K),) + (1,) * len(self.shape) + (self.n,))
-        return self._like(self.V[..., None] * dK)
 
     def grad_w(self):
         """Jacobian in w: value shape becomes shape + (q,).  Row i of variable j

@@ -27,7 +27,7 @@ from .cohomology import solve_commutator, solve_normal, solve_right, solve_scala
 from .diophantine import DiophantineParams, is_diophantine_pair
 from .errors import (CancellationFailure, NoConvergence, SmallDivisor,
                      TruncationOverflow, VersalObstruction)
-from .fourier import AngleShift, FourierSeries, fs_matmul, fs_stack
+from .fourier import AngleShift, FourierSeries, fs_matmul
 from .ftaylor import FourierTaylor, WSubstitution, ft_matmul, ft_neumann_solve
 from .revmat import RevMatrix
 from .revsystem import AugmentedFamily, ReversibleFamily, check_transform_commutes
@@ -54,11 +54,6 @@ class NormalizerConfig:
 # -- series plumbing ---------------------------------------------------------------
 
 
-def _deriv_matrix(s: FourierSeries) -> FourierSeries:
-    """Jacobian in x of a vector-valued series, as a (d, n) series."""
-    return fs_stack([s.deriv_x(j) for j in range(s.n)], axis=-1)
-
-
 def _drop_k0(s: FourierSeries) -> FourierSeries:
     """Remove the constant mode exactly (subtracting its average would leave
     reality-violating dust of order eps in the k = 0 coefficient)."""
@@ -81,7 +76,7 @@ def conjugate_field(Xx: FourierTaylor, Xw: FourierTaylor, a: FourierSeries,
     XxT = sub.apply(shift.apply(Xx))
     XwT = sub.apply(shift.apply(Xw))
 
-    Da = _deriv_matrix(a)
+    Da = a.grad_x()
     Xx_bar = ft_neumann_solve(Da, XxT)
 
     rhs = XwT - ft_matmul(sub.affine.grad_x(), Xx_bar)
@@ -204,11 +199,11 @@ def _solve_sweep(family, inst, Xx, Xw, res: _Residual, ctx: _Setup,
         b0 = solve_scalar(r_y0 + FourierSeries.constant(n, dv, N), omega0, dioph)
     else:
         dv = np.zeros(0)
-        b0 = FourierSeries.zero(n, (0,), N)
+        b0 = FourierSeries(n, (0,), N)
     if d:
         c0 = solve_normal(r_z0, omega0, Qrev)
     else:
-        c0 = FourierSeries.zero(n, (0,), N)
+        c0 = FourierSeries(n, (0,), N)
     psi0 = (b0.map_stack(lambda V: np.pad(V, [(0, 0), (0, d)]))
             + c0.map_stack(lambda V: np.pad(V, [(0, 0), (m, 0)])))
     coupling = fs_matmul(res.Axw, psi0)
@@ -223,12 +218,9 @@ def _solve_sweep(family, inst, Xx, Xw, res: _Residual, ctx: _Setup,
          - ft_matmul(P0_ft.grad_x(), Xx))
     R_lin = res.r_ww + K.linear_w()
     # known parameter-shift feedback on the linear blocks
-    for j in range(n):
-        if du[j] != 0.0:
-            R_lin = R_lin + inst.jacobians[j].linear_w() * du[j]
-    for j in range(m):
-        if dv[j] != 0.0:
-            R_lin = R_lin + inst.jacobians[n + j].linear_w() * dv[j]
+    for J, dp in zip(inst.jacobians, np.concatenate([du, dv])):
+        if dp != 0.0:
+            R_lin = R_lin + J.linear_w() * dp
 
     R_yy = R_lin.map_stack(lambda V: V[:, :m, :m])
     R_yz = R_lin.map_stack(lambda V: V[:, :m, m:])
@@ -328,8 +320,8 @@ def normalize(family: ReversibleFamily, omega0, mu0,
     u = np.zeros(n)
     v = np.zeros(m)
     w = np.zeros(s)
-    a = FourierSeries.zero(n, (n,), N)
-    W0 = FourierSeries.zero(n, (q,), N)
+    a = FourierSeries(n, (n,), N)
+    W0 = FourierSeries(n, (q,), N)
     W1 = FourierSeries.constant(n, np.eye(q), N)
 
     history = []
@@ -425,7 +417,7 @@ def normalize_augmented(family: ReversibleFamily, omega0, mu0,
     # averaging the y-linear coefficient of the promoted sigma rows must
     # reproduce the shift itself (both are zero in exact arithmetic)
     chi1 = core.Xx.linear_w().map_stack(lambda V: V[:, :, ry])
-    dc0 = _deriv_matrix(c0)
+    dc0 = c0.grad_x()
     lhs = fs_matmul(dc0, chi1).average()
     W_formula = lhs @ np.linalg.inv(np.eye(m) + b1.average())
     checks["shift_formula_gap"] = float(np.max(np.abs(W - W_formula))) if W.size else 0.0

@@ -97,14 +97,13 @@ class InvolutionStructure:
 class RevMatrix:
     """A matrix Q anti-commuting with the involution of ``inv``."""
 
-    def __init__(self, Q, inv: InvolutionStructure, check=True):
+    def __init__(self, Q, inv: InvolutionStructure):
         Q = np.asarray(Q, dtype=float)
         if Q.shape != (inv.dim, inv.dim):
             raise ValueError("Q has wrong shape for the involution")
-        if check:
-            err = _norm(inv.R @ Q + Q @ inv.R)
-            if not err / max(1.0, _norm(Q)) <= 1e-12:
-                raise NotAntiInvariant(f"RQ + QR has norm {err:.3e}")
+        err = _norm(inv.R @ Q + Q @ inv.R)
+        if not err / max(1.0, _norm(Q)) <= 1e-12:
+            raise NotAntiInvariant(f"RQ + QR has norm {err:.3e}")
         self.Q = Q
         self.inv = inv
 
@@ -231,23 +230,6 @@ def is_versal(unfolding: Unfolding) -> VersalityReport:
 # -- the nilpotent block, its interleaved form, and the conjugator ----------------
 
 
-def _perm_sign(perm) -> int:
-    perm = list(perm)
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 class MiniversalNilpotent:
     """The 2m x 2m nilpotent block in two coordinate frames.
 
@@ -265,14 +247,13 @@ class MiniversalNilpotent:
         self.J = np.diag(np.concatenate([-np.ones(m), np.ones(m)]))
         self.J_tilde = np.diag(np.array([(-1.0) ** (i + 1) for i in range(2 * m)]))
         S = np.zeros((2 * m, 2 * m))
-        perm = [0] * (2 * m)
         for i in range(m):
             S[2 * i, i] = 1.0
             S[2 * i + 1, m + i] = 1.0
-            perm[i] = 2 * i
-            perm[m + i] = 2 * i + 1
         self.S = S
-        self.det_S = _perm_sign(perm)
+        # exact: the LU factors of a permutation matrix have unit pivots, so
+        # the determinant is the sign of the row swaps
+        self.det_S = int(round(np.linalg.det(S)))
 
     def L(self, Lam) -> np.ndarray:
         m = self.m

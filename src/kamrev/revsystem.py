@@ -181,9 +181,6 @@ class ReversibleFamily:
             out = out + factor * M
         return out
 
-    def Q_rev_at(self, omega, mu) -> RevMatrix:
-        return RevMatrix(self.Q_at(omega, mu), self.inv)
-
     def unfolding_directions(self, omega, mu):
         """dQ/dmu_j at the given point — the versality directions."""
         return [self.Q_at(omega, mu, self.n + j) for j in range(self.s)]
@@ -261,9 +258,10 @@ class ReversibleFamily:
     def _z_linear_ft(self, M) -> FourierTaylor:
         """The field w -> (0, M z), z the last d entries of w."""
         m, q = self.m, self.q
-        return FourierTaylor.build(self.n, q, self.order, self.degree, {
-            _unit(q, m + j): np.concatenate([np.zeros(m), M[:, j]]) for j in range(self.d)},
-            shape=(q,))
+        return FourierTaylor(self.n, q, (q,), self.order, self.degree, {
+            _unit(q, m + j): FourierSeries.constant(
+                self.n, np.concatenate([np.zeros(m), M[:, j]]), self.order)
+            for j in range(self.d)})
 
     def with_perturbation(self, f, g, h) -> "ReversibleFamily":
         return ReversibleFamily(self.n, self.m, self.p, self.s, self.omega_star,

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diophantine import (DiophantineParams, _check_tau, _min_divisors, _sample_box,
+from .diophantine import (DiophantineParams, _min_divisors, _sample_box, check_tau,
                           is_diophantine_pair)
 from .errors import ImplicitSolveFailure, KamrevError
 from .normalizer import NormalizerConfig, normalize
-from .revmat import RANK_RTOL
+from .revmat import RANK_RTOL, RevMatrix
 from .revsystem import ReversibleFamily, verify_torus
 
 # outer identification steps per grid point, and the residual that ends them
@@ -124,7 +124,7 @@ def diophantine_fraction(curve: FrequencyCurve, tau: float, gamma: float,
                          kmax: int, samples: int, seed: int = 0) -> float:
     """Monte-Carlo fraction of the box whose frequency value fails the
     classical Diophantine condition at (tau, gamma) up to the horizon."""
-    _check_tau(tau, curve.n)
+    check_tau(tau, curve.n)
     rng = np.random.default_rng(seed)
     mus = _sample_box(curve.box, samples, rng)
     minima, _, _ = _min_divisors(curve.at(mus), np.zeros((samples, 0)), tau, kmax)
@@ -250,7 +250,7 @@ def _run_points(grid, family, curve, params, work, T, deviation_tol, verify):
             pt.phi_residual = phi_resid
             pt.upsilon_residual = ups_resid
 
-            Q = family.Q_rev_at(omega, mu0) if family.d else None
+            Q = RevMatrix(family.Q_at(omega, mu0), family.inv) if family.d else None
             report = is_diophantine_pair(omega, Q, params)
             pt.margin = report.margin
             if not report.holds:

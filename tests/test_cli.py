@@ -417,7 +417,8 @@ def _refs(node):
 
 
 def test_shared_schema_definitions_live_only_in_defs():
-    shared = {"matrix", "series", "taylor", "family", "run", "dioph", "normalizer", "box"}
+    shared = {"matrix", "vector", "series", "taylor", "family", "familyOrPath", "run", "dioph",
+              "normalizer", "box"}
     names = _shipped_schemas()
     assert "defs" in names and "normalize-augmented" not in names
     registry = cli._schema_registry()
@@ -566,6 +567,17 @@ def test_seed_flag_overrides_config_seed(tmp_path):
                  "--out", str(tmp_path)]) == 0
     rep = read_report(tmp_path, "dioph-measure")
     assert rep["seed"] == 9
+
+
+@pytest.mark.parametrize("command, seed", [("miniversal-nilpotent", "-1"),
+                                           ("dioph-measure", "-3")])
+def test_negative_seed_flag_exits_2_without_report(tmp_path, capsys, command, seed):
+    # the run schema refuses a negative config seed; the flag is refused alike,
+    # not left to numpy's generators to fail on mid-run
+    args = ["--m", "2"] if command == "miniversal-nilpotent" else ["--config", _measure_cfg(tmp_path)]
+    assert main([command, *args, "--seed", seed, "--out", str(tmp_path)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}-report.json").exists()
 
 
 def test_csv_opt_out(tmp_path):

@@ -3,11 +3,12 @@
 Oracle for the scan: a plain double loop over itertools-enumerated modes.
 """
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from kamrev.diophantine import (DiophantineParams, complement_measure_estimate,
+from kamrev.diophantine import (DiophantineParams, check_tau, complement_measure_estimate,
                                 classify_spectrum, enumerate_modes,
                                 is_diophantine_pair, normal_shifts, scan_divisors)
 from kamrev.errors import UnpairedSpectrum
@@ -115,9 +116,10 @@ def test_classify_spectrum_elliptic_and_mixed():
 
 
 def test_classify_spectrum_rejects_unpaired():
-    # spectrum {1, 2} cannot anti-commute with any R; skip the shape check
+    # spectrum {1, 2} cannot anti-commute with any R, so no RevMatrix holds
+    # it; classify_spectrum reads only .Q
     with pytest.raises(UnpairedSpectrum):
-        classify_spectrum(RevMatrix(np.diag([1.0, 2.0]), INV2, check=False))
+        classify_spectrum(SimpleNamespace(Q=np.diag([1.0, 2.0])))
 
 
 def test_is_diophantine_pair_golden_vs_resonant():
@@ -144,7 +146,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         DiophantineParams(1.5, 1e-3, 0)
     with pytest.raises(ValueError):
-        DiophantineParams(0.5, 1e-3, 16).validate_for(2)
+        check_tau(0.5, 2)
 
 
 BOX = [(1.0, 2.0), (1.0, 2.0)]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kamrev.errors import ImaginaryResidue
-from kamrev.fourier import AngleShift, FourierSeries, fs_matmul, fs_mul, fs_stack, order1
+from kamrev.fourier import DUST_TOL, AngleShift, FourierSeries, fs_matmul, fs_mul, fs_stack, order1
 from kamrev.ftaylor import FourierTaylor
 from test_fourier_oracle import DIMS, ORDERS, SETTINGS, real_series
 
@@ -203,6 +203,36 @@ def test_fs_stack_adds_an_axis_like_numpy():
     for x in XS:
         assert np.allclose(st.eval(x), np.stack([a.eval(x), b.eval(x)], axis=-1),
                            atol=1e-13)
+
+
+def stacked_partials(s):
+    """The Jacobian as fs_stack of the partials deriv_x(j), each pruned against
+    its own largest mode: the reference for grad_x on a series."""
+    return fs_stack([s.deriv_x(j) for j in range(s.n)], axis=-1)
+
+
+@SETTINGS
+@given(data=st.data(), n=DIMS, d=st.integers(1, 3), order=ORDERS,
+       decades=st.sampled_from([0, 8, 16, 17, 18]))
+def test_grad_x_matches_the_stacked_partials(data, n, d, order, decades):
+    """grad_x prunes the Jacobian once, against its largest row.  With every
+    stored mode within 15 decades of the largest, as when the modes share a
+    scale, neither side prunes a nonzero entry and the two agree bit for bit.
+    Otherwise a row differs only by entries under the dust floor of one side,
+    each less than DUST_TOL times the majorant."""
+    s = data.draw(real_series(n, (d,), order))
+    s = s + data.draw(real_series(n, (d,), order)) * 10.0 ** -decades
+    got, want = s.grad_x(), stacked_partials(s)
+    assert got.shape == want.shape == (d, n)
+    assert got.trunc_loss == s.trunc_loss
+    if s.norms.min(initial=np.inf) >= 1e-15 * s.norms.max(initial=0.0):
+        np.testing.assert_array_equal(got.K, want.K)
+        np.testing.assert_array_equal(got.V, want.V)
+    else:
+        g, w = dict(got.coeffs), dict(want.coeffs)
+        modes, zero = set(g) | set(w), np.zeros((d, n))
+        gap = sum(np.abs(g.get(k, zero) - w.get(k, zero)).max() for k in modes)
+        assert gap <= DUST_TOL * len(modes) * max(got.majorant(), want.majorant())
 
 
 def test_angle_shift_constant_is_exact_phase():

@@ -174,8 +174,8 @@ def assert_product_matches_reference(product, reference, a, b):
     want, deg_loss, drop_loss, fourier_loss = reference(a, b)
     got_c, want_c = dict(got.coeffs), dict(want.coeffs)
     for alpha in set(got_c) | set(want_c):
-        g = got_c.get(alpha, FourierSeries.zero(got.n, got.shape, got.order))
-        w = want_c.get(alpha, FourierSeries.zero(got.n, got.shape, got.order))
+        g = got_c.get(alpha, FourierSeries(got.n, got.shape, got.order))
+        w = want_c.get(alpha, FourierSeries(got.n, got.shape, got.order))
         assert (g - w).majorant() <= 1e-14 * scale + drop_loss
     wide = product(widened(a, 2 * got.order), widened(b, 2 * got.order))
     assert wide.trunc_loss == pytest.approx(deg_loss, rel=1e-14, abs=0.0)
@@ -231,21 +231,12 @@ def test_eval_checks_every_term_against_its_own_majorant():
 def test_a_matrix_product_records_its_pairs_above_the_degree_c_times():
     # at degree 1 the degree-2 term is dropped; each of its entries sums three
     # products of ones in (2, 3) @ (3,), so its majorant is 3
-    A = FourierTaylor.build(2, 1, ORDER, 1, {(1,): np.ones((2, 3))})
-    b = FourierTaylor.build(2, 1, ORDER, 1, {(1,): np.ones(3)})
+    A = FourierTaylor(2, 1, (2, 3), ORDER, 1,
+                      {(1,): FourierSeries.constant(2, np.ones((2, 3)), ORDER)})
+    b = FourierTaylor(2, 1, (3,), ORDER, 1, {(1,): FourierSeries.constant(2, np.ones(3), ORDER)})
     p = ft_matmul(A, b)
     assert not len(p.V)
     assert p.trunc_loss == 3.0
-
-
-def test_build_accepts_plain_arrays():
-    F = FourierTaylor.build(N_ANGLE, Q, ORDER, DEGREE,
-                            {(1, 0, 0): np.array([2.0, 0.0]),
-                             (0, 0, 2): FourierSeries.cosine(
-                                 N_ANGLE, (1, 0), np.array([0.0, 1.0]), ORDER)})
-    for x, w in SAMPLES:
-        want = np.array([2.0 * w[0], np.cos(x[0]) * w[2] ** 2])
-        assert np.allclose(F.eval(x, w), want, atol=1e-13)
 
 
 def test_products_match_pointwise():
@@ -262,7 +253,8 @@ def test_products_match_pointwise():
 
 
 def test_product_degree_truncation_is_accounted():
-    one_w = FourierTaylor.build(N_ANGLE, Q, ORDER, 1, {(1, 0, 0): np.array(1.0)})
+    one_w = FourierTaylor(N_ANGLE, Q, (), ORDER, 1,
+                          {(1, 0, 0): FourierSeries.constant(N_ANGLE, np.array(1.0), ORDER)})
     p = ft_mul(one_w, one_w)  # degree-2 content in a degree-1 container
     assert p.majorant() == 0.0
     assert p.trunc_loss > 0.0
@@ -272,9 +264,8 @@ def test_series_matmul_fourier_truncation_is_accounted():
     top, mtop = (ORDER, 0), (-ORDER, 0)
     M = FourierSeries(N_ANGLE, (2, 2), ORDER, {top: np.eye(2) / 2, mtop: np.eye(2) / 2},
                       trunc_loss=0.25)  # cos(<top, x>) I, carrying an earlier loss
-    F = FourierTaylor.build(N_ANGLE, Q, ORDER, DEGREE,
-                            {(0, 1, 0): FourierSeries.cosine(N_ANGLE, top,
-                                                             np.ones(2), ORDER)})
+    F = FourierTaylor(N_ANGLE, Q, (2,), ORDER, DEGREE,
+                      {(0, 1, 0): FourierSeries.cosine(N_ANGLE, top, np.ones(2), ORDER)})
     p = ft_series_matmul(M, F)
     # cos^2 = 1/2 + cos(2<top, x>)/2: two modes of size 1/4 beyond ORDER
     assert p.trunc_loss == pytest.approx(0.25 + 2 * 0.25)

@@ -65,8 +65,8 @@ def test_conjugate_field_identity_shortcut():
     fam = small_family(1e-3)
     inst = fam.instantiate(OMEGA0, np.zeros(1), MU0)
     N, q = fam.order, fam.q
-    a = FourierSeries.zero(2, (2,), N)
-    W0 = FourierSeries.zero(2, (q,), N)
+    a = FourierSeries(2, (2,), N)
+    W0 = FourierSeries(2, (q,), N)
     W1 = FourierSeries.constant(2, np.eye(q), N)
     Xx, Xw = conjugate_field(inst.Xx, inst.Xw, a, W0, W1)
     assert Xx is inst.Xx and Xw is inst.Xw

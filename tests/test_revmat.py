@@ -231,14 +231,14 @@ def test_direct_sum_with_nonsingular_block_is_versal():
         assert rep.versal, (p, rep)
 
 
-DET_EXPECTED = {m: (-1) ** ((m - 1) * m // 2) for m in range(1, 7)}
+# the closed form, not numpy's det, which det_S itself is read from
+DET_EXPECTED = {m: (-1) ** ((m - 1) * m // 2) for m in range(1, 41)}
 
 
-@pytest.mark.parametrize("m", list(range(1, 7)))
+@pytest.mark.parametrize("m", list(range(1, 41)))
 def test_interleaving_frame_identities(m):
     nil = MiniversalNilpotent(m)
-    assert nil.det_S == DET_EXPECTED[m]
-    assert nil.det_S == round(np.linalg.det(nil.S))
+    assert type(nil.det_S) is int and nil.det_S == DET_EXPECTED[m]
     assert np.array_equal(nil.J_tilde @ nil.S, nil.S @ nil.J)  # exact integers
     rng = np.random.default_rng(m)
     for _ in range(20):

@@ -374,7 +374,7 @@ def test_check_transform_commutes_flags_even_shift():
     N = 8
     a_odd = FourierSeries.sine(2, (1, 0), np.array([0.01, 0.0]), N)
     a_even = FourierSeries.cosine(2, (1, 0), np.array([0.01, 0.0]), N)
-    W0 = FourierSeries.zero(2, (3,), N)
+    W0 = FourierSeries(2, (3,), N)
     W1 = FourierSeries.constant(2, np.eye(3), N)
     assert check_transform_commutes(a_odd, W0, W1, S) == []
     viol = check_transform_commutes(a_even, W0, W1, S)
@@ -385,8 +385,8 @@ def test_verify_torus_on_unperturbed_family():
     fam = make_golden_family(delta=0.0, order=8)
     inst = fam.instantiate(OMEGA0, np.zeros(1), MU0)
     N = 8
-    a = FourierSeries.zero(2, (2,), N)
-    W0 = FourierSeries.zero(2, (3,), N)
+    a = FourierSeries(2, (2,), N)
+    W0 = FourierSeries(2, (3,), N)
     W1 = FourierSeries.constant(2, np.eye(3), N)
     dev, rot_err = verify_torus(inst, a, W0, W1, OMEGA0, T=20.0, samples=41)
     assert dev < 1e-9
