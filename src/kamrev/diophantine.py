@@ -8,9 +8,15 @@ of the normal spectrum:
 for all integer k != 0 up to a horizon and all integer K with |K| <= 2.
 Only a finite horizon is ever checked; downstream solvers need divisors
 only up to twice the Fourier truncation order.
+
+The scan does not form every divisor.  For each prefix (k_1..k_{n-1}) of the
+modes and each K it evaluates only the three last entries that can hold the
+minimum (see _scan_block), so a sample costs O(kmax^(n-1)), not O(kmax^n).
 """
 from __future__ import annotations
 
+import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,12 +27,16 @@ from .errors import UnpairedSpectrum
 from .fourier import _l1_ball
 from .revmat import RevMatrix
 
-# Fixed chunk schedule so the Monte-Carlo fraction is reproducible for a
-# given seed regardless of how many workers execute the chunks.
+# Fixed sampling schedule: MEASURE_CHUNKS independently seeded streams, so the
+# Monte-Carlo fraction for a seed does not depend on the thread count.
 MEASURE_CHUNKS = 64
-# Sample rows the divisor kernel scans at once; bounds its (rows, modes)
-# temporaries (0.3 MB each for two frequencies at kmax 16).
+# Sample rows of one divisor-scan task; complement_measure_estimate spreads
+# its joined samples over its threads in blocks of this many rows.
 SCAN_ROWS = 128
+# Candidate divisors the kernel forms at once, three per (shift, prefix, row):
+# 1.5 MB of buffers per thread.  At half this a divisors benchmark pass took
+# 1.4 times as long; at twice this, about as long.
+SCAN_VALUES = 65536
 SPECTRUM_TOL = 1e-9  # eigenvalue parts below this times the spectral radius are 0
 
 
@@ -152,31 +162,92 @@ def _sample_box(box, count, rng):
 
 @lru_cache(maxsize=8)
 def _divisor_table(n, n_beta, tau, kmax):
+    """The horizon's modes, their weights |k|_1^tau and the normal shifts; then
+    per prefix p = (k_1..k_{n-1}) of the modes, in order: p, and as columns
+    the range lo..hi of its last entries j, the j in it nearest 0 and the
+    base that makes base + j the mode's index."""
     modes = enumerate_modes(n, kmax)
-    return modes, np.abs(modes).sum(axis=1).astype(float) ** tau, normal_shifts(n_beta)
+    _, start = np.unique(modes[:, :-1], axis=0, return_index=True)
+    lo, hi = modes[start, -1], modes[np.append(start[1:], len(modes)) - 1, -1]
+    cols = [x.astype(float)[:, None] for x in (lo, hi, np.clip(0, lo, hi), start - lo)]
+    return (modes, np.abs(modes).sum(axis=1).astype(float) ** tau, normal_shifts(n_beta),
+            modes[start, :-1], *cols)
+
+
+def _dots(V, X):
+    """(len(V), len(X)) inner products of the rows of V and X, summed left to
+    right elementwise, so a row of X gets the same bits in any block."""
+    out = np.zeros((len(V), len(X)))
+    for i in range(X.shape[1]):
+        out += V[:, i, None] * X[:, i]
+    return out
+
+
+_scratch = threading.local()
+
+
+def _buffers(shape):
+    """Two float arrays and one index array of `shape`, views of buffers that
+    each thread keeps, up to SCAN_VALUES values, and reuses block after block:
+    fresh ones cost a page fault per 4 kB in a worker thread, 25,000 per
+    benchmark pass."""
+    size = math.prod(shape)
+    bufs = getattr(_scratch, "bufs", ())
+    if not bufs or len(bufs[0]) < size:
+        bufs = (np.empty(size), np.empty(size), np.empty(size, dtype=np.intp))
+        if size <= SCAN_VALUES:
+            _scratch.bufs = bufs
+    return [buf[:size].reshape(shape) for buf in bufs]
+
+
+def _scan_block(W, B, table):
+    """_min_divisors over a block of rows, laid out (candidate, shift, prefix,
+    row).  Let j* be the root of <p,w'> + j w_n + <K,b>.  Past j*, or from j0
+    away from it, the divisor and the weight (|p|_1 + |j|)^tau both grow; in
+    between their product has a concave log, so a prefix's minimum is at j0,
+    floor j* or ceil j*, clipped to lo..hi.  When w_n = 0 no j moves the
+    divisor: j0 holds the minimum, or lo when it is 0, as 0/0 clips to lo."""
+    modes, weights, shifts, prefixes, lo, hi, j0, base = table
+    rows, w_n = len(W), W[:, -1]
+    J, vals, index = _buffers((3, len(shifts), len(prefixes), rows))
+    dot_p = _dots(prefixes, W[:, :-1])                      # (prefix, row)
+    dot_K = _dots(shifts, B)[:, None]                       # (shift, 1, row)
+    root = np.add(dot_p, dot_K, out=vals[0])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(root, -w_n, out=root)
+    np.minimum(np.fmax(root, lo, out=root), hi, out=root)
+    J[0] = j0
+    np.floor(root, out=J[1])
+    np.ceil(root, out=J[2])
+    np.multiply(J, w_n, out=vals)
+    vals += dot_p
+    if B.shape[1]:                                          # else dot_K is 0
+        vals += dot_K
+    np.abs(vals, out=vals)
+    np.add(J, base, out=index, casting="unsafe")            # mode indices
+    vals *= weights.take(index, out=J, mode="clip")
+    # first minimum in (shift, prefix) order, then the lowest mode index
+    cell = vals.min(axis=0).reshape(-1, rows).argmin(axis=0)
+    at = cell * rows + np.arange(rows)
+    cand = vals.reshape(3, -1)[:, at]
+    best = cand.min(axis=0)
+    mode = np.where(cand == best, index.reshape(3, -1)[:, at], len(modes)).min(axis=0)
+    return best, modes[mode], shifts[cell // len(prefixes)]
 
 
 def _min_divisors(W, B, tau, kmax):
     """Per sample row of W (S, n) and B (S, p): the minimum over the horizon
     of |<k,w> + <K,b>| * |k|_1^tau, and the k (S, n) and K (S, p) where it is
     met -- the first strict minimum in normal_shifts order, then the first in
-    enumerate_modes order."""
-    modes, weights, shifts = _divisor_table(W.shape[1], B.shape[1], tau, kmax)
-    best = np.full(len(W), np.inf)
-    at_k, at_K = np.zeros((2, len(W)), dtype=np.int64)
-    for lo in range(0, len(W), SCAN_ROWS):
-        block = slice(lo, lo + SCAN_ROWS)
-        low, ik, iK = best[block], at_k[block], at_K[block]     # views
-        # (M, rows) product, transposed so each row's modes are contiguous
-        dots = np.ascontiguousarray((modes @ W[block].T).T)
-        for j, K in enumerate(shifts):
-            vals = dots + (B[block] @ K)[:, None]
-            vals = np.multiply(np.abs(vals, out=vals), weights, out=vals)
-            i = vals.argmin(axis=1)
-            v = np.take_along_axis(vals, i[:, None], axis=1)[:, 0]
-            better = v < low
-            low[better], ik[better], iK[better] = v[better], i[better], j
-    return best, modes[at_k], shifts[at_K]
+    enumerate_modes order.  Each row is scanned elementwise, on its own, so
+    its outputs do not depend on the rows it is blocked with."""
+    table = _divisor_table(W.shape[1], B.shape[1], tau, kmax)
+    shifts, prefixes = table[2:4]
+    cap = max(1, SCAN_VALUES // (3 * len(shifts) * len(prefixes)))        # rows
+    step = -(-len(W) // -(-len(W) // cap))                  # equal blocks
+    parts = [_scan_block(W[lo:lo + step], B[lo:lo + step], table)
+             for lo in range(0, len(W), step)]
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
 def scan_divisors(omega, beta, tau: float, kmax: int):
@@ -208,10 +279,11 @@ def complement_measure_estimate(box_omega, box_beta, tau: float, gammas,
     """Monte-Carlo fraction of the box where the pair condition fails, one
     per gamma of ``gammas`` in the given order.
 
-    The sample schedule is split into MEASURE_CHUNKS independently seeded
-    chunks; the result is identical for any worker count.  Each chunk scans
-    its divisors once and compares the minima with every gamma, so one scan
-    serves all the gammas.
+    The samples are drawn from MEASURE_CHUNKS independently seeded streams
+    and joined; their divisors are scanned once, in SCAN_ROWS-row blocks
+    spread over the workers, and the minima are compared with every gamma,
+    so one scan serves all the gammas.  The result is identical for any
+    worker count.
     """
     box_omega = [tuple(map(float, iv)) for iv in box_omega]
     box_beta = [tuple(map(float, iv)) for iv in box_beta]
@@ -219,19 +291,17 @@ def complement_measure_estimate(box_omega, box_beta, tau: float, gammas,
     gammas = np.asarray(gammas, dtype=float)
     if np.any(gammas < 0):
         raise ValueError("gamma must be nonnegative")
-    sizes = [sample_count // MEASURE_CHUNKS] * MEASURE_CHUNKS
-    for i in range(sample_count % MEASURE_CHUNKS):
-        sizes[i] += 1
-    children = np.random.SeedSequence(seed).spawn(MEASURE_CHUNKS)
+    sizes = [sample_count // MEASURE_CHUNKS + (i < sample_count % MEASURE_CHUNKS)
+             for i in range(MEASURE_CHUNKS)]
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(MEASURE_CHUNKS)]
+    # each stream draws its omegas, then its betas
+    W = np.concatenate([_sample_box(box_omega, size, rng) for size, rng in zip(sizes, rngs)])
+    B = np.concatenate([_sample_box(box_beta, size, rng) for size, rng in zip(sizes, rngs)])
 
-    def run_chunk(args):
-        size, child = args
-        rng = np.random.default_rng(child)
-        W = _sample_box(box_omega, size, rng)
-        B = _sample_box(box_beta, size, rng)
-        minima, _, _ = _min_divisors(W, B, tau, kmax)
-        return np.sum(minima[:, None] < gammas, axis=0)
+    def scan(lo):
+        return _min_divisors(W[lo:lo + SCAN_ROWS], B[lo:lo + SCAN_ROWS], tau, kmax)[0]
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        violated = sum(pool.map(run_chunk, zip(sizes, children)))
+        minima = np.concatenate(list(pool.map(scan, range(0, sample_count, SCAN_ROWS))))
+    violated = np.sum(minima[:, None] < gammas, axis=0)
     return [int(v) / float(sample_count) for v in violated]

@@ -145,7 +145,7 @@ def kernel_condition(Q: RevMatrix) -> KernelReport:
     N = inv.dim
     U, s, Vt = np.linalg.svd(Q.Q)
     smax = s[0] if len(s) else 0.0
-    ker = Vt[s <= RANK_RTOL * max(smax, 1e-300)].T if len(s) else np.eye(N)
+    ker = Vt[s <= RANK_RTOL * smax].T if len(s) else np.eye(N)
     if smax == 0.0:
         ker = np.eye(N)
     kdim = ker.shape[1]

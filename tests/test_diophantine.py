@@ -1,13 +1,16 @@
 """Mode enumeration, spectrum census, and the coupled small-divisor scan.
 
-Oracle for the scan: a plain double loop over itertools-enumerated modes.
+Oracles for the scan: a plain double loop over itertools-enumerated modes,
+and the full scan over every mode and shift that the prefix kernel replaced.
 """
 import itertools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kamrev import diophantine
 from kamrev.diophantine import (DiophantineParams, check_tau, complement_measure_estimate,
                                 classify_spectrum, enumerate_modes,
                                 is_diophantine_pair, normal_shifts, scan_divisors)
@@ -70,6 +73,8 @@ def test_scan_divisors_against_double_loop():
     ([1.0, 2.0], []),                      # exact resonances: ties at zero
     ([1.0, 2.0], [0.5]),
     ([1.0, GOLDEN, np.sqrt(2.0)], [0.3, 0.7]),
+    ([1.0, -0.5], [0.25]),                 # a negative frequency
+    ([1.0, 0.0], [0.5]),                   # last entry 0: the first j of k = (1, j) ties
 ])
 def test_scan_divisors_worst_modes_are_first_strict_minimum(omega, beta):
     """The reported (k, K) is the double loop's first strict minimum: shifts
@@ -87,8 +92,54 @@ def test_scan_divisors_worst_modes_are_first_strict_minimum(omega, beta):
     assert np.isclose(best, want, rtol=1e-12, atol=1e-15)
 
 
+def full_scan(omega, beta, tau, kmax):
+    """Every divisor |<k,omega> + <K,beta>| * |k|_1^tau of the horizon, flat in
+    (normal_shifts, enumerate_modes) order: the scan before the prefix kernel."""
+    modes, shifts = enumerate_modes(len(omega), kmax), normal_shifts(len(beta))
+    weights = np.abs(modes).sum(axis=1).astype(float) ** tau
+    return (np.abs((modes @ omega)[None, :] + (shifts @ beta)[:, None]) * weights).ravel()
+
+
+# zeros, negatives and exact dyadic values make divisors vanish and tie
+# exactly; thirds and other inexact rationals make them tie within rounding
+COORDS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, -1.5, 2.0, 0.75]),
+                   st.fractions(-3, 3, max_denominator=12).map(float),
+                   st.floats(-3, 3, allow_subnormal=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2), st.integers(1, 30), st.floats(0.5, 4.0),
+       st.integers(1, 3), st.data())
+def test_prefix_scan_agrees_with_the_full_scan(n, p, kmax, tau, rows, data):
+    W = np.reshape(data.draw(st.lists(COORDS, min_size=rows * n, max_size=rows * n)), (rows, n))
+    B = np.reshape(data.draw(st.lists(COORDS, min_size=rows * p, max_size=rows * p)), (rows, p))
+    best, at_k, at_K = diophantine._min_divisors(W, B, tau, kmax)
+    modes, shifts = enumerate_modes(n, kmax), normal_shifts(p)
+    for r in range(rows):
+        vals = full_scan(W[r], B[r], tau, kmax)
+
+        def scale(f):
+            """(sum |k_i w_i| + sum |K_i b_i|) |k|_1^tau at flat index f."""
+            k, K = modes[f % len(modes)], shifts[f // len(modes)]
+            return (np.abs(k) @ np.abs(W[r]) + np.abs(K) @ np.abs(B[r])) * np.abs(k).sum() ** tau
+
+        first = int(np.argmin(vals))
+        ours = (np.flatnonzero((shifts == at_K[r]).all(axis=1))[0] * len(modes)
+                + np.flatnonzero((modes == at_k[r]).all(axis=1))[0])
+        bound = 4 * np.spacing(max(scale(first), scale(ours)))
+        assert abs(best[r] - vals[first]) <= bound
+        # the argmins differ only where rounding can reorder the two divisors
+        assert ours == first or vals[ours] - vals[first] <= bound
+    # a row scanned alone gives the bits it gets inside blocks of 7 and SCAN_ROWS rows
+    alone = [diophantine._min_divisors(W[r:r + 1], B[r:r + 1], tau, kmax) for r in range(rows)]
+    for size in (7, diophantine.SCAN_ROWS):
+        tiled = np.arange(size) % rows
+        block = diophantine._min_divisors(W[tiled], B[tiled], tau, kmax)
+        for r in range(rows):
+            assert all(a.tobytes() == b[r:r + 1].tobytes() for a, b in zip(alone[r], block))
+
+
 def test_divisor_row_blocks_do_not_change_results(monkeypatch):
-    from kamrev import diophantine
     kw = dict(tau=1.5, gammas=[0.05], sample_count=900, kmax=8, seed=5)
     whole = complement_measure_estimate(BOX, [(0.5, 1.5)], **kw)
     monkeypatch.setattr(diophantine, "SCAN_ROWS", 4)
@@ -204,18 +255,27 @@ def test_one_measure_call_serves_every_gamma_bit_for_bit(box_beta, workers):
     assert len(set(got)) == 4 and all(type(f) is float for f in got)
 
 
-def test_measure_estimate_scans_each_chunk_once(monkeypatch):
-    from kamrev import diophantine
-    scans = []
+def test_measure_estimate_scans_each_sample_once(monkeypatch):
+    """Every drawn sample reaches the kernel exactly once on two threads, and
+    four gammas cost no more rows than one: one scan serves them all."""
+    scanned = []
     real = diophantine._min_divisors
 
-    def counted(W, B, tau, kmax):
-        scans.append(len(W))
+    def recorded(W, B, tau, kmax):
+        scanned.append(W.copy())
         return real(W, B, tau, kmax)
 
-    monkeypatch.setattr(diophantine, "_min_divisors", counted)
-    complement_measure_estimate(BOX, [], 1.5, [0.01, 0.02, 0.04, 0.08], 300, 6, seed=1)
-    assert len(scans) == diophantine.MEASURE_CHUNKS and sum(scans) == 300
+    monkeypatch.setattr(diophantine, "_min_divisors", recorded)
+    complement_measure_estimate(BOX, [], 1.5, [0.01, 0.02, 0.04, 0.08], 300, 6, seed=1,
+                                workers=2)
+    drawn = []
+    for i, child in enumerate(np.random.SeedSequence(1).spawn(diophantine.MEASURE_CHUNKS)):
+        size = 300 // diophantine.MEASURE_CHUNKS + (i < 300 % diophantine.MEASURE_CHUNKS)
+        rng = np.random.default_rng(child)
+        drawn.append(np.column_stack([rng.uniform(lo, hi, size) for lo, hi in BOX]))
+    got, drawn = np.concatenate(scanned), np.concatenate(drawn)
+    assert got.shape == drawn.shape == (300, 2)
+    assert np.array_equal(got[np.lexsort(got.T)], drawn[np.lexsort(drawn.T)])
 
 
 def test_measure_estimate_of_the_readme_example():

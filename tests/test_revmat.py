@@ -112,6 +112,16 @@ def test_kernel_condition_null_space_spans_what_scipy_finds(frame, data):
     assert kernel_condition(RevMatrix(Q, inv)).ok == (np.count_nonzero(sv[1] > 1e-6) == dp)
 
 
+def test_kernel_condition_counts_a_subnormal_kernel_on_the_matrix_scale():
+    """The draw A = [[0]], B = [[2.225073858507e-311]] on the frame (2, 1,
+    P = I), dead 0: B has full rank on Q's own scale, so ker Q is one
+    direction and misses Fix R, however small Q is."""
+    inv = InvolutionStructure(np.diag([1.0, -1.0]))
+    Q = np.array([[0.0, 0.0], [2.225073858507e-311, 0.0]])
+    report = kernel_condition(RevMatrix(Q, inv))
+    assert report.ok and report.kernel_dim == 1
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_matrices_are_refused(bad):
