@@ -139,15 +139,15 @@ class NormalizationResult:
 
 class _Setup(NamedTuple):
     """What every sweep of one normalization shares: the base point, the limit
-    matrix Q and its reversible form, the Diophantine bound, the unfolding
-    directions and the targets of the residual."""
+    matrix Q and its reversible form, the Diophantine bound, the versal solve's
+    gl_plus basis and columns, and the targets of the residual."""
     omega0: np.ndarray
     mu0: np.ndarray
     Q: np.ndarray
     Qrev: RevMatrix | None
     dioph: DiophantineParams
-    directions: list
     plus_basis: list
+    versal_cols: np.ndarray | None
     omega_const: FourierSeries
     target_lin: FourierSeries
 
@@ -189,7 +189,7 @@ def _solve_sweep(family, inst, Xx, Xw, res: _Residual, ctx: _Setup,
     n, m, q, s = family.n, family.m, family.q, family.s
     d = family.d
     N, D = family.order, family.degree
-    omega0, Q, Qrev, dioph = ctx.omega0, ctx.Q, ctx.Qrev, ctx.dioph
+    omega0, Qrev, dioph = ctx.omega0, ctx.Qrev, ctx.dioph
 
     r_y0 = res.r_w0.map_stack(lambda V: V[:, :m])
     r_z0 = res.r_w0.map_stack(lambda V: V[:, m:])
@@ -247,16 +247,9 @@ def _solve_sweep(family, inst, Xx, Xw, res: _Residual, ctx: _Setup,
             gap /= float(np.linalg.norm(M0r))
             diagnostics["zero_block_parity_gap"] = max(
                 diagnostics.get("zero_block_parity_gap", 0.0), gap)
-        plus_basis = ctx.plus_basis
-        cols = [(P @ Q - Q @ P).ravel() for P in plus_basis]
-        cols += [-np.asarray(Dj, dtype=float).ravel() for Dj in ctx.directions]
-        if cols:
-            A = np.stack(cols, axis=1)
-            sol, *_ = np.linalg.lstsq(A, M0r.ravel(), rcond=None)
-            resid = float(np.linalg.norm(A @ sol - M0r.ravel()))
-        else:
-            sol = np.zeros(0)
-            resid = float(np.linalg.norm(M0r))
+        plus_basis, A = ctx.plus_basis, ctx.versal_cols
+        sol, *_ = np.linalg.lstsq(A, M0r.ravel(), rcond=None)
+        resid = float(np.linalg.norm(A @ sol - M0r.ravel()))
         if resid > config.versal_tol * (1.0 + float(np.linalg.norm(M0r))):
             raise VersalObstruction(
                 f"zero-mode z-block off the orbit + unfolding span by {resid:.3e}")
@@ -293,14 +286,18 @@ def _setup(family, omega0, mu0, config) -> _Setup:
     report = is_diophantine_pair(omega0, Qrev, dioph)
     if not report.holds:
         raise SmallDivisor(report.worst_k, report.margin + config.gamma, config.gamma)
-    directions = family.unfolding_directions(omega0, mu0)
-    plus_basis = family.inv.gl_plus_basis() if family.d else []
+    plus_basis, versal_cols = [], None
+    if family.d:
+        plus_basis = family.inv.gl_plus_basis()   # non-empty, since d > 0
+        versal_cols = np.stack([(P @ Q - Q @ P).ravel() for P in plus_basis]
+                               + [-D.ravel() for D in family.unfolding_directions(omega0, mu0)],
+                               axis=1)
     omega_const = FourierSeries.constant(family.n, omega0, family.order)
     T = np.zeros((family.q, family.q))
     if Q.size:
         T[family.m:, family.m:] = Q
     target_lin = FourierSeries.constant(family.n, T, family.order)
-    return _Setup(omega0, mu0, Q, Qrev, dioph, directions, plus_basis,
+    return _Setup(omega0, mu0, Q, Qrev, dioph, plus_basis, versal_cols,
                   omega_const, target_lin)
 
 

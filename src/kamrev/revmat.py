@@ -22,17 +22,20 @@ def _norm(a) -> float:
     return float(np.linalg.norm(a))
 
 
-def _orth(A, rcond=1e-10):
-    """Orthonormal columns spanning the range of A: scipy's orth rule, floored at
-    rcond since a nonzero projector has singular values of 1 or more."""
+def numerical_rank(s, scale=None) -> int:
+    """The numerical rank of a matrix with singular values s: the count above
+    RANK_RTOL times scale, by default the largest of them, so a zero matrix
+    has rank 0 however small the others are."""
+    scale = s.max(initial=0.0) if scale is None else scale
+    return int(np.count_nonzero(s > RANK_RTOL * scale))
+
+
+def _orth(A):
+    """Orthonormal columns spanning the range of a projector A, judged on the
+    scale of 1: a nonzero projector has singular values of 1 or more, and a
+    zero one only rounding noise."""
     u, s, _ = np.linalg.svd(A, full_matrices=False)
-    return u[:, :np.count_nonzero(s > rcond * max(1.0, s.max(initial=0.0)))]
-
-
-def _null_space(A, rcond):
-    """Orthonormal columns spanning the null space of A (scipy's null_space rule)."""
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
-    return vh[np.count_nonzero(s > rcond * s.max()):].T
+    return u[:, :numerical_rank(s, 1.0)]
 
 
 class InvolutionStructure:
@@ -140,30 +143,18 @@ class KernelReport:
 
 
 def kernel_condition(Q: RevMatrix) -> KernelReport:
-    """Check ker Q intersects Fix R trivially; equivalently Q: Fix R -> Fix(-R) onto."""
+    """Whether ker Q meets Fix R trivially (Q one-to-one on Fix R) and whether Q
+    maps Fix R onto Fix(-R), both read off the rank of Q on Fix R at Q's scale.
+    A violation comes with the unit vector of Fix R that Q shrinks most."""
     inv = Q.inv
-    N = inv.dim
-    U, s, Vt = np.linalg.svd(Q.Q)
-    smax = s[0] if len(s) else 0.0
-    ker = Vt[s <= RANK_RTOL * smax].T if len(s) else np.eye(N)
-    if smax == 0.0:
-        ker = np.eye(N)
-    kdim = ker.shape[1]
-    # Onto-ness of the restriction, computed independently of the kernel.
-    restricted = Q.Q @ inv.fix_plus
-    rank_restricted = np.linalg.matrix_rank(restricted, tol=RANK_RTOL * max(smax, 1.0))
-    epi = rank_restricted == inv.dim_minus
-    if kdim == 0:
-        return KernelReport(True, None, epi, 0)
-    # Intersection of span(ker) with span(fix_plus): nontrivial iff the stacked
-    # system ker a = fix_plus b has a nonzero solution.
-    C = np.hstack([ker, -inv.fix_plus])
-    null = _null_space(C, RANK_RTOL)
-    for col in null.T:
-        v = ker @ col[:kdim]
-        if _norm(v) > RANK_RTOL * 10:
-            return KernelReport(False, v / _norm(v), epi, kdim)
-    return KernelReport(True, None, epi, kdim)
+    s = np.linalg.svd(Q.Q, compute_uv=False)
+    _, s_fix, vt = np.linalg.svd(Q.Q @ inv.fix_plus)
+    rank = numerical_rank(s_fix, s.max(initial=0.0))
+    epi = rank == inv.dim_minus
+    kdim = inv.dim - numerical_rank(s)
+    if rank == inv.dim_plus:
+        return KernelReport(True, None, epi, kdim)
+    return KernelReport(False, inv.fix_plus @ vt[-1], epi, kdim)
 
 
 def solve_fix_range(Q: RevMatrix, psi):
@@ -194,8 +185,7 @@ def orbit_tangent(Q: RevMatrix):
     plus = inv.gl_plus_basis()
     cols = np.stack([(A @ Q.Q - Q.Q @ A).ravel() for A in plus], axis=1)
     U, s, _ = np.linalg.svd(cols, full_matrices=False)
-    smax = s[0] if len(s) else 0.0
-    rank = int(np.sum(s > RANK_RTOL * max(smax, 1e-300)))
+    rank = numerical_rank(s)
     basis = [U[:, i].reshape(Q.Q.shape) for i in range(rank)]
     codim = inv.gl_minus_dim() - rank
     return basis, codim
@@ -214,14 +204,11 @@ def is_versal(unfolding: Unfolding) -> VersalityReport:
     Q = unfolding.base
     inv = Q.inv
     orbit, codim = orbit_tangent(Q)
-    cols = [B.ravel() for B in orbit] + [np.asarray(D, dtype=float).ravel()
-                                         for D in unfolding.directions]
+    rows = [np.ravel(B) for B in (*orbit, *unfolding.directions)]
     target = inv.gl_minus_dim()
-    if cols:
-        M = np.stack(cols, axis=1)
-        rank = np.linalg.matrix_rank(M, tol=RANK_RTOL * max(_norm(M), 1.0))
-    else:
-        rank = 0
+    # one row per spanning matrix; with none, a 0 x N^2 matrix of rank 0
+    M = np.reshape(np.array(rows, dtype=float), (len(rows), inv.dim ** 2))
+    rank = numerical_rank(np.linalg.svd(M, compute_uv=False))
     versal = rank == target
     mini = versal and len(unfolding.directions) == codim
     return VersalityReport(versal, mini, codim, target - rank)

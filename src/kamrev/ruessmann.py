@@ -24,7 +24,7 @@ from .diophantine import (DiophantineParams, _min_divisors, _sample_box, check_t
                           is_diophantine_pair)
 from .errors import ImplicitSolveFailure, KamrevError
 from .normalizer import NormalizerConfig, normalize
-from .revmat import RANK_RTOL, RevMatrix
+from .revmat import RevMatrix, numerical_rank
 from .revsystem import ReversibleFamily, verify_torus
 
 # outer identification steps per grid point, and the residual that ends them
@@ -113,8 +113,8 @@ def is_ruessmann_nondegenerate(curve: FrequencyCurve, sample_count: int,
     rng = np.random.default_rng(seed)
     mus = _sample_box(curve.box, sample_count, rng)
     V = curve.at(mus).T                                      # (n, samples)
-    U, sv, _ = np.linalg.svd(V, full_matrices=True)
-    rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size and sv[0] > 0 else 0
+    U, sv, _ = np.linalg.svd(V, full_matrices=False)         # U is n x n
+    rank = numerical_rank(sv)
     if rank == curve.n:
         return NondegeneracyReport(True, rank, None, sv)
     return NondegeneracyReport(False, rank, U[:, -1], sv)

@@ -102,7 +102,7 @@ def test_normalize_and_versal_check_leave_scipy_unloaded(tmp_path):
     normalize = {"family": make_golden_family(delta=1e-4, order=8).to_json(),
                  "omega0": [1.0, GOLDEN], "mu0": [0.04],
                  "tau": 1.5, "gamma": 5e-3, "horizon": 16, "tol": 1e-11}
-    # ker Q meets Fix R, so kernel_condition takes its null-space branch
+    # ker Q meets Fix R, so kernel_condition returns a witness vector
     versal = {"Q": [[0.0, 1.0], [0.0, 0.0]], "R": [[1.0, 0.0], [0.0, -1.0]],
               "directions": [[[0.0, 0.0], [1.0, 0.0]]]}
     argv = []

@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import MU0, OMEGA0, make_golden_family
 from kamrev.errors import NotAntiInvariant, NotInvolutive, Obstruction
 from kamrev.revmat import (RANK_RTOL, InvolutionStructure, MiniversalNilpotent,
-                           RevMatrix, Unfolding, _null_space, is_versal,
-                           kernel_condition, orbit_tangent, solve_fix_range)
+                           RevMatrix, Unfolding, is_versal, kernel_condition,
+                           orbit_tangent, solve_fix_range)
 
 
 def in_fix_plus(inv, v, tol=1e-10):
@@ -84,32 +84,72 @@ def test_eigenspace_bases_of_drawn_involutions(frame):
                                atol=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
-@given(frames(), st.data())
-def test_kernel_condition_null_space_spans_what_scipy_finds(frame, data):
+def drawn_reversible(frame, data):
+    """An involution R = P D P^-1 and a Q anti-commuting with it, which maps
+    Fix R to Fix(-R) by B and back by A; its first `dead` Fix R directions lie
+    in ker Q.  Returns (inv, Q, B)."""
     N, dp, P = frame
     dm = N - dp
-    assume(dp and dm)
     inv = InvolutionStructure(P @ np.diag([1.0] * dp + [-1.0] * dm) @ np.linalg.inv(P))
-    # Q maps Fix R to Fix(-R) and back; its first `dead` Fix R directions lie in ker Q
     dead = data.draw(st.integers(0, dp))
     A, B = (np.reshape(data.draw(st.lists(st.floats(-1, 1), min_size=r * c, max_size=r * c)),
                        (r, c)) for r, c in ((dp, dm), (dm, dp)))
     B[:, :dead] = 0.0
     Q = P @ np.block([[np.zeros((dp, dp)), A], [B, np.zeros((dm, dm))]]) @ np.linalg.inv(P)
+    return inv, Q, B
+
+
+def clear_of_threshold(*pairs):
+    """Each matrix's singular values, over its scale, are far from the rank
+    threshold: a decision near it could go either way on another LAPACK build."""
+    return all(np.all((s < 1e-12) | (s > 1e-6)) for s in
+               (np.linalg.svd(M, compute_uv=False) / np.linalg.norm(S, 2) for M, S in pairs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(frames(), st.data())
+def test_kernel_condition_agrees_with_scipy_null_spaces(frame, data):
+    N, dp, P = frame
+    assume(dp and N - dp)
+    inv, Q, B = drawn_reversible(frame, data)
     assume(np.linalg.norm(Q, 2) > 0)  # the rank decisions below are made on Q's scale
     ker = scipy.linalg.null_space(Q, rcond=RANK_RTOL)
     C = np.hstack([ker, -inv.fix_plus])
-    # a rank decision near its tolerance could go either way on another LAPACK
-    # build; B's is made on Q's scale, as kernel_condition makes it
-    sv = [np.linalg.svd(M, compute_uv=False) / np.linalg.norm(S, 2)
-          for M, S in ((Q, Q), (B, Q), (C, C))]
-    assume(ker.shape[1] and all(np.all((s < 1e-12) | (s > 1e-6)) for s in sv))
-    ours, theirs = _null_space(C, RANK_RTOL), scipy.linalg.null_space(C, rcond=RANK_RTOL)
-    assert ours.shape == theirs.shape
-    assert np.allclose(_projector(ours), _projector(theirs), atol=1e-10)
-    # ker Q meets Fix R = P (R^dp x 0) exactly where B has a kernel
-    assert kernel_condition(RevMatrix(Q, inv)).ok == (np.count_nonzero(sv[1] > 1e-6) == dp)
+    assume(clear_of_threshold((Q, Q), (Q @ inv.fix_plus, Q), (B, Q), (C, C)))
+    report = kernel_condition(RevMatrix(Q, inv))
+    # ker Q meets Fix R nontrivially exactly when [ker Q | -fix_plus] has a null space
+    assert report.ok == (scipy.linalg.null_space(C, rcond=RANK_RTOL).shape[1] == 0)
+    assert report.kernel_dim == ker.shape[1]
+    # in the frame P, Q restricted to Fix R is B: one-to-one or onto as B is
+    rank_B = np.count_nonzero(np.linalg.svd(B, compute_uv=False) > 1e-6 * np.linalg.norm(Q, 2))
+    assert report.ok == (rank_B == dp) and report.epimorphism == (rank_B == N - dp)
+    if not report.ok:
+        v = report.violation
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12 and in_fix_plus(inv, v)
+        assert np.linalg.norm(Q @ v) <= RANK_RTOL * np.linalg.norm(Q, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frames(), st.data())
+def test_rank_decisions_do_not_depend_on_the_scale_of_q(frame, data):
+    """kernel_condition and orbit_tangent judge rank on Q's own scale, so a
+    power-of-two multiple of Q gets the same answers, however small or large."""
+    N, dp, P = frame
+    assume(dp and N - dp)
+    inv, Q, _ = drawn_reversible(frame, data)
+    # c Q then keeps its largest entries normal for every c below
+    assume(np.linalg.norm(Q, 2) > 2.0 ** -20)
+    orbit = np.stack([(E @ Q - Q @ E).ravel() for E in inv.gl_plus_basis()], axis=1)
+    assume(clear_of_threshold((Q, Q), (Q @ inv.fix_plus, Q), (orbit, orbit)))
+
+    def decisions(c):
+        Qc = RevMatrix(c * Q, inv)
+        report = kernel_condition(Qc)
+        return report.ok, report.epimorphism, report.kernel_dim, orbit_tangent(Qc)[1]
+
+    reference = decisions(1.0)
+    for c in (2.0 ** -1000, 2.0 ** -500, 2.0 ** 500):
+        assert decisions(c) == reference, c
 
 
 def test_kernel_condition_counts_a_subnormal_kernel_on_the_matrix_scale():
@@ -120,6 +160,20 @@ def test_kernel_condition_counts_a_subnormal_kernel_on_the_matrix_scale():
     Q = np.array([[0.0, 0.0], [2.225073858507e-311, 0.0]])
     report = kernel_condition(RevMatrix(Q, inv))
     assert report.ok and report.kernel_dim == 1
+
+
+def test_kernel_condition_reads_a_small_q_on_its_own_scale():
+    """Q = 1e-12 [[0, 1], [1, 0]] maps Fix R one-to-one onto Fix(-R), each of
+    dimension 1, however small it is."""
+    report = kernel_condition(RevMatrix(1e-12 * np.array([[0.0, 1.0], [1.0, 0.0]]), block_inv(1)))
+    assert report.ok and report.epimorphism and report.kernel_dim == 0
+
+
+def test_orbit_codim_of_a_subnormal_q_is_read_on_its_own_scale():
+    """The orbit of Q = 2.225073858507e-311 [[0, 1], [2, 0]] under R = diag(1, -1)
+    has codimension 1 in gl_minus, as it has for [[0, 1], [2, 0]] itself."""
+    Q = 2.225073858507e-311 * np.array([[0.0, 1.0], [2.0, 0.0]])
+    assert orbit_tangent(RevMatrix(Q, block_inv(1)))[1] == 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

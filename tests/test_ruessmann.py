@@ -7,6 +7,7 @@ import dataclasses
 import itertools
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,22 @@ def test_degenerate_curves_produce_a_normal():
     assert abs(np.dot(rep2.normal, [1.0, 2.0])) < 1e-9
     with pytest.raises(ValueError):
         is_ruessmann_nondegenerate(const, 1)
+
+
+def test_nondegeneracy_memory_does_not_grow_with_samples_squared():
+    """The rank test needs only the n x n left singular vectors of the
+    (n, samples) value matrix; a samples x samples factor would take 128 MB
+    at 4000 samples."""
+    curve = FrequencyCurve(lambda sigma, mu: np.array([1.0, mu[0]]),
+                           box=[(0.5, 2.0)], n=2, m=1)
+    tracemalloc.start()
+    try:
+        rep = is_ruessmann_nondegenerate(curve, 4000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.nondegenerate and rep.rank == 2
+    assert peak < 10 * 2 ** 20, peak
 
 
 def test_diophantine_fraction_matches_replayed_sampling():
