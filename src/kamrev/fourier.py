@@ -443,11 +443,12 @@ def _convolve(a, b, vcombine, out_shape):
     """Sparse convolution of stored rows with a vectorized value combiner.
 
     The operands are two series, or two Fourier-Taylor fields; a row's key
-    is its mode k, after its exponent alpha for a field (``keys``).  Pairs
-    of total degree above the degree are dropped before the sum, their
-    majorant products going to ``trunc_loss``.  A whole product whose
+    is its mode k, after its exponent alpha for a field (``keys``).  A field
+    is its Taylor jet, so pairs of total degree above the degree touch no
+    stored coefficient: they are dropped before the sum, and a product wholly
+    above the degree is empty, neither with any loss.  A whole product whose
     majorants' product is under DROP_TOL is skipped, with that product as its
-    loss; both count c times in (., c) @ (c, .), where an entry sums c pairs.
+    loss, counted c times in (., c) @ (c, .), where an entry sums c pairs.
     A pair's slot code is the sum of two per-factor code vectors; a mode
     column spans +- the factors' largest |k_j| summed (stored modes come in
     +-k pairs), an exponent column 0 to that sum or the degree.  The pair
@@ -463,21 +464,15 @@ def _convolve(a, b, vcombine, out_shape):
     order, degree, q = max(a.order, b.order), max(a.degree, b.degree), a.q
     loss = a.trunc_loss + b.trunc_loss
     Ka, Kb = a.keys, b.keys
-    skip = not len(Ka) or not len(Kb) or a.majorant() * b.majorant() < DROP_TOL
-    drop, keep, dropped = skip, None, 0.0
-    if q and not drop:
-        da, db = Ka[:, :q].sum(axis=1), Kb[:, :q].sum(axis=1)
-        beyond = da[:, None] + db > degree
-        drop = beyond.all()
-        if beyond.any() and not drop:  # b's norms summed from each degree up
-            above = np.bincount(db, b.norms, minlength=degree + 2)[::-1].cumsum()[::-1]
-            dropped = float((a.norms * above[degree + 1 - da]).sum())
-            keep = ~beyond
-    if drop:  # the whole product, with its majorant bound
-        dropped = a.majorant() * b.majorant()
-    if dropped:  # an entry of a (., c) @ (c, .) product sums c pair products
-        loss += vcombine(np.ones((1,) + a.shape), np.ones((1,) + b.shape)).max() * dropped
-    if drop:
+    keep = None
+    if q:  # the pairs within the degree
+        keep = Ka[:, :q].sum(axis=1)[:, None] + Kb[:, :q].sum(axis=1) <= degree
+        keep = None if keep.all() else keep
+    above = keep is not None and not keep.any()
+    bound = 0.0 if above else a.majorant() * b.majorant()
+    if above or not len(Ka) or not len(Kb) or bound < DROP_TOL:  # the whole product
+        if bound:  # an entry of a (., c) @ (c, .) product sums c pair products
+            loss += vcombine(np.ones((1,) + a.shape), np.ones((1,) + b.shape)).max() * bound
         return a._from_keys(np.zeros((0, Ka.shape[1]), dtype=np.int64),
                             np.zeros((0,) + out_shape, dtype=complex), order, degree, loss)
     hi = np.abs(Ka).max(axis=0) + np.abs(Kb).max(axis=0)

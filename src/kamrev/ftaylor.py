@@ -9,12 +9,13 @@ series is the case q = 0; both share ``_Rows``'s pruning, majorant and
 ``eval``, which takes a point (x, w) or stacks of them.
 
 A product is one call of ``fourier._convolve`` over the key columns
-[A | K]: pairs of total degree above the degree are dropped before the sum,
-the rest summed into their (alpha, k) slots.  ``trunc_loss`` is the l1 mass
-dropped: the operands' losses, the majorant products of the pairs beyond
-the degree, and the summed modes beyond the Fourier order.  The series a
-field is built or lifted from bring no loss of their own, and the series it
-hands out (``coeffs``, ``taylor0``, ``linear_w``) carry none.
+[A | K].  A field is its Taylor jet through its degree, so pairs of total
+degree above it touch no stored coefficient: they are dropped before the
+sum, and the cut records no loss.  The rest are summed into their (alpha, k) slots.
+``trunc_loss`` is the l1 mass dropped: the operands' losses, whole products
+skipped under DROP_TOL, and the summed modes beyond the Fourier order.  The
+series a field is built or lifted from bring no loss of their own, and the
+series it hands out (``coeffs``, ``taylor0``, ``linear_w``) carry none.
 
 The degree truncation is exact for compositions with maps that are affine
 in w: degrees only ever add, so nothing of degree <= D is lost by also
@@ -42,8 +43,9 @@ def _unit(q, j):
 class FourierTaylor(_Rows):
     """Polynomial in w of degree <= ``degree`` with Fourier series coefficients.
 
-    Build from a mapping ``terms`` (alpha -> FourierSeries; terms beyond the
-    degree are dropped into ``trunc_loss``) or from arrays ``A``, ``K`` and
+    Build from a mapping ``terms`` (alpha -> FourierSeries; terms given
+    beyond the degree, unlike a product's pairs beyond it, are dropped into
+    ``trunc_loss``) or from arrays ``A``, ``K`` and
     ``V`` (unique rows in (alpha, k) order), which are taken as they are."""
 
     def __init__(self, n, q, shape, order, degree, terms=None, trunc_loss=0.0,

@@ -34,6 +34,10 @@ from .revsystem import AugmentedFamily, ReversibleFamily, check_transform_commut
 
 SMALLNESS_ORDER = 2
 SMALLNESS_EPS = 0.1
+# The degree in w through which a sweep conjugates the field: ``_measure``
+# reads degrees 0 and 1, and the bracket in ``_solve_sweep`` reads Xw to
+# degree 2 and Xx to degree 1.
+JET_DEGREE = 2
 
 
 @dataclass
@@ -63,16 +67,17 @@ def _drop_k0(s: FourierSeries) -> FourierSeries:
 
 
 def conjugate_field(Xx: FourierTaylor, Xw: FourierTaylor, a: FourierSeries,
-                    W0: FourierSeries, W1: FourierSeries, loss_budget=1e-8):
+                    W0: FourierSeries, W1: FourierSeries, degree, loss_budget=1e-8):
     """Push the field through x = xbar + a, w = W0 + W1 wbar (exactly, up to
-    the ambient truncation orders)."""
+    the ambient truncation orders) through ``degree`` in wbar, the degrees
+    above it left out; the identity transform returns the field itself."""
     n, q = Xx.n, Xw.shape[0]
     eye = FourierSeries.constant(n, np.eye(q), W1.order)
     if a.majorant() == 0.0 and W0.majorant() == 0.0 and (W1 - eye).majorant() == 0.0:
         return Xx, Xw
     # the shift applies the stored a; a's own loss enters once, through Da
     shift = AngleShift(FourierSeries(n, a.shape, a.order, K=a.K, V=a.V))
-    sub = WSubstitution(W0, W1, Xx.degree)
+    sub = WSubstitution(W0, W1, degree)
     XxT = sub.apply(shift.apply(Xx))
     XwT = sub.apply(shift.apply(Xw))
 
@@ -326,7 +331,7 @@ def normalize(family: ReversibleFamily, omega0, mu0,
     Xx = Xw = None
     for sweep in range(config.max_iter + 1):
         inst = family.instantiate(omega0 + u, v, mu0 + w)
-        Xx, Xw = conjugate_field(inst.Xx, inst.Xw, a, W0, W1,
+        Xx, Xw = conjugate_field(inst.Xx, inst.Xw, a, W0, W1, min(JET_DEGREE, family.degree),
                                  loss_budget=config.loss_budget)
         res = _measure(Xx, Xw, ctx)
         history.append(res.value)

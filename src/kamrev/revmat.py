@@ -22,6 +22,14 @@ def _norm(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def _by_largest_entry(D) -> np.ndarray:
+    """D over its largest entry in magnitude, so that its norm can neither
+    overflow nor underflow; a zero D as it is."""
+    D = np.asarray(D, dtype=float)
+    top = np.abs(D).max(initial=0.0)
+    return D / top if top else D
+
+
 def numerical_rank(s, scale=None) -> int:
     """The numerical rank of a matrix with singular values s: the count above
     RANK_RTOL times scale, by default the largest of them, so a zero matrix
@@ -127,11 +135,11 @@ class Unfolding:
 
     def __post_init__(self):
         R = self.base.inv.R
-        for D in self.directions:
-            D = np.asarray(D, dtype=float)
-            err = _norm(R @ D + D @ R)
-            if not err / max(1.0, _norm(D)) <= 1e-10:
-                raise NotAntiInvariant(f"unfolding direction violates anti-commutation by {err:.3e}")
+        for D in map(_by_largest_entry, self.directions):  # judged on its own scale
+            err = _norm(R @ D + D @ R) / max(1.0, _norm(D))
+            if not err <= 1e-10:
+                raise NotAntiInvariant(
+                    f"unfolding direction violates anti-commutation by {err:.3e} of its norm")
 
 
 @dataclass
@@ -200,11 +208,15 @@ class VersalityReport:
 
 
 def is_versal(unfolding: Unfolding) -> VersalityReport:
-    """Versal iff orbit tangent plus unfolding directions span gl_minus."""
+    """Versal iff orbit tangent plus unfolding directions span gl_minus.  The
+    orbit basis is orthonormal and each direction is scaled to unit l2 norm,
+    so the answer does not depend on how mu is scaled."""
     Q = unfolding.base
     inv = Q.inv
     orbit, codim = orbit_tangent(Q)
-    rows = [np.ravel(B) for B in (*orbit, *unfolding.directions)]
+    # a nonzero direction over its largest entry has norm >= 1; a zero one stays zero
+    rows = [np.ravel(B) for B in orbit] + [np.ravel(D) / max(1.0, _norm(D))
+                                           for D in map(_by_largest_entry, unfolding.directions)]
     target = inv.gl_minus_dim()
     # one row per spanning matrix; with none, a 0 x N^2 matrix of rank 0
     M = np.reshape(np.array(rows, dtype=float), (len(rows), inv.dim ** 2))

@@ -5,6 +5,8 @@ the arithmetic on the evaluated values.  The compiled ``eval`` itself is
 checked against the per-term loop it replaced, on Hypothesis-drawn fields,
 and the products against the term-pair loop they replaced.
 """
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,19 +112,19 @@ def test_compiled_eval_matches_per_term_loop(data, n, q, shape):
 
 def reference_product(a, b, series_op, out_shape):
     """One series product per pair of terms, summed per exponent.  Returns
-    the field and the three losses it records, kept apart: pairs beyond
-    the degree (their majorant products, times c for a (., c) @ (c, .)
-    product, whose entries each sum c of them), pair products below
-    ``DROP_TOL``, which the series product skips (their majorant products),
-    and each pair product's own Fourier loss."""
+    the field, the numbers of term pairs beyond the degree and within it,
+    and two losses, kept apart: pair products below ``DROP_TOL``, which the
+    series product skips (their majorant products), and each pair product's
+    own Fourier loss.  A field is its Taylor jet, so the pairs beyond the
+    degree are no part of the product and carry no loss."""
     degree, order = max(a.degree, b.degree), max(a.order, b.order)
-    summed = a.shape[-1] if series_op is fs_matmul else 1
-    acc, deg_loss, drop_loss, fourier_loss = {}, 0.0, 0.0, 0.0
+    acc, above, within, drop_loss, fourier_loss = {}, 0, 0, 0.0, 0.0
     for alpha, sa in a.coeffs.items():
         for beta, sb in b.coeffs.items():
             if sum(alpha) + sum(beta) > degree:
-                deg_loss += summed * sa.majorant() * sb.majorant()
+                above += 1
                 continue
+            within += 1
             if sa.majorant() * sb.majorant() < DROP_TOL:
                 drop_loss += sa.majorant() * sb.majorant()
                 continue
@@ -132,7 +134,7 @@ def reference_product(a, b, series_op, out_shape):
             acc[gamma] = prod if gamma not in acc else acc[gamma] + prod
     out = FourierTaylor(a.n, a.q, out_shape, order, degree,
                         {g: s for g, s in acc.items() if len(s.K)})
-    return out, deg_loss, drop_loss, fourier_loss
+    return out, above, within, drop_loss, fourier_loss
 
 
 def reference_series_matmul(M, F, out_shape):
@@ -143,7 +145,7 @@ def reference_series_matmul(M, F, out_shape):
         fourier_loss += prod.trunc_loss - M.trunc_loss - s.trunc_loss
         terms[alpha] = prod
     out = FourierTaylor(F.n, F.q, out_shape, max(M.order, F.order), F.degree, terms)
-    return out, 0.0, 0.0, fourier_loss
+    return out, 0, len(terms) if len(M.K) else 0, 0.0, fourier_loss
 
 
 def widened(F, order):
@@ -156,31 +158,32 @@ def widened(F, order):
 
 def assert_product_matches_reference(product, reference, a, b):
     """Coefficients to 1e-14 maj(a) maj(b), plus the pair products the
-    reference skipped below DROP_TOL, which the kernel sums; the loss of the
-    pairs beyond the degree to 1e-14 relative; the Fourier loss at most the
-    reference's with those skipped pairs, since the kernel truncates the sum
-    over pairs and not each pair.  Returns which losses the case met."""
+    reference skipped below DROP_TOL, which the kernel sums; no loss for the
+    pairs beyond the degree; the Fourier loss at most the reference's with
+    those skipped pairs, since the kernel truncates the sum over pairs and
+    not each pair.  Returns which truncations the case met."""
     scale = a.majorant() * b.majorant()
     got = product(a, b)
+    want, above, within, drop_loss, fourier_loss = reference(a, b)
     if scale < DROP_TOL:  # the whole product is skipped, its bound the loss
         summed = 1 if product is ft_mul else a.shape[-1]  # products in one entry
         assert not len(got.V)
-        assert got.trunc_loss == pytest.approx(a.trunc_loss + b.trunc_loss + summed * scale,
+        skipped = summed * scale if within else 0.0  # none if wholly beyond the degree
+        assert got.trunc_loss == pytest.approx(a.trunc_loss + b.trunc_loss + skipped,
                                                rel=1e-14, abs=0.0)
         return set()
     bare = product(widened(a, a.order), widened(b, b.order))
     assert got.trunc_loss == pytest.approx(a.trunc_loss + b.trunc_loss + bare.trunc_loss,
                                            rel=1e-14, abs=0.0)
-    want, deg_loss, drop_loss, fourier_loss = reference(a, b)
     got_c, want_c = dict(got.coeffs), dict(want.coeffs)
     for alpha in set(got_c) | set(want_c):
         g = got_c.get(alpha, FourierSeries(got.n, got.shape, got.order))
         w = want_c.get(alpha, FourierSeries(got.n, got.shape, got.order))
         assert (g - w).majorant() <= 1e-14 * scale + drop_loss
     wide = product(widened(a, 2 * got.order), widened(b, 2 * got.order))
-    assert wide.trunc_loss == pytest.approx(deg_loss, rel=1e-14, abs=0.0)
+    assert wide.trunc_loss == 0.0  # nothing beyond the order, and the degree cut is exact
     assert bare.trunc_loss - wide.trunc_loss <= fourier_loss + drop_loss + 1e-14 * scale
-    return {name for name, loss in (("degree", deg_loss), ("fourier", fourier_loss)) if loss}
+    return {name for name, met in (("degree", above), ("fourier", fourier_loss)) if met}
 
 
 @pytest.mark.parametrize("pair_block", [fourier.PAIR_BLOCK, 1], ids=["blocks", "row-by-row"])
@@ -215,6 +218,53 @@ def test_products_match_the_term_pair_loop(monkeypatch, pair_block):
     assert seen == {"degree", "fourier"}
 
 
+def jet(F, d):
+    """F's rows of degree <= d, as a field of degree d."""
+    rows = F.A.sum(axis=1) <= d
+    return FourierTaylor(F.n, F.q, F.shape, F.order, d, A=F.A[rows], K=F.K[rows], V=F.V[rows])
+
+
+@pytest.mark.parametrize("pair_block", [1 << 40, fourier.PAIR_BLOCK], ids=["one-block", "blocks"])
+def test_a_product_is_exact_through_every_lower_degree(monkeypatch, pair_block):
+    """A field is its Taylor jet: the rows of degree <= d of a product at
+    degree D are the product at degree d of the operands cut to degree d,
+    bit for bit when all pairs are summed in one block, and to 1e-14
+    maj(a) maj(b) when the blocks are added in another order."""
+    monkeypatch.setattr(fourier, "PAIR_BLOCK", pair_block)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([1, 2]), q=st.integers(1, 3),
+           shape=st.sampled_from([(), (2,), (2, 3)]), shapes=MATMUL_SHAPES,
+           D=st.integers(1, 3))
+    def check(data, n, q, shape, shapes, D):
+        alphas = [[a for a in itertools.product(range(j + 1), repeat=q) if sum(a) == j]
+                  for j in range(D + 1)]
+
+        def field(shape):  # a drawn series at four exponents, each of a drawn degree
+            order = data.draw(ORDERS)
+            series = real_series(n, shape, order).filter(lambda s: len(s.K))
+            return FourierTaylor(n, q, shape, order, D, {
+                data.draw(st.sampled_from(alphas[data.draw(st.integers(0, D))])):
+                data.draw(series) for _ in range(4)})
+
+        d = data.draw(st.integers(0, D - 1))
+        a, b, A, B = field(shape), field(shape), field(shapes[0]), field(shapes[1])
+        M = data.draw(real_series(n, shapes[0], data.draw(ORDERS)))
+        for product, x, y in ((ft_mul, a, b), (ft_matmul, A, B), (ft_series_matmul, M, B)):
+            cut = (x if product is ft_series_matmul else jet(x, d), jet(y, d))
+            low, want = jet(product(x, y), d), product(*cut)
+            if cut[0].majorant() * cut[1].majorant() < DROP_TOL:  # skipped, its bound the loss
+                assert not len(want.V)
+                assert low.majorant() <= want.trunc_loss * (1 + 1e-12)
+            elif pair_block == 1 << 40:
+                for name in "AKV":
+                    np.testing.assert_array_equal(getattr(low, name), getattr(want, name))
+            else:
+                assert (low - want).majorant() <= 1e-14 * x.majorant() * y.majorant()
+
+    check()
+
+
 def test_eval_checks_every_term_against_its_own_majorant():
     """A small non-real term inside a large real field: its residue is far
     below 1e-10 times the field's majorant, but not its own."""
@@ -228,15 +278,15 @@ def test_eval_checks_every_term_against_its_own_majorant():
     assert np.allclose(F.eval(np.array([0.0, 0.2]), w), [1e6 + 1e-6, 0.0], rtol=1e-15)
 
 
-def test_a_matrix_product_records_its_pairs_above_the_degree_c_times():
-    # at degree 1 the degree-2 term is dropped; each of its entries sums three
-    # products of ones in (2, 3) @ (3,), so its majorant is 3
+def test_a_matrix_product_wholly_above_the_degree_is_empty_with_no_loss():
+    # at degree 1 the degree-2 term is no part of the jet, though each of its
+    # entries would sum three products of ones in (2, 3) @ (3,)
     A = FourierTaylor(2, 1, (2, 3), ORDER, 1,
                       {(1,): FourierSeries.constant(2, np.ones((2, 3)), ORDER)})
     b = FourierTaylor(2, 1, (3,), ORDER, 1, {(1,): FourierSeries.constant(2, np.ones(3), ORDER)})
     p = ft_matmul(A, b)
     assert not len(p.V)
-    assert p.trunc_loss == 3.0
+    assert p.trunc_loss == 0.0
 
 
 def test_products_match_pointwise():
@@ -255,9 +305,9 @@ def test_products_match_pointwise():
 def test_product_degree_truncation_is_accounted():
     one_w = FourierTaylor(N_ANGLE, Q, (), ORDER, 1,
                           {(1, 0, 0): FourierSeries.constant(N_ANGLE, np.array(1.0), ORDER)})
-    p = ft_mul(one_w, one_w)  # degree-2 content in a degree-1 container
-    assert p.majorant() == 0.0
-    assert p.trunc_loss > 0.0
+    p = ft_mul(one_w, one_w)  # degree-2 content, no part of a degree-1 jet
+    assert not len(p.V)
+    assert p.trunc_loss == 0.0
 
 
 def test_series_matmul_fourier_truncation_is_accounted():

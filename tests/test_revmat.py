@@ -269,6 +269,24 @@ def test_versality_of_textbook_unfolding():
     assert starved.codim == 1 and starved.rank_deficit == 1
 
 
+@pytest.mark.parametrize("c", [1e300, 1e10, 1.0, 1e-10, 1e-200, 5e-324, 0.0])
+def test_versality_does_not_depend_on_the_scale_of_mu(c):
+    # the textbook unfolding with its direction scaled by c; a zero one spans nothing
+    base = RevMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), block_inv(1))
+    rep = is_versal(Unfolding(base, [c * np.array([[0.0, 0.0], [1.0, 0.0]])]))
+    assert (rep.versal, rep.miniversal, rep.codim, rep.rank_deficit) == (
+        (True, True, 1, 0) if c else (False, False, 1, 1))
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-11, 1e-200])
+def test_an_unfolding_direction_is_judged_anti_invariant_on_its_own_scale(c):
+    # diag(1, 0) commutes with R = diag(1, -1); scaled to unit size by
+    # is_versal, it would fill the missing direction of gl_minus
+    base = RevMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), block_inv(1))
+    with pytest.raises(NotAntiInvariant):
+        Unfolding(base, [c * np.diag([1.0, 0.0])])
+
+
 def test_direct_sum_with_nonsingular_block_is_versal():
     rng = np.random.default_rng(8)
     nil = MiniversalNilpotent(1)
