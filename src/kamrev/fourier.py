@@ -338,16 +338,6 @@ class FourierSeries(_Rows):
             return cls(n, value.shape, order, {k: value})
         return cls(n, value.shape, order, {k: value / 2, mk: value / 2})
 
-    @classmethod
-    def sine(cls, n, k, value, order):
-        """value * sin(<k, x>)."""
-        value = np.asarray(value, dtype=complex)
-        k = tuple(int(c) for c in k)
-        mk = tuple(-c for c in k)
-        if k == mk:
-            return cls(n, value.shape, order)
-        return cls(n, value.shape, order, {k: -0.5j * value, mk: 0.5j * value})
-
     def _check_reality(self, tol=1e-12):
         scale = self.majorant()
         if scale == 0.0:
@@ -397,10 +387,6 @@ class FourierSeries(_Rows):
         """Coefficientwise map c_k -> i <k, omega> c_k (derivative along the flow)."""
         factors = 1j * (self.K @ np.asarray(omega, dtype=float))
         return self._like(self.V * factors.reshape((-1,) + (1,) * len(self.shape)))
-
-    def deriv_x(self, j):
-        """Partial derivative in the j-th angle: c_k -> i k_j c_k."""
-        return self.directional_derivative(np.eye(self.n)[j])
 
     # -- serialization ---------------------------------------------------------
 

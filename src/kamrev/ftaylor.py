@@ -132,12 +132,6 @@ class FourierTaylor(_Rows):
 
     # -- calculus ----------------------------------------------------------------
 
-    def deriv_w(self, j):
-        rows = self.A[:, j] > 0
-        A = self.A[rows] - np.eye(self.q, dtype=np.int64)[j]
-        return self._on_rows(A, self.K[rows],
-                             self.V[rows] * (A[:, j] + 1.0).reshape((-1,) + (1,) * len(self.shape)))
-
     def grad_w(self):
         """Jacobian in w: value shape becomes shape + (q,).  Row i of variable j
         becomes A[i, j] V[i] in column j at exponent A[i] - e_j."""

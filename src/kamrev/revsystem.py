@@ -19,7 +19,7 @@ of the same class with no y-variables at all: the normal variable becomes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -144,10 +144,6 @@ class ReversibleFamily:
     def _zero_main(self, dim):
         return FourierTaylor(self.n, self.q, (dim,), self.order, self.degree)
 
-    def context(self) -> str:
-        """Dichotomy class of the zero torus of the unperturbed family."""
-        return classify_context(self.inv.dim_plus, self.q)
-
     # involution on the (y, z) variables
     @property
     def S_w(self) -> np.ndarray:
@@ -252,8 +248,9 @@ class ReversibleFamily:
         """instantiate's parameter-free pieces, built once: g and h in the y
         and z rows, and (d eta, d zeta) / d sigma_j for each slot j of sigma."""
         q, m = self.q, self.m
+        grads = [F.grad_w() for F in (self.eta, self.zeta)]
         return (ft_embed(self.g, q, 0), ft_embed(self.h, q, m),
-                [(self.eta.deriv_w(q + j), self.zeta.deriv_w(q + j)) for j in range(m)])
+                [tuple(G.map_stack(lambda V: V[..., q + j]) for G in grads) for j in range(m)])
 
     def _z_linear_ft(self, M) -> FourierTaylor:
         """The field w -> (0, M z), z the last d entries of w."""
@@ -407,15 +404,6 @@ class InstantiatedField:
     def eval(self, x, w):
         return self.field.eval(x, w)
 
-    def rhs(self):
-        n = self.family.n
-
-        def fn(t, state):
-            x, w = state[:n], state[n:]
-            return self.eval(x, w)
-
-        return fn
-
 
 def check_transform_commutes(a, W0, W1, S, tol=1e-10):
     """Verify that x -> x + a(x), w -> W0(x) + W1(x) w commutes with the
@@ -431,26 +419,64 @@ def check_transform_commutes(a, W0, W1, S, tol=1e-10):
 
 # -- integration ------------------------------------------------------------------
 
-INTEGRATE_RTOL = 1e-12
-INTEGRATE_ATOL = 1e-12
+INTEGRATE_TOL = 1e-12  # absolute and relative, per state component
+SPAN_MAX = 2.0
+DEGREE = 24  # of each span's Chebyshev collocation polynomial (Clenshaw and Norton 1963)
 
 
-def integrate(rhs, y0, T, t_eval=None):
-    import scipy.integrate
-    sol = scipy.integrate.solve_ivp(rhs, (0.0, float(T)), np.asarray(y0, dtype=float),
-                                    method="DOP853", rtol=INTEGRATE_RTOL,
-                                    atol=INTEGRATE_ATOL, t_eval=t_eval, dense_output=False)
-    if not sol.success:
-        raise StepFailure(f"integration failed: {sol.message}")
-    return sol
+@lru_cache(maxsize=None)
+def _collocation():
+    """At the DEGREE + 1 Chebyshev-Lobatto nodes of [-1, 1]: the maps from values
+    to the interpolant's Chebyshev coefficients and to its integral from -1."""
+    from numpy.polynomial import chebyshev as cheb
+    nodes = cheb.chebpts2(DEGREE + 1)
+    to_coef = np.linalg.inv(cheb.chebvander(nodes, DEGREE))
+    return to_coef, cheb.chebvander(nodes, DEGREE + 1) @ cheb.chebint(to_coef, lbnd=-1)
+
+
+def _span(rhs, y, h):
+    """The orbit from y over a span of length h by Picard iteration: its
+    Chebyshev coefficients on [-1, 1] and its end; None unless it settles in
+    40 steps and the last three coefficients are within the tolerance."""
+    to_coef, integral = _collocation()
+    Y = np.broadcast_to(y, (DEGREE + 1, len(y)))
+    for _ in range(40):
+        Y, prev = y + 0.5 * h * (integral @ rhs(Y)), Y
+        scale = INTEGRATE_TOL * (1.0 + np.abs(Y).max(axis=0))
+        if (np.abs(Y - prev) <= scale).all():
+            coef = to_coef @ Y
+            return (coef, Y[-1]) if (np.abs(coef[-3:]) <= scale).all() else None
+    return None
+
+
+def integrate(rhs, y0, T, t_eval):
+    """The orbit from y0 at t = 0 as rows at the increasing times t_eval in [0, T];
+    ``rhs`` maps an (S, dim) stack of states to their derivatives.  A span that
+    fails is halved; after a success the next may double, up to SPAN_MAX."""
+    from numpy.polynomial.chebyshev import chebval
+    out = np.empty((len(t_eval), len(y0)))
+    t, h, i, y = 0.0, SPAN_MAX, 0, np.asarray(y0, dtype=float)
+    while t < T:
+        end = min(t + h, T)
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverging iteration
+            span = _span(rhs, y, end - t)
+        if span is None:
+            h *= 0.5
+            if h < SPAN_MAX * 2.0 ** -30:
+                raise StepFailure(f"integration failed: no span from t = {t:.6g} settles")
+            continue
+        coef, y = span
+        j = np.searchsorted(t_eval, end, side="right")
+        out[i:j] = chebval(2.0 * (t_eval[i:j] - t) / (end - t) - 1.0, coef).T
+        t, h, i = end, min(2.0 * h, SPAN_MAX), j
+    return out
 
 
 def invert_angle_shift(a: FourierSeries, x, tol=1e-14, max_iter=100):
     """Solve xbar + a(xbar) = x for xbar (fixed point; a is small), at a
     point x or at every row of an (S, n) stack.  A row stops updating once
     its own step falls below ``tol``, so it gets what it would alone."""
-    x = np.asarray(x, dtype=float)
-    xbar = x.copy()
+    xbar = np.array(x, dtype=float)
     live = np.ones(x.shape[:-1], dtype=bool)
     for _ in range(max_iter):
         nxt = x[live] - a.eval(xbar[live])
@@ -471,9 +497,9 @@ def verify_torus(field: InstantiatedField, a, W0, W1, omega0, T=100.0, samples=2
     x0 = x_bar0 + a.eval(x_bar0)
     w0 = W0.eval(x_bar0)
     ts = np.linspace(0.0, float(T), samples)
-    sol = integrate(field.rhs(), np.concatenate([x0, w0]), T, t_eval=ts)
-    xbar = invert_angle_shift(a, sol.y[:n].T)
-    wbar = np.linalg.solve(W1.eval(xbar), (sol.y[n:].T - W0.eval(xbar))[..., None])
+    Y = integrate(lambda Y: field.eval(Y[:, :n], Y[:, n:]), np.concatenate([x0, w0]), T, ts)
+    xbar = invert_angle_shift(a, Y[:, :n])
+    wbar = np.linalg.solve(W1.eval(xbar), (Y[:, n:] - W0.eval(xbar))[..., None])
     dev = float(np.max(np.abs(wbar)))
     rotation = (xbar[-1] - xbar[0]) / float(T)
     rot_err = float(np.max(np.abs(rotation - np.asarray(omega0, dtype=float))))

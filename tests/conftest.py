@@ -22,6 +22,16 @@ GAMMA = 5e-3
 HORIZON = 16
 
 
+def sine(n, k, value, order):
+    """The series value * sin(<k, x>)."""
+    value = np.asarray(value, dtype=complex)
+    k = tuple(int(c) for c in k)
+    mk = tuple(-c for c in k)
+    if k == mk:
+        return FourierSeries(n, value.shape, order)
+    return FourierSeries(n, value.shape, order, {k: -0.5j * value, mk: 0.5j * value})
+
+
 def _random_taylor(rng, n, q, dim, order, degree, kmax=2, deg=2):
     """Random real trig polynomial with modes |k|_1 <= kmax, w-degree <= deg."""
     terms = {}

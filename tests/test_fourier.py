@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import sine
 from kamrev.errors import ImaginaryResidue
 from kamrev.fourier import DUST_TOL, AngleShift, FourierSeries, fs_matmul, fs_mul, fs_stack, order1
 from kamrev.ftaylor import FourierTaylor
@@ -54,7 +55,7 @@ def test_eval_matches_direct_mode_sum(seed):
 
 def test_constructors_closed_forms():
     c = FourierSeries.constant(2, np.array([1.0, -2.0]), ORDER)
-    s = FourierSeries.sine(2, (1, 0), np.array([0.5, 0.0]), ORDER)
+    s = sine(2, (1, 0), np.array([0.5, 0.0]), ORDER)
     co = FourierSeries.cosine(2, (0, 2), np.array([0.0, 3.0]), ORDER)
     for x in XS:
         assert np.allclose(c.eval(x), [1.0, -2.0])
@@ -98,7 +99,7 @@ def test_derivatives_exact_on_modes():
     rng = np.random.default_rng(3)
     s = random_series(rng, 2, (2,), ORDER)
     omega = np.array([1.0, 0.3])
-    d0 = s.deriv_x(0)
+    d0 = s.directional_derivative([1.0, 0.0])
     dd = s.directional_derivative(omega)
     for k, v in s.coeffs.items():
         assert np.allclose(d0.coeffs.get(k, np.zeros(2)), 1j * k[0] * v)
@@ -206,9 +207,9 @@ def test_fs_stack_adds_an_axis_like_numpy():
 
 
 def stacked_partials(s):
-    """The Jacobian as fs_stack of the partials deriv_x(j), each pruned against
-    its own largest mode: the reference for grad_x on a series."""
-    return fs_stack([s.deriv_x(j) for j in range(s.n)], axis=-1)
+    """The Jacobian as fs_stack of the partials along each angle, each pruned
+    against its own largest mode: the reference for grad_x on a series."""
+    return fs_stack([s.directional_derivative(e) for e in np.eye(s.n)], axis=-1)
 
 
 @SETTINGS
@@ -248,7 +249,7 @@ def test_angle_shift_oscillatory_matches_pointwise():
     # small a: expansion converges fast, truncation tail ~ (kmax*|a|)^j
     rng = np.random.default_rng(22)
     s = random_series(rng, 2, (2,), ORDER, kmax=2)
-    a = FourierSeries.sine(2, (1, 0), np.array([0.01, 0.004]), ORDER)
+    a = sine(2, (1, 0), np.array([0.01, 0.004]), ORDER)
     shifted = AngleShift(a).apply(s)
     for x in XS:
         assert np.allclose(shifted.eval(x), s.eval(x + a.eval(x)), atol=1e-9)

@@ -248,7 +248,7 @@ def test_truncate_deriv_reflect_match_dict_oracle(data, n, shape, order):
     assert_matches(s.truncate(cut), oracle_truncate(s, cut))
     assert s.truncate(order) is s
     for j in range(n):
-        d = s.deriv_x(j)
+        d = s.directional_derivative(np.eye(n)[j])
         assert_matches(d, oracle_deriv_x(s, j))
         assert_real(d, 0.0)
     r = s.reflect()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import sine
 from kamrev import fourier, ftaylor
 from kamrev.errors import ImaginaryResidue, ImplicitSolveFailure
 from kamrev.fourier import DROP_TOL, FourierSeries, fs_matmul, fs_mul
@@ -360,7 +361,7 @@ def test_w_substitution_matches_pointwise_composition():
     """F(x, W0(x) + W1(x) wbar) via the memoized table vs direct evaluation."""
     rng = np.random.default_rng(4)
     F = random_ft(rng, (2,), degree=3)
-    W0 = FourierSeries.sine(N_ANGLE, (1, 0), 0.01 * np.arange(1.0, Q + 1), ORDER)
+    W0 = sine(N_ANGLE, (1, 0), 0.01 * np.arange(1.0, Q + 1), ORDER)
     dev = FourierSeries.cosine(N_ANGLE, (0, 1),
                                0.02 * np.ones((Q, Q)), ORDER)
     W1 = FourierSeries.constant(N_ANGLE, np.eye(Q), ORDER) + dev
@@ -397,7 +398,7 @@ def test_neumann_solves_small_perturbation():
     rng = np.random.default_rng(15)
     M = FourierSeries.cosine(N_ANGLE, (1, 1), 0.05 * rng.standard_normal((2, 2)),
                              ORDER)
-    rhs_s = FourierSeries.sine(N_ANGLE, (1, 0), np.array([1.0, -0.5]), ORDER)
+    rhs_s = sine(N_ANGLE, (1, 0), np.array([1.0, -0.5]), ORDER)
     u = fs_neumann_solve(M, rhs_s)
     for x, _ in SAMPLES:
         lhs = u.eval(x) + M.eval(x) @ u.eval(x)

@@ -4,8 +4,7 @@ imports no dependency that the command may never use.
 A deletion that leaves its import behind (a helper's `itertools`, a type that
 only the annotation of a removed parameter named) fails here.  `__init__.py`
 imports to re-export and is left out.  scipy, jsonschema and referencing load
-on first use, inside the functions that need them; only ODE verification and
-`toy ex1` need scipy.
+on first use, inside the functions that need them; only `toy ex1` needs scipy.
 """
 import ast
 import json
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GOLDEN, make_golden_family
+from conftest import GOLDEN, make_curve_family, make_golden_family
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kamrev"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -98,15 +97,22 @@ print(json.dumps(loaded))
 """
 
 
-def test_normalize_and_versal_check_leave_scipy_unloaded(tmp_path):
+def test_normalize_versal_check_and_ruessmann_leave_scipy_unloaded(tmp_path):
     normalize = {"family": make_golden_family(delta=1e-4, order=8).to_json(),
                  "omega0": [1.0, GOLDEN], "mu0": [0.04],
                  "tau": 1.5, "gamma": 5e-3, "horizon": 16, "tol": 1e-11}
     # ker Q meets Fix R, so kernel_condition returns a witness vector
     versal = {"Q": [[0.0, 1.0], [0.0, 0.0]], "R": [[1.0, 0.0], [0.0, -1.0]],
               "directions": [[[0.0, 0.0], [1.0, 0.0]]]}
+    # integrates the orbit of each accepted torus
+    ruessmann = {"family": make_curve_family(delta=1e-4, order=8).to_json(),
+                 "curve": {"box": [[0.0, 0.1]],
+                           "components": [{"muPoly": [1.0]}, {"muPoly": [1.55, 1.0]}]},
+                 "tau": 1.5, "gamma": 5e-3, "kmax": 12, "tol": 1e-11, "gridCount": 2,
+                 "T": 10.0, "verify": True}
     argv = []
-    for name, doc in (("normalize", normalize), ("versal-check", versal)):
+    for name, doc in (("normalize", normalize), ("versal-check", versal),
+                      ("ruessmann", ruessmann)):
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
         argv += [name, f"{name}.json"]
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
@@ -114,6 +120,9 @@ def test_normalize_and_versal_check_leave_scipy_unloaded(tmp_path):
                          capture_output=True, text=True, cwd=tmp_path, env=env)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout.splitlines()[-1]) == [["normalize", 0, []],
-                                                       ["versal-check", 0, []]]
+                                                       ["versal-check", 0, []],
+                                                       ["ruessmann", 0, []]]
     report = json.loads((tmp_path / "out" / "versal-check-report.json").read_text())
     assert report["result"]["kernelTrivialOnFixPlus"] is False
+    report = json.loads((tmp_path / "out" / "ruessmann-report.json").read_text())
+    assert any(pt["torusDeviation"] is not None for pt in report["result"]["pipeline"]["points"])

@@ -7,7 +7,7 @@ w = (1.04 * 0.4 - 0.6) * delta for the constructed z-linear perturbation).
 import numpy as np
 import pytest
 
-from conftest import MU0, OMEGA0, make_config, make_golden_family
+from conftest import MU0, OMEGA0, make_config, make_golden_family, sine
 from kamrev.errors import NoConvergence, SmallDivisor, TruncationOverflow
 from kamrev import fourier, ftaylor
 from kamrev.fourier import FourierSeries
@@ -24,7 +24,7 @@ def small_family(delta, seed=0, order=8):
 
 
 def deriv_matrix(s):
-    cols = [s.deriv_x(j) for j in range(s.n)]
+    cols = [s.directional_derivative(e) for e in np.eye(s.n)]
     return lambda x: np.stack([c.eval(x) for c in cols], axis=-1)
 
 
@@ -33,8 +33,8 @@ def pushforward_case():
     fam = small_family(1e-3)
     inst = fam.instantiate(OMEGA0, np.array([0.02]), MU0)
     N, q = fam.order, fam.q
-    a = FourierSeries.sine(2, (1, 0), np.array([0.008, -0.004]), N)
-    W0 = FourierSeries.sine(2, (0, 1), np.array([0.005, 0.0, 0.0]), N) \
+    a = sine(2, (1, 0), np.array([0.008, -0.004]), N)
+    W0 = sine(2, (0, 1), np.array([0.005, 0.0, 0.0]), N) \
         + FourierSeries.cosine(2, (1, 0), np.array([0.0, 0.006, 0.0]), N)
     W1 = FourierSeries.constant(2, np.eye(q), N) \
         + FourierSeries.cosine(2, (1, 1), 0.01 * np.eye(q), N)

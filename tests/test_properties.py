@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from conftest import sine
 from kamrev import fourier
 from kamrev.cohomology import solve_commutator, solve_normal, solve_right, solve_scalar
 from kamrev.diophantine import DiophantineParams, is_diophantine_pair
@@ -204,7 +205,7 @@ def reference_shift(a, g):
             p = _chain(powers, beta, lambda p, j: fs_mul(p, comps[j]))
             if p.majorant() == 0.0 and p.trunc_loss == 0.0:
                 continue
-            ds = _chain(derivs, beta, lambda d, j: d.deriv_x(j))
+            ds = _chain(derivs, beta, lambda d, j: d.directional_derivative(np.eye(d.n)[j]))
             inv = 1.0 / math.prod(map(math.factorial, beta))
             bound += p.majorant() * inv * ds.majorant()
             acc = acc + fs_mul(p, ds) * inv
@@ -313,8 +314,8 @@ def test_angle_shift_keeps_the_layers_after_one_that_sums_to_zero(case):
     eps^2 / 2, adds -(eps^2 / 4) sin x.  Both on a series and on a field."""
     if case == "cancel":
         order = 12
-        a = (FourierSeries.sine(2, (0, 1), np.array([EPS, 0.0]), order)
-             + FourierSeries.sine(2, (1, 0), np.array([0.0, -EPS]), order))
+        a = (sine(2, (0, 1), np.array([EPS, 0.0]), order)
+             + sine(2, (1, 0), np.array([0.0, -EPS]), order))
         g = (FourierSeries.cosine(2, (1, 0), np.array(1.0), order)
              + FourierSeries.cosine(2, (0, 1), np.array(1.0), order))
         shifted = AngleShift(a).apply(g)
@@ -322,8 +323,8 @@ def test_angle_shift_keeps_the_layers_after_one_that_sums_to_zero(case):
             assert abs(shifted.eval(x) - np.cos(x + a.eval(x)).sum()) <= 1e-14
     else:
         order = 1
-        a = FourierSeries.sine(1, (1,), np.array([EPS]), order)
-        g = FourierSeries.sine(1, (1,), np.array(1.0), order)
+        a = sine(1, (1,), np.array([EPS]), order)
+        g = sine(1, (1,), np.array(1.0), order)
         moved = AngleShift(a).apply(g) - g  # sin x = (e^ix - e^-ix) / 2i
         assert abs(moved.coeffs[(1,)] * 2j + EPS ** 2 / 4) <= EPS ** 4
     check_shift(a, g)
@@ -336,9 +337,9 @@ def test_angle_shift_keeps_the_loss_of_a_power_skipped_under_drop_tol():
     under DROP_TOL with no modes.  It must still bring its recorded loss to
     its layer, as with DROP_TOL = 0 it is formed and its cut to the order
     recorded (``check_shift``: the skipped products record no less)."""
-    a = (FourierSeries.sine(3, (0, 0, 1), np.array([2.0 ** -5, 0.0, 0.0]), 1)
+    a = (sine(3, (0, 0, 1), np.array([2.0 ** -5, 0.0, 0.0]), 1)
          + FourierSeries.cosine(3, (0, 0, 1), np.array([0.0, 0.0, 2.0 ** -7]), 1))
-    check_shift(a, FourierSeries.sine(3, (2, 0, 0), np.array(1.0), 2))
+    check_shift(a, sine(3, (2, 0, 0), np.array(1.0), 2))
 
 
 @SETTINGS

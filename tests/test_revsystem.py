@@ -3,11 +3,14 @@
 The instantiation oracle writes the unperturbed benchmark field out by hand
 in plain numpy from its coefficient tables.
 """
+import warnings
+
 import numpy as np
 import pytest
+import scipy.integrate
 
-from conftest import GOLDEN, MU0, OMEGA0, make_curve_family, make_golden_family
-from kamrev.errors import ImaginaryResidue, RootFindFailure
+from conftest import GOLDEN, MU0, OMEGA0, make_curve_family, make_golden_family, sine
+from kamrev.errors import ImaginaryResidue, RootFindFailure, StepFailure
 from kamrev.fourier import FourierSeries
 from kamrev.ftaylor import FourierTaylor, ft_sum, involution_pullback
 from kamrev.revsystem import (InstantiatedField, ReversibleFamily, ToyEx1Result,
@@ -82,7 +85,7 @@ def test_check_reversibility_flags_bad_pieces():
 
     # sine h in a Fix(R) direction has the wrong parity
     h_bad = FourierTaylor.from_series(
-        FourierSeries.sine(2, (1, 0), np.array([0.0, 1e-3]), 8), 3, 3)
+        sine(2, (1, 0), np.array([0.0, 1e-3]), 8), 3, 3)
     pert = ReversibleFamily(2, 1, 1, 1, OMEGA0, fam.R, fam.Q_terms, fam.xi,
                             fam.eta, fam.zeta, None, None, h_bad, order=8, degree=3)
     assert any("h(" in v.identity for v in pert.check_reversibility())
@@ -141,6 +144,14 @@ def test_instantiate_matches_hand_written_field(seed):
             assert np.allclose(got, hand_rhs(omega, sigma, mu, x, w), atol=1e-12)
 
 
+def deriv_w(F, j):
+    """The partial derivative of F in its w-variable j, row by row."""
+    rows = F.A[:, j] > 0
+    A = F.A[rows] - np.eye(F.q, dtype=np.int64)[j]
+    factor = (A[:, j] + 1.0).reshape((-1,) + (1,) * len(F.shape))
+    return F._on_rows(A, F.K[rows], F.V[rows] * factor)
+
+
 def rebuilt_w_rows(fam, omega, sigma, mu):
     """Xw and its jacobians as instantiate built them before it kept its
     parameter-free pieces: every piece made again, in the same sum order."""
@@ -157,8 +168,8 @@ def rebuilt_w_rows(fam, omega, sigma, mu):
     jac = [fam._z_linear_ft(fam.Q_at(omega, mu, j)) for j in range(fam.n)]
     for j in range(m):
         jac.append(ft_sum([const(np.eye(q)[j]),
-                           ft_embed(ft_fix_tail(fam.eta.deriv_w(q + j), q, sigma), q, 0),
-                           ft_embed(ft_fix_tail(fam.zeta.deriv_w(q + j), q, sigma), q, m)]))
+                           ft_embed(ft_fix_tail(deriv_w(fam.eta, q + j), q, sigma), q, 0),
+                           ft_embed(ft_fix_tail(deriv_w(fam.zeta, q + j), q, sigma), q, m)]))
     return [Xw] + jac
 
 
@@ -259,7 +270,7 @@ def test_context_classification():
     assert classify_context(2, 3) == "Context1"
     assert classify_context(4, 3) == "Invalid"
     fam = make_golden_family(delta=0.0, order=8)
-    assert fam.context() == "Context2"
+    assert classify_context(fam.inv.dim_plus, fam.q) == "Context2"
 
 
 def test_json_roundtrip_preserves_field():
@@ -300,15 +311,74 @@ def test_augment_promotes_drift_to_normal_block():
 
 
 def test_integrate_and_angle_shift_inversion():
-    sol = integrate(lambda t, y: np.array([1.0, GOLDEN]), np.zeros(2), 2.0,
-                    t_eval=[0.0, 2.0])
-    assert np.allclose(sol.y[:, -1], [2.0, 2.0 * GOLDEN], atol=1e-9)
-    a = FourierSeries.sine(2, (1, 0), np.array([0.01, -0.02]), 8)
+    Y = integrate(lambda Y: np.broadcast_to([1.0, GOLDEN], Y.shape), np.zeros(2), 2.0,
+                  np.array([0.0, 2.0]))
+    assert np.allclose(Y[-1], [2.0, 2.0 * GOLDEN], atol=1e-9)
+    a = sine(2, (1, 0), np.array([0.01, -0.02]), 8)
     rng = np.random.default_rng(3)
     for _ in range(5):
         x = rng.uniform(-3, 3, 2)
         xbar = invert_angle_shift(a, x)
         assert np.allclose(xbar + a.eval(xbar), x, atol=1e-12)
+
+
+def field_orbits(inst, y0, T, samples=201):
+    """The orbit of an instantiated field from y0 at the samples of [0, T], by
+    ``integrate`` and by DOP853 at rtol 2.3e-14, atol 1e-15, as a reference."""
+    n = inst.family.n
+    ts = np.linspace(0.0, T, samples)
+    got = integrate(lambda Y: inst.eval(Y[:, :n], Y[:, n:]), y0, T, ts)
+    ref = scipy.integrate.solve_ivp(lambda t, y: inst.eval(y[:n], y[n:]), (0.0, T), y0,
+                                    method="DOP853", rtol=2.3e-14, atol=1e-15, t_eval=ts)
+    return got, ref.y.T
+
+
+def test_integrate_matches_a_tight_reference_on_a_golden_orbit():
+    inst = make_golden_family(delta=1e-3, order=8, seed=2).instantiate(OMEGA0, np.zeros(1), MU0)
+    got, ref = field_orbits(inst, np.array([0.4, 1.3, 1e-3, 2e-3, -1e-3]), 100.0)
+    assert np.max(np.abs(got - ref)) <= 2e-12
+
+
+def test_integrate_matches_a_tight_reference_on_a_drift_curve_orbit():
+    fam = make_curve_family(order=8)
+    inst = fam.instantiate(fam.omega_star + 0.01, np.array([0.03]), np.zeros(0))
+    got, ref = field_orbits(inst, np.array([0.4, 1.3, 0.0]), 20.0)
+    assert np.max(np.abs(got - ref)) <= 5e-13
+
+
+def test_integrate_exact_rotation_and_decay():
+    """Each rhs call is one stack of the 25 collocation nodes; spans halve
+    until a fast rotation or a stiff decay is resolved."""
+    shapes = []
+
+    def rotation(Y):
+        shapes.append(Y.shape)
+        return 50.0 * np.stack([Y[:, 1], -Y[:, 0]], axis=1)
+
+    ts = np.linspace(0.0, 10.0, 101)
+    Y = integrate(rotation, np.array([1.0, 0.0]), 10.0, ts)
+    assert np.max(np.abs(Y - np.stack([np.cos(50 * ts), -np.sin(50 * ts)], axis=1))) <= 2e-11
+    assert set(shapes) == {(25, 2)}
+    Y = integrate(lambda Y: -30.0 * Y, np.array([1.0, -2.0]), 10.0, ts)
+    assert np.max(np.abs(Y - np.exp(-30.0 * ts)[:, None] * [1.0, -2.0])) <= 1e-12
+
+
+def test_integrate_blow_up_raises_step_failure_without_warnings():
+    # y = 1 / (1 - t) leaves every span that reaches t = 1 unsettled
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepFailure):
+            integrate(lambda Y: Y * Y, np.array([1.0]), 2.0, np.linspace(0.0, 2.0, 5))
+
+
+@pytest.mark.parametrize("T", [3.3, 5.0, 0.7])
+def test_integrate_fills_every_sample(T):
+    """T need not be a multiple of the span; t = T is read off the last one.
+    A sample left unfilled would hold whatever np.empty gave it; a filled one
+    is within the tolerance, 1e-12 absolute and relative, of a unit circle."""
+    ts = np.linspace(0.0, T, 12)
+    Y = integrate(lambda Y: np.stack([Y[:, 1], -Y[:, 0]], axis=1), np.array([0.0, 1.0]), T, ts)
+    assert np.max(np.abs(Y - np.stack([np.sin(ts), np.cos(ts)], axis=1))) <= 2e-12
 
 
 def per_point_inverse(a, x, tol=1e-14, max_iter=100):
@@ -325,8 +395,8 @@ def per_point_inverse(a, x, tol=1e-14, max_iter=100):
 
 def test_batched_inversion_equals_per_point_loop():
     # contraction rate 0.3 |cos x_1|: fast near x_1 = pi/2, slow near 0
-    a = (FourierSeries.sine(2, (1, 0), np.array([0.3, -0.1]), 8)
-         + FourierSeries.sine(2, (1, 1), np.array([0.002, 0.004]), 8))
+    a = (sine(2, (1, 0), np.array([0.3, -0.1]), 8)
+         + sine(2, (1, 1), np.array([0.002, 0.004]), 8))
     rng = np.random.default_rng(7)
     X = np.vstack([rng.uniform(-3, 3, (30, 2)), [[np.pi / 2, 0.3], [0.0, 0.3]]])
     for max_iter in (100, 12):
@@ -345,11 +415,11 @@ def per_sample_verify(field, a, W0, W1, omega0, T, samples):
     n = field.family.n
     x_bar0 = np.linspace(0.4, 0.4 + 0.9 * (n - 1), n)
     y0 = np.concatenate([x_bar0 + a.eval(x_bar0), W0.eval(x_bar0)])
-    sol = integrate(field.rhs(), y0, T, t_eval=np.linspace(0.0, T, samples))
+    Y = integrate(lambda Y: field.eval(Y[:, :n], Y[:, n:]), y0, T, np.linspace(0.0, T, samples))
     dev, xbars = 0.0, []
-    for i in range(samples):
-        xbar = per_point_inverse(a, sol.y[:n, i])[0]
-        wbar = np.linalg.solve(W1.eval(xbar), sol.y[n:, i] - W0.eval(xbar))
+    for y in Y:
+        xbar = per_point_inverse(a, y[:n])[0]
+        wbar = np.linalg.solve(W1.eval(xbar), y[n:] - W0.eval(xbar))
         dev = max(dev, float(np.max(np.abs(wbar))))
         xbars.append(xbar)
     return dev, float(np.max(np.abs((xbars[-1] - xbars[0]) / T - omega0)))
@@ -358,7 +428,7 @@ def per_sample_verify(field, a, W0, W1, omega0, T, samples):
 def test_verify_torus_equals_per_sample_loop():
     fam = make_golden_family(delta=1e-3, order=8, seed=2)
     inst = fam.instantiate(OMEGA0, np.zeros(1), MU0)
-    a = FourierSeries.sine(2, (1, 0), np.array([0.01, -0.02]), 8)
+    a = sine(2, (1, 0), np.array([0.01, -0.02]), 8)
     W0 = FourierSeries.cosine(2, (0, 1), np.array([1e-3, 0.0, 2e-3]), 8)
     W1 = (FourierSeries.constant(2, np.eye(3), 8)
           + FourierSeries.cosine(2, (1, 1), 0.01 * np.arange(9.0).reshape(3, 3), 8))
@@ -372,7 +442,7 @@ def test_check_transform_commutes_flags_even_shift():
     fam = make_golden_family(delta=0.0, order=8)
     S = fam.S_w
     N = 8
-    a_odd = FourierSeries.sine(2, (1, 0), np.array([0.01, 0.0]), N)
+    a_odd = sine(2, (1, 0), np.array([0.01, 0.0]), N)
     a_even = FourierSeries.cosine(2, (1, 0), np.array([0.01, 0.0]), N)
     W0 = FourierSeries(2, (3,), N)
     W1 = FourierSeries.constant(2, np.eye(3), N)
