@@ -172,6 +172,10 @@ def _decode(command, config, config_path):
             if any(np.shape(M) != (d, d) for M in [cfg["R"], *mats]) \
                     or any(np.shape(v) != (d,) for v in cfg.get("PsiPoly", [])):
                 raise ValueError(f"Q, directions, QPoly and PsiPoly must fit R's {d}x{d} shape")
+        # samples are drawn from each [lo, hi] of a box, which needs lo <= hi
+        boxes = cfg.get("boxOmega", []) + cfg.get("boxBeta", [])
+        if any(lo > hi for lo, hi in boxes + cfg.get("curve", {}).get("box", [])):
+            raise ValueError("a box has an interval [lo, hi] with lo > hi")
         if command.startswith("normalize"):
             fam = cfg["family"]
             if (len(cfg["omega0"]), len(cfg.get("mu0", []))) != (fam.n, fam.s):
@@ -258,10 +262,8 @@ def _run_dioph_check(config, seed, threads):
 
 
 def _run_dioph_measure(config, seed, threads):
-    box_omega = [tuple(b) for b in config["boxOmega"]]
-    box_beta = [tuple(b) for b in config.get("boxBeta", [])]
     fractions = complement_measure_estimate(
-        box_omega, box_beta, config["tau"], config["gammas"],
+        config["boxOmega"], config.get("boxBeta", []), config["tau"], config["gammas"],
         config["sampleCount"], config["kmax"], seed=seed, workers=threads)
     gam = np.asarray(config["gammas"], dtype=float)
     fr = np.asarray(fractions, dtype=float)

@@ -24,7 +24,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UnpairedSpectrum
-from .fourier import _l1_ball
 from .revmat import RevMatrix
 
 # Fixed sampling schedule: MEASURE_CHUNKS independently seeded streams, so the
@@ -119,6 +118,20 @@ def check_tau(tau: float, n: int):
     # at or below n - 1 a scanned fraction grows with the horizon, not converging
     if tau <= n - 1:
         raise ValueError(f"tau must exceed n-1 = {n - 1}")
+
+
+@lru_cache(maxsize=64)
+def _l1_ball(n: int, radius: int) -> np.ndarray:
+    """All integer vectors of length n with |k|_1 <= radius, in lexicographic
+    order: each prefix in order, then the next entry ascending.  Cached, so
+    the array is read-only."""
+    rows = [((), radius)]
+    for _ in range(n):
+        rows = [(row + (c,), left - abs(c)) for row, left in rows
+                for c in range(-left, left + 1)]
+    ball = np.array([row for row, _ in rows], dtype=np.int64).reshape(len(rows), n)
+    ball.flags.writeable = False
+    return ball
 
 
 def enumerate_modes(n: int, kmax: int) -> np.ndarray:

@@ -23,16 +23,12 @@ lexicographic order, and ``np.bincount`` sums each real and imaginary part
 into its slot in pair order.  The rows are always in lexicographic order,
 so a product is bit for bit the same whatever built its operands.  No grid
 transforms are used, and no BLAS (see ``_matmul_pairs`` for the rounding).
-
-``_l1_ball`` is the one enumerator of integer vectors by l1 radius: the
-angle shift takes its Taylor exponents of each degree from it, and
-``diophantine`` its divisor-scan modes and normal shifts.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from types import MappingProxyType
 
@@ -115,20 +111,6 @@ def _slots(codes, size):
     number = np.empty(size, dtype=np.intp)
     number[present] = np.arange(len(present))
     return present, number[codes]
-
-
-@lru_cache(maxsize=64)
-def _l1_ball(n: int, radius: int) -> np.ndarray:
-    """All integer vectors of length n with |k|_1 <= radius, in lexicographic
-    order: each prefix in order, then the next entry ascending.  Cached, so
-    the array is read-only."""
-    rows = [((), radius)]
-    for _ in range(n):
-        rows = [(row + (c,), left - abs(c)) for row, left in rows
-                for c in range(-left, left + 1)]
-    ball = np.array([row for row, _ in rows], dtype=np.int64).reshape(len(rows), n)
-    ball.flags.writeable = False
-    return ball
 
 
 def _union(*Ks):
@@ -440,7 +422,7 @@ def _convolve(a, b, vcombine, out_shape):
     +-k pairs), an exponent column 0 to that sum or the degree.  The pair
     values, all at once for series and ``PAIR_BLOCK`` pairs at a time for
     fields, are viewed as float64, 2C parts per pair for C values, and one
-    ``np.bincount`` per part sums them into the slots in pair order, as
+    ``np.bincount`` over (slot, part) sums them into the slots in pair order, as
     ``np.add.at`` would: bit for bit for a series product, block by block for
     a field product.  The dust floor of each term is taken from the
     untruncated product; then the modes beyond the order go to
@@ -490,10 +472,10 @@ def _convolve(a, b, vcombine, out_shape):
 
 def _scatter(sums, slot, vals):
     """Add the complex rows vals into the rows ``slot`` of the (S, 2C) real
-    and imaginary part sums, one ``np.bincount`` per part, in row order."""
+    and imaginary part sums, one ``np.bincount`` over (slot, part), in row order."""
     parts = np.ascontiguousarray(vals).reshape(len(vals), sums.shape[1] // 2).view(np.float64)
-    for c, part in enumerate(parts.T):
-        sums[:, c] += np.bincount(slot, weights=part, minlength=len(sums))
+    codes = slot[:, None] * sums.shape[1] + np.arange(sums.shape[1])
+    sums += np.bincount(codes.ravel(), parts.ravel(), sums.size).reshape(sums.shape)
 
 
 def _mul_pairs(a_shape, b_shape):
@@ -544,24 +526,6 @@ def fs_matmul(a: FourierSeries, b: FourierSeries) -> FourierSeries:
     return _convolve(a, b, *_matmul_pairs(a.shape, b.shape))
 
 
-def fs_stack(series, axis=0):
-    """Stack equally shaped series along a new value axis (like np.stack)."""
-    series = list(series)
-    first = series[0]
-    if all(len(s.K) == len(first.K) and np.array_equal(s.K, first.K) for s in series):
-        K, parts = first.K, [s.V for s in series]
-    else:
-        K, rows = _union(*(s.K for s in series))
-        parts = []
-        for s, r in zip(series, rows):
-            part = np.zeros((len(K),) + first.shape, dtype=complex)
-            part[r] = s.V
-            parts.append(part)
-    V = np.stack(parts, axis=axis + 1 if axis >= 0 else axis)
-    return FourierSeries(first.n, V.shape[1:], max(s.order for s in series),
-                         trunc_loss=sum(s.trunc_loss for s in series), K=K, V=V)
-
-
 def _chain(memo, beta, step):
     """memo[beta], built as step(memo[beta - e_j], j) for the last j with
     beta_j > 0, so each entry costs one step from a memoized one."""
@@ -580,77 +544,84 @@ class AngleShift:
 
     g(x + a) = g + the layers sum_{|beta| = d} a^beta d^beta g / beta!, d >= 1,
     each one product, ``fs_matmul`` (series) or ``ft_series_matmul`` (fields),
-    of the powers a^beta / beta! stacked once per shift as a (B,) series with
-    g's rows stacked as (i k)^beta V, a loss-free (B,) + shape array.  The
-    rows of each alpha of g (a series has one) stop at their first layer
-    whose bound sum_beta maj(a^beta / beta!) maj(d^beta g) there is at most
-    SHIFT_TOL times their majorant, or at SHIFT_MAX_DEGREE, and leave the
-    stack.  The bound sums a majorant per beta, as the layer's beta terms
-    may cancel, so a block stops no earlier than on the sum of its term
-    majorants.  The sum is cut to g's order; its loss is g's once, the
-    layers' and the cut mass.
+    of the powers a^beta / beta! stacked as a (B,) series with g's rows
+    stacked as (i k)^beta V, a loss-free (B,) + shape array.  The rows of
+    each alpha of g (a series has one) stop at their first layer whose bound
+    sum_beta maj(a^beta / beta!) maj(d^beta g) there is at most SHIFT_TOL
+    times their majorant, or at SHIFT_MAX_DEGREE, and leave the stack.  The
+    bound sums a majorant per beta, as the layer's beta terms may cancel, so
+    a block stops no earlier than on the sum of its term majorants.  The sum
+    is cut to g's order; its loss is g's once, the layers' and the cut mass.
     """
 
     def __init__(self, a: FourierSeries):
         if a.shape != (a.n,):
             raise ValueError("angle shift needs an (n,)-valued series")
-        self.n = a.n
+        self.a = a
         self.trivial = a.majorant() == 0.0
-        one = FourierSeries.constant(a.n, np.array(1.0 + 0j), a.order)
-        self._pow = {(0,) * a.n: one}
-        self._comp = [a.map_stack(lambda V, j=j: V[:, j]) for j in range(a.n)]
-        self._layers = {}
 
-    def _power(self, beta):
-        return _chain(self._pow, beta, lambda p, j: fs_mul(p, self._comp[j]))
-
-    def _layer(self, degree):
-        """Memoized: the betas (B, n) of |beta| = degree whose a^beta has modes
-        or a loss (no modes: skipped under DROP_TOL, or cut away by the order),
-        their a^beta / beta! stacked as a (B,) series, whose loss is a^beta's
-        over beta!, and the majorant of each; None if B = 0."""
-        if degree not in self._layers:
-            ball = _l1_ball(self.n, degree)
-            betas = ball[(ball >= 0).all(axis=1) & (ball.sum(axis=1) == degree)]
-            powers = [(beta, self._power(beta)) for beta in map(tuple, betas.tolist())]
-            powers = [(beta, p) for beta, p in powers if p.majorant() > 0.0 or p.trunc_loss > 0.0]
-            layer = None
-            if powers:
-                inv = np.array([1.0 / math.prod(map(math.factorial, beta)) for beta, _ in powers])
-                S = fs_stack([p for _, p in powers])
-                loss = float(inv @ [p.trunc_loss for _, p in powers])
-                P = FourierSeries(self.n, S.shape, S.order, trunc_loss=loss, K=S.K, V=S.V * inv)
-                layer = (np.array([beta for beta, _ in powers], dtype=float), P,
-                         np.abs(P.V).sum(axis=0))
-            self._layers[degree] = layer
-        return self._layers[degree]
+    def layers(self):
+        """The layers d = 1, 2, ..., SHIFT_MAX_DEGREE, up to the first in which
+        no a^beta (|beta| = d) has modes or a loss (no modes: skipped under
+        DROP_TOL, or cut away by the order): those betas (B, n), their a^beta /
+        beta! stacked as a (B,) series, whose loss is a^beta's over beta!, the
+        majorant of each, and each a^beta's loss.  Degree d's powers are one
+        product of degree d - 1's with a, whose column (i, j) is a^(beta_i + e_j)
+        for j at or after beta_i's last nonzero entry, so each beta comes once;
+        each column is pruned, skipped under DROP_TOL and cut to the order as
+        its own product would be, and keeps that product's loss: its parent's,
+        a's, a skip's bound and its cut mass."""
+        a, n = self.a, self.a.n
+        # each component pruned against its own top, as a series of it alone
+        # would be, at an order no product reaches, so that the products are uncut
+        amag = np.abs(a.V)
+        amag[amag < np.maximum(PRUNE_TOL, DUST_TOL * amag.max(axis=0, initial=0.0))] = 0.0
+        comps = FourierSeries(n, a.shape, 2 ** 62, K=a.K, V=np.where(amag > 0.0, a.V, 0.0))
+        # the last degree's betas, their losses, and all their powers stacked (B, 1)
+        betas, loss = np.zeros((1, n), dtype=np.int64), np.zeros(1)
+        powers = FourierSeries.constant(n, np.ones((1, 1)), 2 ** 62)
+        for _ in range(SHIFT_MAX_DEGREE):
+            i, j = np.nonzero(np.arange(n) >= ((betas > 0) * np.arange(n)).max(axis=1)[:, None])
+            betas = betas[i] + np.eye(n, dtype=np.int64)[j]
+            prod = fs_mul(powers, comps)
+            col = prod.V[:, i, j]
+            mag = np.abs(col)
+            mag[mag < np.maximum(PRUNE_TOL, DUST_TOL * mag.max(axis=0, initial=0.0))] = 0.0
+            bound = np.abs(powers.V[:, :, 0]).sum(axis=0)[i] * amag.sum(axis=0)[j]
+            skip = bound < DROP_TOL
+            mag[:, skip] = 0.0
+            over = np.abs(prod.K).sum(axis=1) > a.order
+            loss = loss[i] + a.trunc_loss + np.where(skip, bound, 0.0) + mag[over].sum(axis=0)
+            K, V = prod.K[~over], np.where(mag > 0.0, col, 0.0)[~over]
+            live = V.any(axis=0) | (loss > 0.0)
+            if not live.any():
+                return
+            inv = np.array([1 / math.prod(map(math.factorial, b)) for b in betas[live].tolist()])
+            P = FourierSeries(n, inv.shape, a.order, trunc_loss=float(inv @ loss[live]),
+                              K=K, V=V[:, live] * inv)
+            yield betas[live].astype(float), P, np.abs(P.V).sum(axis=0), loss[live]
+            powers = FourierSeries(n, V.shape[1:] + (1,), 2 ** 62, K=K, V=V[:, :, None])
 
     def apply(self, g):
         """g(x + a(x)), for a series or a Fourier-Taylor field g."""
         if self.trivial or not len(g.V):
             return g
+        if len(g.shape) > 1:  # a matrix value is shifted as a flat vector
+            flat = self.apply(g.map_stack(lambda V: V.reshape(len(V), -1)))
+            return flat.map_stack(lambda V: V.reshape((len(V),) + g.shape))
         from .ftaylor import ft_series_matmul  # ftaylor imports this module
         product = fs_matmul if isinstance(g, FourierSeries) else ft_series_matmul
         # the rows of one alpha form a block; a series is one block
-        code = (g.degree + 1) ** np.arange(g.q)
-        _, block = np.unique(g.keys[:, :g.q] @ code, return_inverse=True)
+        block = _runs(g.keys[:, :g.q])[0]
         floor = SHIFT_TOL * np.bincount(block, g.norms)
-        # a matrix value is multiplied as a flat vector
-        flat = (math.prod(g.shape),) if len(g.shape) > 1 else g.shape
         K = g.K.astype(float)
         V = g.V.reshape(len(g.V), 1, -1)
         live = np.ones(len(g.V), dtype=bool)
         acc = g
-        for degree in range(1, SHIFT_MAX_DEGREE + 1):
-            layer = self._layer(degree)
-            if layer is None:
-                break
-            betas, P, P_maj = layer
+        for degree, (betas, P, P_maj, _) in enumerate(self.layers(), 1):
             factor = (1, 1j, -1, -1j)[degree % 4] * (K[live, None] ** betas).prod(axis=2)
-            rows = (factor[:, :, None] * V[live]).reshape((len(factor), len(betas)) + flat)
+            rows = (factor[:, :, None] * V[live]).reshape((len(factor), len(betas)) + g.shape)
             term = product(P, g._from_keys(g.keys[live], rows, g.order, g.degree, 0.0))
-            if term.shape != g.shape:
-                term = term.map_stack(lambda W: W.reshape((len(W),) + g.shape))
             acc = acc + term
             # the norm of row r of d^beta g is |(i k_r)^beta| times r's norm
             bound = np.bincount(block[live], (np.abs(factor) @ P_maj) * g.norms[live],

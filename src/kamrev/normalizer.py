@@ -30,7 +30,7 @@ from .errors import (CancellationFailure, NoConvergence, SmallDivisor,
 from .fourier import AngleShift, FourierSeries, fs_matmul
 from .ftaylor import FourierTaylor, WSubstitution, ft_matmul, ft_neumann_solve
 from .revmat import RevMatrix
-from .revsystem import AugmentedFamily, ReversibleFamily, check_transform_commutes
+from .revsystem import AugmentedFamily, ReversibleFamily, check_transform_commutes, ft_embed
 
 SMALLNESS_ORDER = 2
 SMALLNESS_EPS = 0.1
@@ -75,11 +75,14 @@ def conjugate_field(Xx: FourierTaylor, Xw: FourierTaylor, a: FourierSeries,
     eye = FourierSeries.constant(n, np.eye(q), W1.order)
     if a.majorant() == 0.0 and W0.majorant() == 0.0 and (W1 - eye).majorant() == 0.0:
         return Xx, Xw
-    # the shift applies the stored a; a's own loss enters once, through Da
+    # Xx and Xw as one field; the shift applies the stored a, whose loss enters via Da
     shift = AngleShift(FourierSeries(n, a.shape, a.order, K=a.K, V=a.V))
     sub = WSubstitution(W0, W1, degree)
-    XxT = sub.apply(shift.apply(Xx))
-    XwT = sub.apply(shift.apply(Xw))
+    XT = sub.apply(shift.apply(ft_embed(Xx, n + q, 0) + ft_embed(Xw, n + q, n)))
+    # its loss goes with the w rows, into Xw_bar, and so into the budget once
+    XxT = XT.map_stack(lambda V: V[:, :n])
+    XxT.trunc_loss = 0.0
+    XwT = XT.map_stack(lambda V: V[:, n:])
 
     Da = a.grad_x()
     Xx_bar = ft_neumann_solve(Da, XxT)
@@ -209,8 +212,7 @@ def _solve_sweep(family, inst, Xx, Xw, res: _Residual, ctx: _Setup,
         c0 = solve_normal(r_z0, omega0, Qrev)
     else:
         c0 = FourierSeries(n, (0,), N)
-    psi0 = (b0.map_stack(lambda V: np.pad(V, [(0, 0), (0, d)]))
-            + c0.map_stack(lambda V: np.pad(V, [(0, 0), (m, 0)])))
+    psi0 = ft_embed(b0, q, 0) + ft_embed(c0, q, m)
     coupling = fs_matmul(res.Axw, psi0)
     du = -(res.r_x0 + coupling).average()
     da = solve_scalar(res.r_x0 + coupling + FourierSeries.constant(n, du, N),
@@ -273,11 +275,21 @@ def _solve_sweep(family, inst, Xx, Xw, res: _Residual, ctx: _Setup,
 
 
 def _compose(a, W0, W1, inc: _Increment):
-    """Total transform after appending the incremental one on the right."""
-    shift = AngleShift(inc.da)
-    W1_shifted = shift.apply(W1)
-    a_new = inc.da + shift.apply(a)
-    W0_new = shift.apply(W0) + fs_matmul(W1_shifted, inc.psi0)
+    """Total transform after appending the incremental one on the right.  a,
+    W0 and W1 are shifted as one flat series; each part keeps its own loss
+    and takes on the shift's."""
+    n, q = a.n, W0.shape[0]
+    size = n + q + q * q
+    flat = (ft_embed(a, size, 0) + ft_embed(W0, size, n)
+            + ft_embed(W1.map_stack(lambda V: V.reshape(len(V), q * q)), size, n + q))
+    flat.trunc_loss = 0.0
+    moved = AngleShift(inc.da).apply(flat)
+    W1_shifted = moved.map_stack(lambda V: V[:, n + q:].reshape(len(V), q, q))
+    W1_shifted.trunc_loss += W1.trunc_loss
+    a_new = inc.da + moved.map_stack(lambda V: V[:, :n])
+    a_new.trunc_loss += a.trunc_loss
+    W0_new = moved.map_stack(lambda V: V[:, n:n + q]) + fs_matmul(W1_shifted, inc.psi0)
+    W0_new.trunc_loss += W0.trunc_loss
     W1_new = fs_matmul(W1_shifted, inc.dW1)
     return a_new, W0_new, W1_new
 

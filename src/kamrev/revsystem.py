@@ -41,8 +41,8 @@ def classify_context(dim_fix_g: int, codim_t: int) -> str:
     return "Context1"
 
 
-def ft_embed(F: FourierTaylor, total: int, offset: int) -> FourierTaylor:
-    """Embed a (d,)-valued field into (total,)-valued rows [offset, offset+d)."""
+def ft_embed(F, total: int, offset: int):
+    """Embed a (d,)-valued field or series into (total,)-valued rows [offset, offset+d)."""
     d = F.shape[0]
     return F.map_stack(lambda V: np.concatenate(
         [np.zeros((len(V), offset)), V, np.zeros((len(V), total - offset - d))], axis=1))
@@ -437,11 +437,13 @@ def _collocation():
 def _span(rhs, y, h):
     """The orbit from y over a span of length h by Picard iteration: its
     Chebyshev coefficients on [-1, 1] and its end; None unless it settles in
-    40 steps and the last three coefficients are within the tolerance."""
+    40 finite steps and the last three coefficients are within the tolerance."""
     to_coef, integral = _collocation()
     Y = np.broadcast_to(y, (DEGREE + 1, len(y)))
     for _ in range(40):
         Y, prev = y + 0.5 * h * (integral @ rhs(Y)), Y
+        if not np.isfinite(Y).all():  # diverged: no later step settles
+            return None
         scale = INTEGRATE_TOL * (1.0 + np.abs(Y).max(axis=0))
         if (np.abs(Y - prev) <= scale).all():
             coef = to_coef @ Y
@@ -451,24 +453,24 @@ def _span(rhs, y, h):
 
 def integrate(rhs, y0, T, t_eval):
     """The orbit from y0 at t = 0 as rows at the increasing times t_eval in [0, T];
-    ``rhs`` maps an (S, dim) stack of states to their derivatives.  A span that
-    fails is halved; after a success the next may double, up to SPAN_MAX."""
+    ``rhs`` maps an (S, dim) stack of states to their derivatives.  A failed span is
+    halved; a kept one lets the next double, up to SPAN_MAX, unless it was just halved."""
     from numpy.polynomial.chebyshev import chebval
     out = np.empty((len(t_eval), len(y0)))
-    t, h, i, y = 0.0, SPAN_MAX, 0, np.asarray(y0, dtype=float)
+    t, h, i, y, grow = 0.0, SPAN_MAX, 0, np.asarray(y0, dtype=float), True
     while t < T:
         end = min(t + h, T)
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging iteration
             span = _span(rhs, y, end - t)
         if span is None:
-            h *= 0.5
+            h, grow = 0.5 * h, False
             if h < SPAN_MAX * 2.0 ** -30:
                 raise StepFailure(f"integration failed: no span from t = {t:.6g} settles")
             continue
         coef, y = span
         j = np.searchsorted(t_eval, end, side="right")
         out[i:j] = chebval(2.0 * (t_eval[i:j] - t) / (end - t) - 1.0, coef).T
-        t, h, i = end, min(2.0 * h, SPAN_MAX), j
+        t, h, i, grow = end, min(2.0 * h, SPAN_MAX) if grow else h, j, True
     return out
 
 

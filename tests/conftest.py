@@ -10,7 +10,7 @@ that forces a nonzero unfolding shift.
 import numpy as np
 import pytest
 
-from kamrev import FourierSeries, NormalizerConfig, ReversibleFamily
+from kamrev import FourierSeries, NormalizerConfig, ReversibleFamily, fourier
 from kamrev.ftaylor import FourierTaylor
 from kamrev.revsystem import symmetrize_w_rows, symmetrize_x_row
 
@@ -30,6 +30,24 @@ def sine(n, k, value, order):
     if k == mk:
         return FourierSeries(n, value.shape, order)
     return FourierSeries(n, value.shape, order, {k: -0.5j * value, mk: 0.5j * value})
+
+
+def fs_stack(series, axis=0):
+    """Stack equally shaped series along a new value axis (like np.stack)."""
+    series = list(series)
+    first = series[0]
+    if all(len(s.K) == len(first.K) and np.array_equal(s.K, first.K) for s in series):
+        K, parts = first.K, [s.V for s in series]
+    else:
+        K, rows = fourier._union(*(s.K for s in series))
+        parts = []
+        for s, r in zip(series, rows):
+            part = np.zeros((len(K),) + first.shape, dtype=complex)
+            part[r] = s.V
+            parts.append(part)
+    V = np.stack(parts, axis=axis + 1 if axis >= 0 else axis)
+    return FourierSeries(first.n, V.shape[1:], max(s.order for s in series),
+                         trunc_loss=sum(s.trunc_loss for s in series), K=K, V=V)
 
 
 def _random_taylor(rng, n, q, dim, order, degree, kmax=2, deg=2):

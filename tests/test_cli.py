@@ -198,6 +198,32 @@ def test_config_parts_that_disagree_exit_2_without_report(tmp_path, capsys,
     assert not (tmp_path / f"{command}-report.json").exists()
 
 
+MEASURE_DOC = {"tau": 1.5, "gamma": 0.02, "kmax": 6, "sampleCount": 64}
+
+
+@pytest.mark.parametrize("command,make_doc", [
+    ("dioph-measure", lambda: {"boxOmega": [[2.0, 1.0], [1.0, 2.0]], **MEASURE_DOC}),
+    ("dioph-measure", lambda: {"boxOmega": [[1.0, 2.0], [1.0, 2.0]],
+                               "boxBeta": [[1.5, 0.5]], **MEASURE_DOC}),
+    ("ruessmann", lambda: _ruessmann_doc(make_curve_family(delta=1e-4, order=8), [[0.1, 0.0]])),
+], ids=["box-omega", "box-beta", "curve-box"])
+def test_a_reversed_box_exits_2_without_report(tmp_path, capsys, command, make_doc):
+    """An interval with lo > hi is a configuration error; numpy's uniform
+    draw raised a ValueError from it, and the command exited 1."""
+    cfg = write_cfg(tmp_path, make_doc())
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "lo > hi" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}-report.json").exists()
+
+
+def test_a_degenerate_box_interval_still_runs(tmp_path):
+    """lo = hi is a box of one value in that coordinate, not an error."""
+    cfg = write_cfg(tmp_path, {"boxOmega": [[1.0, 1.0], [1.0, 2.0]], **MEASURE_DOC})
+    assert main(["dioph-measure", "--config", cfg, "--out", str(tmp_path)]) == 0
+    fractions = np.array(read_report(tmp_path, "dioph-measure")["result"]["fractions"])
+    assert fractions.shape == (1,) and 0.0 <= fractions[0] <= 1.0
+
+
 # every normalizer key at its NormalizerConfig default, and both run keys
 DEFAULT_KEYS = {"tol": 1e-10, "maxIter": 12, "versalTol": 1e-8, "cancelTol": 1e-9,
                 "lossBudget": 1e-8, "seed": 3, "csv": False}

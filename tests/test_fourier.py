@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import sine
+from conftest import fs_stack, sine
 from kamrev.errors import ImaginaryResidue
-from kamrev.fourier import DUST_TOL, AngleShift, FourierSeries, fs_matmul, fs_mul, fs_stack, order1
+from kamrev.fourier import DUST_TOL, AngleShift, FourierSeries, fs_matmul, fs_mul, order1
 from kamrev.ftaylor import FourierTaylor
 from test_fourier_oracle import DIMS, ORDERS, SETTINGS, real_series
 

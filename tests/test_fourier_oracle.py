@@ -31,9 +31,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import fs_stack
 from kamrev import fourier
 from kamrev.fourier import (DROP_TOL, DUST_TOL, PRUNE_TOL, FourierSeries, _union, fs_matmul,
-                            fs_mul, fs_stack, order1)
+                            fs_mul, order1)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 

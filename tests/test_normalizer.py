@@ -7,12 +7,12 @@ w = (1.04 * 0.4 - 0.6) * delta for the constructed z-linear perturbation).
 import numpy as np
 import pytest
 
-from conftest import MU0, OMEGA0, make_config, make_golden_family, sine
+from conftest import MU0, OMEGA0, make_config, make_curve_family, make_golden_family, sine
 from kamrev.errors import NoConvergence, SmallDivisor, TruncationOverflow
 from kamrev import fourier, ftaylor
-from kamrev.fourier import FourierSeries
-from kamrev.ftaylor import FourierTaylor
-from kamrev.normalizer import (NormalizerConfig, conjugate_field, normalize,
+from kamrev.fourier import DUST_TOL, AngleShift, FourierSeries, fs_matmul
+from kamrev.ftaylor import FourierTaylor, WSubstitution, ft_matmul, ft_neumann_solve
+from kamrev.normalizer import (NormalizerConfig, _compose, _Increment, conjugate_field, normalize,
                                normalize_augmented)
 from kamrev.revsystem import ReversibleFamily
 
@@ -93,6 +93,105 @@ def test_conjugate_field_identity_shortcut():
     W1 = FourierSeries.constant(2, np.eye(q), N)
     Xx, Xw = conjugate_field(inst.Xx, inst.Xw, a, W0, W1, 2)
     assert Xx is inst.Xx and Xw is inst.Xw
+
+
+def two_field_conjugation(Xx, Xw, a, W0, W1, degree):
+    """conjugate_field as it was before Xx and Xw were stacked: each shifted
+    and substituted on its own, with the same solves."""
+    n, q = Xx.n, Xw.shape[0]
+    shift = AngleShift(FourierSeries(n, a.shape, a.order, K=a.K, V=a.V))
+    sub = WSubstitution(W0, W1, degree)
+    XxT, XwT = sub.apply(shift.apply(Xx)), sub.apply(shift.apply(Xw))
+    Xx_bar = ft_neumann_solve(a.grad_x(), XxT)
+    rhs = XwT - ft_matmul(sub.affine.grad_x(), Xx_bar)
+    return Xx_bar, ft_neumann_solve(W1 - FourierSeries.constant(n, np.eye(q), W1.order), rhs)
+
+
+def normalized_case(fam, omega0, mu0):
+    """A family's field at the parameters a normalization ends on, and its
+    transform (a, W0, W1)."""
+    res = normalize(fam, omega0, mu0, make_config(tol=1e-11))
+    return fam.instantiate(res.omega0 + res.u, res.v, res.mu0 + res.w), res.a, res.W0, res.W1
+
+
+def lossy(s, loss):
+    out = s * 1.0
+    out.trunc_loss = loss
+    return out
+
+
+@pytest.mark.parametrize("case", ["golden-given", "golden-normalized", "curve-normalized"])
+@pytest.mark.parametrize("losses", [False, True])
+def test_stacked_conjugation_matches_the_two_field_one(case, losses):
+    """Xx and Xw shifted and substituted as one field against one at a time,
+    through degree 2 and the family's degree: every coefficient agrees to
+    1e-15 of the majorant of its result.  The loss the budget reads, that of
+    Xx plus that of Xw, is at most the two-field one plus DUST_TOL times the
+    results' majorants: the stacked field prunes its dust against the top
+    of both halves, unrecorded, so the products formed from it may cut that
+    much more.  With losses, the fields carry 1e-12 and 2e-12, and a and W1
+    3e-13 and 5e-13; the two-field conjugation records Xx's loss twice, in
+    its solve and again in Xw's, where the stacked field's loss enters once,
+    so the stacked loss is 1e-12 lower to within that allowance."""
+    if case == "golden-given":
+        fam, inst, a, W0, W1 = pushforward_case()
+    elif case == "golden-normalized":
+        fam = small_family(1e-3, seed=1)
+        inst, a, W0, W1 = normalized_case(fam, OMEGA0, MU0)
+    else:
+        fam = make_curve_family(delta=1e-4, order=8)
+        inst, a, W0, W1 = normalized_case(fam, np.array([1.0, 1.55]), np.zeros(0))
+    Xx, Xw = inst.Xx, inst.Xw
+    if losses:
+        Xx, Xw, a, W1 = lossy(Xx, 1e-12), lossy(Xw, 2e-12), lossy(a, 3e-13), lossy(W1, 5e-13)
+    for degree in sorted({2, fam.degree}):
+        got = conjugate_field(Xx, Xw, a, W0, W1, degree)
+        want = two_field_conjugation(Xx, Xw, a, W0, W1, degree)
+        for g, w in zip(got, want):
+            assert np.abs((g - w).V).max(initial=0.0) <= 1e-15 * w.majorant()
+        allowance = DUST_TOL * sum(g.majorant() for g in got)
+        once = 1e-12 if losses else 0.0
+        assert (sum(g.trunc_loss for g in got)
+                <= sum(w.trunc_loss for w in want) - once + allowance)
+
+
+def three_shift_composition(a, W0, W1, inc):
+    """_compose as it was before a, W0 and W1 were shifted as one series."""
+    shift = AngleShift(inc.da)
+    W1_shifted = shift.apply(W1)
+    return (inc.da + shift.apply(a), shift.apply(W0) + fs_matmul(W1_shifted, inc.psi0),
+            fs_matmul(W1_shifted, inc.dW1))
+
+
+@pytest.mark.parametrize("losses", [False, True])
+def test_composition_shifts_the_transform_as_one_series(losses):
+    """_compose against ``three_shift_composition`` on the pushforward
+    transform and an increment of size 1e-3: a, W0 and W1 each agree to
+    1e-15 of their majorant plus DUST_TOL times the largest of the three
+    majorants, as the flat series prunes its dust against all three.  Each
+    part keeps its own loss, never less: with a, W0 and W1 carrying 1e-12,
+    2e-12 and 3e-12, a's is at least 1e-12, W1's at least 3e-12 and W0's at
+    least 5e-12, its own and W1's through the product.  Each takes on the
+    flat shift's loss, so it may read more than the reference's, but at
+    most the three reference losses together."""
+    fam, _, a, W0, W1 = pushforward_case()
+    N, q = fam.order, fam.q
+    inc = _Increment(sine(2, (1, 1), np.array([1e-3, 5e-4]), N),
+                     FourierSeries.cosine(2, (0, 1), np.array([1e-3, 0.0, -1e-3]), N),
+                     FourierSeries.constant(2, np.eye(q), N)
+                     + FourierSeries.cosine(2, (1, 0), 1e-3 * np.ones((q, q)), N),
+                     np.zeros(2), np.zeros(1), np.zeros(1))
+    if losses:
+        a, W0, W1 = lossy(a, 1e-12), lossy(W0, 2e-12), lossy(W1, 3e-12)
+    got, want = _compose(a, W0, W1, inc), three_shift_composition(a, W0, W1, inc)
+    top = max(w.majorant() for w in want)
+    for g, w in zip(got, want):
+        assert (g.shape, g.order) == (w.shape, w.order)
+        assert np.abs((g - w).V).max(initial=0.0) <= 1e-15 * w.majorant() + DUST_TOL * top
+        assert g.trunc_loss <= sum(w.trunc_loss for w in want)
+    if losses:
+        assert got[0].trunc_loss >= 1e-12 and got[2].trunc_loss >= 3e-12
+        assert got[1].trunc_loss >= 5e-12
 
 
 def test_newton_step_contracts_quadratically():

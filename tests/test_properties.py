@@ -31,9 +31,9 @@ from hypothesis import assume, given, strategies as st
 from conftest import sine
 from kamrev import fourier
 from kamrev.cohomology import solve_commutator, solve_normal, solve_right, solve_scalar
-from kamrev.diophantine import DiophantineParams, is_diophantine_pair
-from kamrev.fourier import (DROP_TOL, PRUNE_TOL, SHIFT_MAX_DEGREE, SHIFT_TOL, AngleShift,
-                            FourierSeries, _chain, _l1_ball, fs_matmul, fs_mul)
+from kamrev.diophantine import DiophantineParams, _l1_ball, is_diophantine_pair
+from kamrev.fourier import (DROP_TOL, DUST_TOL, PRUNE_TOL, SHIFT_MAX_DEGREE, SHIFT_TOL, AngleShift,
+                            FourierSeries, _chain, fs_matmul, fs_mul)
 from kamrev.ftaylor import FourierTaylor, involution_pullback
 from kamrev.revmat import InvolutionStructure, RevMatrix
 from test_fourier_oracle import DIMS, ENTRY, ORDERS, PAIR_SHAPES, SETTINGS, real_series
@@ -360,3 +360,56 @@ def test_angle_shifts_compose(data, n, shape, order):
     bound = (1e-13 * g.majorant() + left.trunc_loss + right.trunc_loss
              + (order + 1) * g.majorant() * c.trunc_loss)
     assert (left - right).majorant() <= bound
+
+
+def chained_powers(a, degree):
+    """The powers a^beta of |beta| = degree with modes or a loss, each built as
+    one product a^(beta - e_j) a_j for the last j with beta_j > 0, memoized
+    in ``a.memo`` across degrees, as the angle shift built them before each
+    layer became one product."""
+    comps = [a.map_stack(lambda V, j=j: V[:, j]) for j in range(a.n)]
+    ball = _l1_ball(a.n, degree)
+    betas = map(tuple, ball[(ball >= 0).all(axis=1) & (ball.sum(axis=1) == degree)].tolist())
+    powers = {beta: _chain(a.memo, beta, lambda p, j: fs_mul(p, comps[j])) for beta in betas}
+    return {beta: p for beta, p in powers.items() if p.majorant() > 0.0 or p.trunc_loss > 0.0}
+
+
+@SETTINGS
+@given(data=st.data(), n=DIMS, scale=st.sampled_from([1.0, 1e-3]))
+def test_each_stacked_layer_holds_the_chained_powers(data, n, scale):
+    """``AngleShift.layers`` through degree 8 against ``chained_powers``.
+    Each layer holds the betas whose chained power has modes or a loss.  A
+    column times beta! agrees with its power to 1e-15 of the power's
+    majorant, and its loss with the power's to 1e-12 relative: the parent's
+    loss, a's, a DROP_TOL skip's bound and the mass cut past the order.  Like
+    a power of its own, a column keeps no entry under DUST_TOL times its
+    largest (to the rounding of the scaling by 1/beta!).  Beyond that, each
+    series drops its dust unrecorded, as the stack of the powers did before:
+    the product of a layer drops rows under DUST_TOL
+    times its largest row norm u, which moves an entry by at most u DUST_TOL
+    and a loss by u DUST_TOL per mode; the layer, scaled by 1/beta!, drops
+    rows under its own floor f, PRUNE_TOL or DUST_TOL times its largest
+    entry, which moves an entry of a^beta by at most beta! f.  At scale 1e-3
+    the powers of degree 7 and up fall under DROP_TOL and are skipped."""
+    a = data.draw(small_shift(n)) * scale
+    a.memo = {(0,) * n: FourierSeries.constant(n, np.array(1.0 + 0j), a.order)}
+    layers = AngleShift(a).layers()
+    for degree in range(1, 9):
+        want, got = chained_powers(a, degree), next(layers, None)
+        if not want:
+            assert got is None
+            break
+        betas, P, _, losses = got
+        betas = [tuple(int(e) for e in beta) for beta in betas.tolist()]
+        assert sorted(betas) == sorted(want)
+        facts = [math.prod(map(math.factorial, beta)) for beta in betas]
+        u = max(f * np.abs(P.V[:, c]).max(initial=0.0) for c, f in enumerate(facts))
+        floor = max(PRUNE_TOL, DUST_TOL * np.abs(P.V).max(initial=0.0))
+        for c, (beta, fact) in enumerate(zip(betas, facts)):
+            p, column = want[beta], np.abs(P.V[:, c])
+            kept = column[column > 0]
+            assert kept.min(initial=np.inf) >= DUST_TOL * kept.max(initial=0.0) * (1 - 1e-15)
+            diff = P.map_stack(lambda V: V[:, c] * fact) - p
+            assert np.abs(diff.V).max(initial=0.0) <= (1e-15 * p.majorant() + u * DUST_TOL
+                                                       + fact * floor)
+            assert abs(losses[c] - p.trunc_loss) <= 1e-12 * p.trunc_loss + len(p.K) * u * DUST_TOL

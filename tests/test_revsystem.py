@@ -371,6 +371,31 @@ def test_integrate_blow_up_raises_step_failure_without_warnings():
             integrate(lambda Y: Y * Y, np.array([1.0]), 2.0, np.linspace(0.0, 2.0, 5))
 
 
+def test_integrate_stops_a_diverging_span_and_does_not_retry_a_failed_length():
+    """Right-hand side calls, each one stack of nodes.  A blow-up y' = y^2 from
+    1 over [0, 2] took 2,893 when each failed span ran its 40 steps after its
+    iterates overflowed; it must take at most 1,500 and still raise
+    StepFailure with no warning.  A fast rotation over T = 10 took 6,080 when
+    each kept span doubled into the length that had just failed; it must
+    take at most 4,700 and still meet the rotation's 2e-11."""
+    calls = []
+
+    def counted(fn):
+        return lambda Y: calls.append(1) or fn(Y)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepFailure):
+            integrate(counted(lambda Y: Y * Y), np.array([1.0]), 2.0, np.linspace(0.0, 2.0, 5))
+    assert len(calls) <= 1500
+    calls.clear()
+    ts = np.linspace(0.0, 10.0, 101)
+    Y = integrate(counted(lambda Y: 50.0 * np.stack([Y[:, 1], -Y[:, 0]], axis=1)),
+                  np.array([1.0, 0.0]), 10.0, ts)
+    assert len(calls) <= 4700
+    assert np.max(np.abs(Y - np.stack([np.cos(50 * ts), -np.sin(50 * ts)], axis=1))) <= 2e-11
+
+
 @pytest.mark.parametrize("T", [3.3, 5.0, 0.7])
 def test_integrate_fills_every_sample(T):
     """T need not be a multiple of the span; t = T is read off the last one.
