@@ -102,7 +102,6 @@ def conjugate_field(Xx: FourierTaylor, Xw: FourierTaylor, a: FourierSeries,
 
 @dataclass
 class NormalizationResult:
-    family: ReversibleFamily
     omega0: np.ndarray
     mu0: np.ndarray
     u: np.ndarray
@@ -115,7 +114,6 @@ class NormalizationResult:
     Xw: FourierTaylor
     Q_target: np.ndarray
     residual_history: list
-    config: NormalizerConfig
     diagnostics: dict = dc_field(default_factory=dict)
 
     def _C(self):
@@ -321,15 +319,16 @@ def _setup(family, omega0, mu0, config) -> _Setup:
 # -- public operations ---------------------------------------------------------------
 
 
-def normalize(family: ReversibleFamily, omega0, mu0,
-              config: NormalizerConfig) -> NormalizationResult:
+def normalize(family: ReversibleFamily, omega0, mu0, config: NormalizerConfig,
+              retarget=None) -> NormalizationResult:
     """Drive the family at (omega0, mu0) to the form
     dx/dt = omega0 + O(w), dy/dt = O2(w), dz/dt = Q(omega0, mu0) z + O2(w)
-    by parameter shifts (u, v, w) and a fibered near-identity transform."""
+    by parameter shifts (u, v, w) and a fibered near-identity transform.
+    With ``retarget``, (omega0, mu0) becomes retarget(omega0, mu0, u, v, w)
+    after each sweep, and the Diophantine check, Q and the targets follow."""
     n, m, q, s = family.n, family.m, family.q, family.s
     N = family.order
     ctx = _setup(family, omega0, mu0, config)
-    omega0, mu0 = ctx.omega0, ctx.mu0
 
     u = np.zeros(n)
     v = np.zeros(m)
@@ -340,9 +339,8 @@ def normalize(family: ReversibleFamily, omega0, mu0,
 
     history = []
     diagnostics = {}
-    Xx = Xw = None
     for sweep in range(config.max_iter + 1):
-        inst = family.instantiate(omega0 + u, v, mu0 + w)
+        inst = family.instantiate(ctx.omega0 + u, v, ctx.mu0 + w)
         Xx, Xw = conjugate_field(inst.Xx, inst.Xw, a, W0, W1, min(JET_DEGREE, family.degree),
                                  loss_budget=config.loss_budget)
         res = _measure(Xx, Xw, ctx)
@@ -359,9 +357,11 @@ def normalize(family: ReversibleFamily, omega0, mu0,
         u = u + inc.du
         v = v + inc.dv
         w = w + inc.dw
+        if retarget is not None:
+            ctx = _setup(family, *retarget(ctx.omega0, ctx.mu0, u, v, w), config)
 
-    result = NormalizationResult(family, omega0, mu0, u, v, w, a, W0, W1,
-                                 Xx, Xw, ctx.Q, history, config, diagnostics)
+    result = NormalizationResult(ctx.omega0, ctx.mu0, u, v, w, a, W0, W1,
+                                 Xx, Xw, ctx.Q, history, diagnostics)
     viol = check_transform_commutes(a, W0, W1, family.S_w)
     if viol:
         raise CancellationFailure(

@@ -118,13 +118,6 @@ class RevMatrix:
         self.Q = Q
         self.inv = inv
 
-    @property
-    def dim(self) -> int:
-        return self.inv.dim
-
-    def __repr__(self):
-        return f"RevMatrix(dim={self.dim})"
-
 
 @dataclass
 class Unfolding:

@@ -3,12 +3,12 @@
 The pipeline treats the torus frequency as an artificial external parameter:
 for each parameter value mu on a grid, a joint fixed point
 
-    omega  <-  F(v, mu0 + w) - u        mu0  <-  mu0 - (mu0 + w - mu)
+    omega  <-  F(v, mu) - u        mu0  <-  mu0 - (mu0 + w - mu)
 
 (with u, v, w the shifts reported by the normalizer at the current state)
 finds the frequency and family parameter whose shifted values land back on
 the true frequency-drift relation; both maps contract at the size of the
-perturbation, so one normalization serves both updates per step.  Accepted
+perturbation, so both run between the sweeps of one normalization.  Accepted
 parameter values are those whose solved frequency is certified Diophantine
 at the full gamma; the solver itself runs at a slacker bound so the
 intermediate iterates are not over-rejected.
@@ -27,8 +27,7 @@ from .normalizer import NormalizerConfig, normalize
 from .revmat import RevMatrix, numerical_rank
 from .revsystem import ReversibleFamily, verify_torus
 
-# outer identification steps per grid point, and the residual that ends them
-OUTER_STEPS = 12
+# the largest back-substitution residual an identified grid point may keep
 IDENTIFY_TOL = 1e-12
 
 
@@ -205,32 +204,36 @@ class PersistenceReport:
         return rows
 
 
-def _identify(family, curve, mu_curve, omega, mu0, cfg):
-    """Joint fixed point for frequency and family parameter.  Each step runs
-    one normalization at the current (omega, mu0) and moves both unknowns;
-    when the family is parameter-free only the frequency moves and the
-    parameter residual is identically zero.  Returns the converged state,
-    the normalization at it, and the two back-substitution residuals."""
-    prev = None
-    size = float("inf")
-    for _ in range(OUTER_STEPS):
-        run = normalize(family, omega, mu0, cfg)
-        mu_arg = (mu0 + run.w) if family.s else mu_curve
-        target = curve.F(run.v, mu_arg)
-        dom = np.asarray(target, dtype=float).reshape(family.n) - run.u - omega
-        dmu = (mu0 + run.w - mu_curve) if family.s else np.zeros(0)
-        phi_resid = float(np.max(np.abs(dom)))
-        ups_resid = float(np.max(np.abs(dmu))) if family.s else 0.0
-        size = max(phi_resid, ups_resid)
-        if size <= IDENTIFY_TOL:
-            return omega, mu0, run, phi_resid, ups_resid
-        if prev is not None and size > 0.5 * prev:
+def _identify(family, curve, mu_curve, cfg):
+    """Joint fixed point for frequency and family parameter, found inside one
+    normalization whose base point the fixed-point map moves after every
+    sweep; when the family is parameter-free only the frequency moves and the
+    parameter residual is identically zero.  Returns the converged state, the
+    normalization at it, and the two back-substitution residuals there."""
+    moves = []
+
+    def residuals(omega, mu0, u, v, w):
+        dom = np.asarray(curve.F(v, mu_curve), dtype=float).reshape(family.n) - u - omega
+        return dom, (mu0 + w - mu_curve) if family.s else np.zeros(0)
+
+    def retarget(omega, mu0, u, v, w):
+        dom, dmu = residuals(omega, mu0, u, v, w)
+        size = float(np.max(np.abs(np.concatenate([dom, dmu]))))
+        if moves and size > 0.5 * moves[-1]:
             raise ImplicitSolveFailure(
-                f"identification not contracting ({size:.3e} after {prev:.3e})")
-        omega = omega + dom
-        mu0 = mu0 - dmu
-        prev = size
-    raise ImplicitSolveFailure(f"identification stalled at {size:.3e}")
+                f"identification not contracting ({size:.3e} after {moves[-1]:.3e})")
+        moves.append(size)
+        return omega + dom, mu0 - dmu
+
+    mu0 = mu_curve.copy() if family.s else np.zeros(0)
+    run = normalize(family, curve.at(mu_curve), mu0, cfg, retarget=retarget)
+    dom, dmu = residuals(run.omega0, run.mu0, run.u, run.v, run.w)
+    phi_resid = float(np.max(np.abs(dom)))
+    ups_resid = float(np.max(np.abs(dmu), initial=0.0))
+    size = max(phi_resid, ups_resid)
+    if size > IDENTIFY_TOL:
+        raise ImplicitSolveFailure(f"identification stalled at {size:.3e}")
+    return run.omega0, run.mu0, run, phi_resid, ups_resid
 
 
 def _run_points(grid, family, curve, params, work, T, deviation_tol, verify):
@@ -242,15 +245,13 @@ def _run_points(grid, family, curve, params, work, T, deviation_tol, verify):
         pt = GridPointResult(mu=mu_curve.copy(), accepted=False, reason="")
         points.append(pt)
         try:
-            mu0 = mu_curve.copy() if family.s else np.zeros(0)
-            omega, mu0, run, phi_resid, ups_resid = _identify(
-                family, curve, mu_curve, curve.at(mu_curve), mu0, work)
+            omega, mu0, run, phi_resid, ups_resid = _identify(family, curve, mu_curve, work)
             pt.fsharp = omega
             pt.theta = run.v
             pt.phi_residual = phi_resid
             pt.upsilon_residual = ups_resid
 
-            Q = RevMatrix(family.Q_at(omega, mu0), family.inv) if family.d else None
+            Q = RevMatrix(run.Q_target, family.inv) if family.d else None
             report = is_diophantine_pair(omega, Q, params)
             pt.margin = report.margin
             if not report.holds:

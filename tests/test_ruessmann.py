@@ -17,6 +17,7 @@ from conftest import GOLDEN, MU0, OMEGA0, make_config, make_curve_family, \
 from kamrev import ruessmann
 from kamrev.cli import _curve_from_config
 from kamrev.errors import KamrevError, SingularMode
+from kamrev.normalizer import normalize
 from kamrev.ruessmann import (FrequencyCurve, PolynomialCurve, diophantine_fraction,
                               is_ruessmann_nondegenerate, persistence_pipeline,
                               uniform_grid)
@@ -189,6 +190,28 @@ def test_pipeline_drift_family_accepts_and_rejects_deterministically():
         assert 0 < abs(pt.theta[0]) < 20 * DELTA
         # the accepted frequency sits where the curve says it should
         assert abs(pt.fsharp[0] - 1.0) < 20 * DELTA
+        # a cold normalization at the identified frequency lands back on it
+        run = normalize(fam, pt.fsharp, np.zeros(0), cfg)
+        assert np.max(np.abs(curve.F(run.v, pt.mu) - run.u - pt.fsharp)) <= 1e-14
+
+
+@pytest.mark.parametrize("L, accepted", [(9000, True), (10000, False)])
+def test_identification_refuses_a_move_over_half_the_last(L, accepted):
+    """A curve that follows the drift offset steeply makes the identification
+    map contract slowly.  Its first move is 0.5 in omega; at L = 9000 each
+    later move is at most half the one before, at L = 10000 one is not."""
+    curve = FrequencyCurve(
+        lambda sigma, mu: np.array([1.0 + L * sigma[0], 1.55 + mu[0] + L * sigma[0]]),
+        box=[(0.0, 0.1)], n=2, m=1)
+    rep = persistence_pipeline(make_curve_family(delta=DELTA, order=8), curve,
+                               make_config(horizon=16, tol=1e-11), grid=[[0.02]], T=5.0)
+    pt = rep.points[0]
+    assert pt.accepted == accepted, pt.reason
+    if accepted:
+        assert pt.phi_residual <= 1e-12
+    else:
+        assert pt.reason == ("ImplicitSolveFailure: identification not contracting "
+                             "(4.392e-07 after 8.690e-07)")
 
 
 def test_pipeline_identifies_family_parameter():
@@ -234,15 +257,15 @@ def test_pipeline_certifies_at_config_and_normalizes_at_quarter_gamma(monkeypatc
     normalize = ruessmann.normalize
     seen = []
 
-    def spy(family, omega0, mu0, config):
+    def spy(family, omega0, mu0, config, *args, **kw):
         seen.append(config)
-        return normalize(family, omega0, mu0, config)
+        return normalize(family, omega0, mu0, config, *args, **kw)
 
     monkeypatch.setattr(ruessmann, "normalize", spy)
     rep = persistence_pipeline(fam, drift_curve(), cfg, grid_count=2, verify=False)
     assert (rep.params.tau, rep.params.gamma, rep.params.kmax) == (cfg.tau, g, 8)
-    # at least one normalization per grid point, each at horizon 8 and gamma g/4
-    assert len(seen) >= 2
+    # one normalization per grid point, each at horizon 8 and gamma g/4
+    assert len(seen) == 2
     assert seen == [dataclasses.replace(cfg, gamma=g / 4)] * len(seen)
 
 
