@@ -242,8 +242,11 @@ def involution_pullback(F: FourierTaylor, S) -> FourierTaylor:
 
 # -- small implicit solves -----------------------------------------------------------
 
+NEUMANN_TOL = 1e-15  # stop at a change <= this * maj(rhs), above its rounding floor (2.5e-16)
+NEUMANN_MAX_ITER = 400
 
-def fs_neumann_solve(M: FourierSeries, rhs: FourierSeries, tol=1e-16, max_iter=400):
+
+def fs_neumann_solve(M: FourierSeries, rhs: FourierSeries):
     """Solve (I + M(x)) u(x) = rhs(x) by fixed point; M must be a contraction.
 
     The result carries the losses of M and rhs once, plus the Fourier tail
@@ -252,14 +255,14 @@ def fs_neumann_solve(M: FourierSeries, rhs: FourierSeries, tol=1e-16, max_iter=4
     to that tail."""
     u = rhs
     scale = rhs.majorant() + 1e-300
-    for _ in range(max_iter):
+    for _ in range(NEUMANN_MAX_ITER):
         prod = fs_matmul(M, u)
         nxt = rhs - prod
         nxt.trunc_loss = rhs.trunc_loss + M.trunc_loss + max(
             prod.trunc_loss - M.trunc_loss - u.trunc_loss, 0.0)
         delta = (nxt - u).majorant()
         u = nxt
-        if delta <= tol * scale:
+        if delta <= NEUMANN_TOL * scale:
             return u
     raise ImplicitSolveFailure(f"Neumann iteration stalled: last change {delta:.3e}")
 

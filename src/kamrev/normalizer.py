@@ -9,8 +9,9 @@ the unfolding shift) — and composes the resulting near-identity transform
 
 onto the accumulated one.  The field is re-instantiated from the original
 family at the shifted parameters every sweep and conjugated by the total
-transform, so errors never compound across sweeps: the residual of sweep
-j+1 is quadratic in the residual of sweep j.
+transform, so errors never compound across sweeps.  The convergence is not
+quadratic: the second residual is of order delta^3 in the forcing delta, at
+observed orders 1.5-1.7; ROADMAP direction 14 is meant to restore a Newton step.
 
 All mode solves use the limit matrix Q(omega0, mu0), not the current one;
 the difference is absorbed by the unfolding shift found jointly with the

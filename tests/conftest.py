@@ -9,10 +9,15 @@ that forces a nonzero unfolding shift.
 """
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kamrev import FourierSeries, NormalizerConfig, ReversibleFamily, fourier
 from kamrev.ftaylor import FourierTaylor
 from kamrev.revsystem import symmetrize_w_rows, symmetrize_x_row
+
+# property tests draw the same examples on every machine and replay no saved ones
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 OMEGA0 = np.array([1.0, GOLDEN])

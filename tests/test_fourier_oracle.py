@@ -29,7 +29,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import fs_stack
 from kamrev import fourier
@@ -70,8 +70,9 @@ def oracle_convolve(a, b, vcombine, out_shape):
     loss = a.trunc_loss + b.trunc_loss
     if not ca or not cb:
         return {}, loss
-    if _majorant(ca) * _majorant(cb) < DROP_TOL:
-        return {}, loss + _majorant(ca) * _majorant(cb)
+    if _majorant(ca) * _majorant(cb) < DROP_TOL:  # counted c times in (., c) @ (c, .)
+        entries = vcombine(np.ones((1,) + a.shape), np.ones((1,) + b.shape)).max()
+        return {}, loss + entries * (_majorant(ca) * _majorant(cb))
     Ka, Va = _stacked(ca, a.n)
     Kb, Vb = _stacked(cb, b.n)
     keys = (Ka[:, None, :] + Kb[None, :, :]).reshape(-1, a.n)
@@ -216,13 +217,22 @@ def test_mul_matches_dict_oracle(data, n, shape, order):
     assert_matches(fs_mul(c, a), oracle_mul(c, a))
 
 
+@st.composite
+def matmul_operands(draw):
+    """Two real series whose values multiply as matrices, at one n."""
+    n, order = draw(DIMS), draw(ORDERS)
+    shapes = draw(st.sampled_from([((2, 3), (3,)), ((3,), (3, 2)), ((2, 3), (3, 2)),
+                                   ((3,), (3,)), ((2, 2), (2, 2)), ((3, 3), (3, 3))]))
+    return draw(real_series(n, shapes[0], order)), draw(real_series(n, shapes[1], draw(ORDERS)))
+
+
 @SETTINGS
-@given(data=st.data(), n=DIMS, order=ORDERS,
-       shapes=st.sampled_from([((2, 3), (3,)), ((3,), (3, 2)), ((2, 3), (3, 2)), ((3,), (3,)),
-                               ((2, 2), (2, 2)), ((3, 3), (3, 3))]))
-def test_matmul_matches_dict_oracle(data, n, order, shapes):
-    a = data.draw(real_series(n, shapes[0], order))
-    b = data.draw(real_series(n, shapes[1], data.draw(ORDERS)))
+@given(operands=matmul_operands())
+# a product skipped under DROP_TOL whose one entry sums 3 pairs: its loss is 3 maj(a) maj(b)
+@example(operands=(FourierSeries.constant(1, np.array([1e-15, 0.0, 0.0]), 1),
+                   FourierSeries.constant(1, np.array([2e-15, 0.0, 0.0]), 1)))
+def test_matmul_matches_dict_oracle(operands):
+    a, b = operands
     p = fs_matmul(a, b)
     assert_matches(p, oracle_matmul(a, b))
     assert_real(p, 3 * a.majorant() * b.majorant())
@@ -266,9 +276,10 @@ def reference_convolve(a, b, vcombine, out_shape):
     loss = a.trunc_loss + b.trunc_loss
     if not len(a.K) or not len(b.K):
         return FourierSeries(a.n, out_shape, order, trunc_loss=loss)
-    if a.majorant() * b.majorant() < DROP_TOL:
+    if a.majorant() * b.majorant() < DROP_TOL:  # counted c times in (., c) @ (c, .)
+        entries = vcombine(np.ones((1,) + a.shape), np.ones((1,) + b.shape)).max()
         return FourierSeries(a.n, out_shape, order,
-                             trunc_loss=loss + a.majorant() * b.majorant())
+                             trunc_loss=loss + entries * (a.majorant() * b.majorant()))
     keys = (a.K[:, None, :] + b.K[None, :, :]).reshape(-1, a.n)
     vals = vcombine(a.V, b.V).reshape((-1,) + out_shape)
     span = int(np.abs(a.K).max() + np.abs(b.K).max())

@@ -422,7 +422,7 @@ def test_neumann_solves_small_perturbation():
 
 def test_neumann_carries_input_losses_once(monkeypatch):
     # slowly contracting M whose tail beyond ORDER was cut off: the solve
-    # takes 75 iterations, and M's recorded loss must enter the result once
+    # takes 80 iterations, and M's recorded loss must enter the result once
     eye = np.eye(2)
     hi = 3 * ORDER
     M_full = (FourierSeries.constant(N_ANGLE, 0.6 * eye, hi)
@@ -438,19 +438,22 @@ def test_neumann_carries_input_losses_once(monkeypatch):
         return fs_matmul(a, b)
 
     monkeypatch.setattr(ftaylor, "fs_matmul", counting)
-    u = fs_neumann_solve(M, rhs, tol=1e-14)
+    u = fs_neumann_solve(M, rhs)
     assert len(products) >= 50
     assert u.trunc_loss < 2 * M.trunc_loss
     # the recorded loss still bounds the change against the untruncated solve
-    u_hi = fs_neumann_solve(M_full, rhs.truncate(hi), tol=1e-14)
+    u_hi = fs_neumann_solve(M_full, rhs.truncate(hi))
     assert (u - u_hi).majorant() <= u.trunc_loss
 
 
-def test_neumann_rejects_expansion():
+def test_neumann_rejects_expansion(monkeypatch):
     M = FourierSeries.constant(N_ANGLE, 2.0 * np.eye(2), ORDER) * -1.0  # I + M singular-ish
     rhs = FourierSeries.constant(N_ANGLE, np.array([1.0, 0.0]), ORDER)
+    products = []
+    monkeypatch.setattr(ftaylor, "fs_matmul", lambda a, b: products.append(1) or fs_matmul(a, b))
     with pytest.raises(ImplicitSolveFailure):
-        fs_neumann_solve(M, rhs, max_iter=50)
+        fs_neumann_solve(M, rhs)
+    assert len(products) == ftaylor.NEUMANN_MAX_ITER  # every change grows
 
 
 def test_map_values_truncate_drop():

@@ -14,7 +14,7 @@ from kamrev.fourier import DUST_TOL, AngleShift, FourierSeries, fs_matmul
 from kamrev.ftaylor import FourierTaylor, WSubstitution, ft_matmul, ft_neumann_solve
 from kamrev.normalizer import (NormalizerConfig, _compose, _Increment, conjugate_field, normalize,
                                normalize_augmented)
-from kamrev.revsystem import ReversibleFamily
+from kamrev.revsystem import ReversibleFamily, verify_torus
 
 CFG8 = make_config(tol=1e-11)
 
@@ -290,6 +290,19 @@ def test_normalize_reports_failures():
     big = small_family(0.3, seed=4)
     with pytest.raises(TruncationOverflow):
         normalize(big, OMEGA0, MU0, make_config(tol=1e-11, max_iter=3))
+
+
+def test_golden_torus_at_delta_1e_2_converges_past_the_neumann_rounding_floor():
+    """Its Neumann changes settle at 2.5e-16 of the scale; a stop below that
+    raised ImplicitSolveFailure.  It converged in 8 sweeps, and its orbit kept
+    to the torus within 1.9e-12 over T = 20."""
+    fam = make_golden_family(delta=1e-2, order=16)
+    res = normalize(fam, OMEGA0, MU0, make_config(tol=1e-11))
+    assert res.residual_history[-1] <= 1e-11
+    assert len(res.residual_history) - 1 <= 12
+    field = fam.instantiate(res.omega0 + res.u, res.v, res.mu0 + res.w)
+    dev, rot = verify_torus(field, res.a, res.W0, res.W1, OMEGA0, T=20.0)
+    assert dev <= 1e-10 and rot <= 1e-12
 
 
 def test_normalized_transform_blocks_have_stated_shapes():

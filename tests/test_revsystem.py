@@ -9,16 +9,17 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import GOLDEN, MU0, OMEGA0, make_curve_family, make_golden_family, sine
+from conftest import (GOLDEN, MU0, OMEGA0, make_config, make_curve_family, make_golden_family,
+                      sine)
 from kamrev.errors import ImaginaryResidue, RootFindFailure, StepFailure
 from kamrev.fourier import FourierSeries
 from kamrev.ftaylor import FourierTaylor, ft_sum, involution_pullback
-from kamrev.revsystem import (InstantiatedField, ReversibleFamily, ToyEx1Result,
-                              ToyNoSolution, ToySolution, _parity_defect,
+from kamrev.normalizer import normalize
+from kamrev.revsystem import (VERIFY_SAMPLES, InstantiatedField, ReversibleFamily,
+                              ToyEx1Result, ToyNoSolution, ToySolution, _parity_defect,
                               check_transform_commutes, classify_context, ft_embed,
-                              ft_fix_tail, ft_permute_vars, integrate, invert_angle_shift,
-                              symmetrize_w_rows, symmetrize_x_row, toy_ex1, toy_ex2,
-                              toy_linear, verify_torus)
+                              ft_fix_tail, ft_permute_vars, integrate, symmetrize_w_rows,
+                              symmetrize_x_row, toy_ex1, toy_ex2, toy_linear, verify_torus)
 from kamrev.revmat import InvolutionStructure, RevMatrix
 
 XS = [np.array([0.3, -1.2]), np.array([2.0, 0.7])]
@@ -310,16 +311,10 @@ def test_augment_promotes_drift_to_normal_block():
         assert abs(got[1]) < 1e-14  # d(sigma)/dt = Lambda y with Lambda = 0
 
 
-def test_integrate_and_angle_shift_inversion():
+def test_integrate_constant_rotation():
     Y = integrate(lambda Y: np.broadcast_to([1.0, GOLDEN], Y.shape), np.zeros(2), 2.0,
                   np.array([0.0, 2.0]))
     assert np.allclose(Y[-1], [2.0, 2.0 * GOLDEN], atol=1e-9)
-    a = sine(2, (1, 0), np.array([0.01, -0.02]), 8)
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        x = rng.uniform(-3, 3, 2)
-        xbar = invert_angle_shift(a, x)
-        assert np.allclose(xbar + a.eval(xbar), x, atol=1e-12)
 
 
 def field_orbits(inst, y0, T, samples=201):
@@ -406,48 +401,21 @@ def test_integrate_fills_every_sample(T):
     assert np.max(np.abs(Y - np.stack([np.sin(ts), np.cos(ts)], axis=1))) <= 2e-12
 
 
-def per_point_inverse(a, x, tol=1e-14, max_iter=100):
-    """The per-point fixed point the batched inversion replaced; also says
-    whether it converged before ``max_iter``."""
-    xbar = np.asarray(x, dtype=float).copy()
-    for _ in range(max_iter):
-        nxt = x - a.eval(xbar)
-        if np.max(np.abs(nxt - xbar)) < tol:
-            return nxt, True
-        xbar = nxt
-    return xbar, False
-
-
-def test_batched_inversion_equals_per_point_loop():
-    # contraction rate 0.3 |cos x_1|: fast near x_1 = pi/2, slow near 0
-    a = (sine(2, (1, 0), np.array([0.3, -0.1]), 8)
-         + sine(2, (1, 1), np.array([0.002, 0.004]), 8))
-    rng = np.random.default_rng(7)
-    X = np.vstack([rng.uniform(-3, 3, (30, 2)), [[np.pi / 2, 0.3], [0.0, 0.3]]])
-    for max_iter in (100, 12):
-        got = invert_angle_shift(a, X, max_iter=max_iter)
-        done = []
-        for x, row in zip(X, got):
-            want, converged = per_point_inverse(a, x, max_iter=max_iter)
-            np.testing.assert_array_equal(row, want)
-            done.append(converged)
-        assert all(done) if max_iter == 100 else (any(done) and not all(done))
-    np.testing.assert_array_equal(invert_angle_shift(a, X[0]), per_point_inverse(a, X[0])[0])
-
-
-def per_sample_verify(field, a, W0, W1, omega0, T, samples):
-    """verify_torus as a loop over the samples, one pullback at a time."""
+def per_sample_verify(field, a, W0, W1, omega0, T):
+    """verify_torus as a loop over the samples, one comparison with the torus
+    flow K(theta0 + omega0 t) at a time."""
     n = field.family.n
     x_bar0 = np.linspace(0.4, 0.4 + 0.9 * (n - 1), n)
+    ts = np.linspace(0.0, T, VERIFY_SAMPLES)
     y0 = np.concatenate([x_bar0 + a.eval(x_bar0), W0.eval(x_bar0)])
-    Y = integrate(lambda Y: field.eval(Y[:, :n], Y[:, n:]), y0, T, np.linspace(0.0, T, samples))
-    dev, xbars = 0.0, []
-    for y in Y:
-        xbar = per_point_inverse(a, y[:n])[0]
-        wbar = np.linalg.solve(W1.eval(xbar), y[n:] - W0.eval(xbar))
+    Y = integrate(lambda Y: field.eval(Y[:, :n], Y[:, n:]), y0, T, ts)
+    dev = rot = 0.0
+    for t, y in zip(ts, Y):
+        theta = x_bar0 + t * omega0
+        wbar = np.linalg.solve(W1.eval(theta), y[n:] - W0.eval(theta))
         dev = max(dev, float(np.max(np.abs(wbar))))
-        xbars.append(xbar)
-    return dev, float(np.max(np.abs((xbars[-1] - xbars[0]) / T - omega0)))
+        rot = max(rot, float(np.max(np.abs(y[:n] - theta - a.eval(theta)))) / T)
+    return dev, rot
 
 
 def test_verify_torus_equals_per_sample_loop():
@@ -457,8 +425,8 @@ def test_verify_torus_equals_per_sample_loop():
     W0 = FourierSeries.cosine(2, (0, 1), np.array([1e-3, 0.0, 2e-3]), 8)
     W1 = (FourierSeries.constant(2, np.eye(3), 8)
           + FourierSeries.cosine(2, (1, 1), 0.01 * np.arange(9.0).reshape(3, 3), 8))
-    got = verify_torus(inst, a, W0, W1, OMEGA0, T=20.0, samples=41)
-    want = per_sample_verify(inst, a, W0, W1, OMEGA0, T=20.0, samples=41)
+    got = verify_torus(inst, a, W0, W1, OMEGA0, T=20.0)
+    want = per_sample_verify(inst, a, W0, W1, OMEGA0, T=20.0)
     assert got[0] > 1e-4  # the made-up transform is far from invariant
     assert np.allclose(got, want, rtol=0.0, atol=1e-13)
 
@@ -483,9 +451,22 @@ def test_verify_torus_on_unperturbed_family():
     a = FourierSeries(2, (2,), N)
     W0 = FourierSeries(2, (3,), N)
     W1 = FourierSeries.constant(2, np.eye(3), N)
-    dev, rot_err = verify_torus(inst, a, W0, W1, OMEGA0, T=20.0, samples=41)
+    dev, rot_err = verify_torus(inst, a, W0, W1, OMEGA0, T=20.0)
     assert dev < 1e-9
     assert rot_err < 1e-9
+
+
+def test_verify_torus_sees_a_one_percent_error_in_the_torus():
+    """An accepted drift-family torus, then W0 and a each scaled by 1.01: the
+    orbit leaves the torus by 6.2e-7 in the normal rows and runs ahead of its
+    flow by 6.9e-8 T in the angles (the accepted torus keeps to 2e-13)."""
+    fam = make_curve_family(order=12)
+    res = normalize(fam, fam.omega_star, np.zeros(0), make_config(tol=1e-11))
+    field = fam.instantiate(res.omega0 + res.u, res.v, res.mu0 + res.w)
+    dev, rot = verify_torus(field, res.a, res.W0, res.W1, fam.omega_star, T=20.0)
+    assert dev <= 1e-12 and rot <= 1e-12
+    assert verify_torus(field, res.a, res.W0 * 1.01, res.W1, fam.omega_star, T=20.0)[0] >= 5e-7
+    assert verify_torus(field, res.a * 1.01, res.W0, res.W1, fam.omega_star, T=20.0)[1] >= 5e-8
 
 
 # -- toy models ---------------------------------------------------------------------
