@@ -1,4 +1,4 @@
-"""Small-divisor solvers for the linear equations behind each Newton step.
+"""Small-divisor solvers for the linearized conjugacy equations.
 
 Four flavors of the same mode-wise idea, distinguished by how the constant
 normal-part matrix Q enters:
@@ -10,7 +10,9 @@ normal-part matrix Q enters:
 
 Each solves its equation exactly on the stored modes.  Reality is preserved
 by solving one representative per +-k pair and mirroring the conjugate,
-which is legitimate because Q is real.
+which is legitimate because Q is real.  The normalizer solves the angle
+rows with ``scalar``, and the normal variable with ``normal`` and
+``commutator`` against T = diag(0, Q); ``right`` serves ``cohomology-solve``.
 """
 from __future__ import annotations
 
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diophantine import DiophantineParams
-from .errors import NonzeroAverage, SingularMode, SmallDivisor, ZeroModeObstruction
+from .errors import (NonzeroAverage, NotAntiInvariant, Obstruction, SingularMode,
+                     SmallDivisor, ZeroModeObstruction)
 from .fourier import FourierSeries, canonical_half
 from .revmat import RevMatrix, solve_fix_range
 
@@ -103,7 +106,7 @@ def solve_normal(F: FourierSeries, omega, Q: RevMatrix) -> FourierSeries:
         try:
             cols = f0.reshape(d, -1)
             sols = [solve_fix_range(Q, cols[:, j]) for j in range(cols.shape[1])]
-        except Exception as exc:
+        except (NotAntiInvariant, Obstruction) as exc:
             raise ZeroModeObstruction(f"constant mode unsolvable: {exc}") from exc
         return np.stack(sols, axis=1).reshape(f0.shape).astype(complex)
 

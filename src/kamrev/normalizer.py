@@ -1,9 +1,11 @@
 """Iterative reduction of a reversible family to its torus normal form.
 
-Each sweep solves the linearized conjugacy equations in a fixed order —
-constant blocks first (with the frequency and drift shifts), then the exact
-commutator bracket of the degree-0 generator, then the linear blocks (with
-the unfolding shift) — and composes the resulting near-identity transform
+The normal variable w = (y, z) is one, with target T = diag(0, Q), which
+anti-commutes with S_w = diag(-I, R).  Each sweep solves the linearized
+conjugacy equations in a fixed order — the constant parts (with the drift
+and frequency shifts), then the exact commutator bracket of the degree-0
+generator, then the w-linear part (with the unfolding shift) — and
+composes the resulting near-identity transform
 
     x = xbar + a(xbar),   w = W0(xbar) + W1(xbar) wbar
 
@@ -13,9 +15,9 @@ transform, so errors never compound across sweeps.  The convergence is not
 quadratic: the second residual is of order delta^3 in the forcing delta, at
 observed orders 1.5-1.7; ROADMAP direction 14 is meant to restore a Newton step.
 
-All mode solves use the limit matrix Q(omega0, mu0), not the current one;
+All mode solves use the limit target T(omega0, mu0), not the current one;
 the difference is absorbed by the unfolding shift found jointly with the
-constant part of the z-linear block.
+constant part of the w-linear block.
 """
 from __future__ import annotations
 
@@ -24,13 +26,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cohomology import solve_commutator, solve_normal, solve_right, solve_scalar
+from .cohomology import solve_commutator, solve_normal, solve_scalar
 from .diophantine import DiophantineParams, is_diophantine_pair
 from .errors import (CancellationFailure, NoConvergence, SmallDivisor,
                      TruncationOverflow, VersalObstruction)
 from .fourier import AngleShift, FourierSeries, fs_matmul
 from .ftaylor import FourierTaylor, WSubstitution, ft_matmul, ft_neumann_solve
-from .revmat import RevMatrix
+from .revmat import InvolutionStructure, RevMatrix
 from .revsystem import AugmentedFamily, ReversibleFamily, check_transform_commutes, ft_embed
 
 SMALLNESS_ORDER = 2
@@ -146,15 +148,16 @@ class NormalizationResult:
 
 class _Setup(NamedTuple):
     """What every sweep of one normalization shares: the base point, the limit
-    matrix Q and its reversible form, the Diophantine bound, the versal solve's
-    gl_plus basis and columns, and the targets of the residual."""
+    matrix Q and the target T = diag(0, Q) of w = (y, z) over S_w, the
+    Diophantine bound, the versal solve's gl_plus basis and columns, and the
+    targets of the residual."""
     omega0: np.ndarray
     mu0: np.ndarray
     Q: np.ndarray
-    Qrev: RevMatrix | None
+    T: RevMatrix
     dioph: DiophantineParams
     plus_basis: list
-    versal_cols: np.ndarray | None
+    versal_cols: np.ndarray
     omega_const: FourierSeries
     target_lin: FourierSeries
 
@@ -188,30 +191,19 @@ def _measure(Xx, Xw, ctx: _Setup) -> _Residual:
 def _solve_sweep(family, inst, Xx, Xw, res: _Residual, ctx: _Setup,
                  config, diagnostics) -> _Increment:
     """One pass through the linearized conjugacy equations at the current
-    residual.  Solve order: constant y/z blocks with the drift shift, then
-    the x block with the frequency shift (the degree-0 generator feeds back
-    into it through the x-row's w-linear coefficients), then the exact
-    bracket correction, then the four linear blocks with the unfolding
-    shift absorbing the k = 0 obstruction of the z-z block."""
-    n, m, q, s = family.n, family.m, family.q, family.s
-    d = family.d
+    residual, with w = (y, z) as one normal variable against T.  Solve order:
+    the constant part of w with the drift shift, then the x block with the
+    frequency shift (the degree-0 generator feeds back into it through the
+    x-row's w-linear coefficients), then the exact bracket correction, then
+    the w-linear part with the unfolding shift absorbing its k = 0
+    obstruction."""
+    n, m, q = family.n, family.m, family.q
     N, D = family.order, family.degree
-    omega0, Qrev, dioph = ctx.omega0, ctx.Qrev, ctx.dioph
+    omega0, T, dioph = ctx.omega0, ctx.T, ctx.dioph
 
-    r_y0 = res.r_w0.map_stack(lambda V: V[:, :m])
-    r_z0 = res.r_w0.map_stack(lambda V: V[:, m:])
-
-    if m:
-        dv = -r_y0.average()
-        b0 = solve_scalar(r_y0 + FourierSeries.constant(n, dv, N), omega0, dioph)
-    else:
-        dv = np.zeros(0)
-        b0 = FourierSeries(n, (0,), N)
-    if d:
-        c0 = solve_normal(r_z0, omega0, Qrev)
-    else:
-        c0 = FourierSeries(n, (0,), N)
-    psi0 = ft_embed(b0, q, 0) + ft_embed(c0, q, m)
+    dv = -res.r_w0.average()[:m]
+    drift = FourierSeries.constant(n, np.concatenate([dv, np.zeros(family.d)]), N)
+    psi0 = solve_normal(res.r_w0 + drift, omega0, T)
     coupling = fs_matmul(res.Axw, psi0)
     du = -(res.r_x0 + coupling).average()
     da = solve_scalar(res.r_x0 + coupling + FourierSeries.constant(n, du, N),
@@ -228,49 +220,29 @@ def _solve_sweep(family, inst, Xx, Xw, res: _Residual, ctx: _Setup,
         if dp != 0.0:
             R_lin = R_lin + J.linear_w() * dp
 
-    R_yy = R_lin.map_stack(lambda V: V[:, :m, :m])
-    R_yz = R_lin.map_stack(lambda V: V[:, :m, m:])
-    R_zy = R_lin.map_stack(lambda V: V[:, m:, :m])
-    R_zz = R_lin.map_stack(lambda V: V[:, m:, m:])
-
-    b1 = b2 = c1 = c2 = None
+    M0 = R_lin.average()
     if m:
-        # the y-y average vanishes by parity; project off the dust
-        avg_yy = R_yy.average()
-        dust = float(np.max(np.abs(avg_yy))) if avg_yy.size else 0.0
+        # the y-y average vanishes by parity, and no versal column reaches
+        # it: zero its dust
+        dust = float(np.max(np.abs(M0[:m, :m])))
         diagnostics["b1_average_dust"] = max(diagnostics.get("b1_average_dust", 0.0), dust)
-        b1 = solve_scalar(_drop_k0(R_yy), omega0, dioph)
-        if d:
-            b2 = solve_right(R_yz, omega0, Qrev)
-    dw = np.zeros(s)
-    if d:
-        if m:
-            c1 = solve_normal(R_zy, omega0, Qrev)
-        M0r = R_zz.average()
-        c2_osc = solve_commutator(_drop_k0(R_zz), omega0, Qrev)
-        if np.any(M0r):
-            gap = float(np.linalg.norm(family.R @ M0r + M0r @ family.R))
-            gap /= float(np.linalg.norm(M0r))
-            diagnostics["zero_block_parity_gap"] = max(
-                diagnostics.get("zero_block_parity_gap", 0.0), gap)
-        plus_basis, A = ctx.plus_basis, ctx.versal_cols
-        sol, *_ = np.linalg.lstsq(A, M0r.ravel(), rcond=None)
-        resid = float(np.linalg.norm(A @ sol - M0r.ravel()))
-        if resid > config.versal_tol * (1.0 + float(np.linalg.norm(M0r))):
-            raise VersalObstruction(
-                f"zero-mode z-block off the orbit + unfolding span by {resid:.3e}")
-        c2_0 = sum((sol[i] * P for i, P in enumerate(plus_basis)),
-                   np.zeros((d, d)))
-        dw = sol[len(plus_basis):]
-        c2 = c2_osc + FourierSeries.constant(n, c2_0, N)
-
-    dW1 = FourierSeries.constant(n, np.eye(q), N)
-    for blk, r, c in ((b1, 0, 0), (b2, 0, m), (c1, m, 0), (c2, m, m)):
-        if blk is not None and len(blk.K):
-            pad = [(0, 0), (r, q - r - blk.shape[0]), (c, q - c - blk.shape[1])]
-            dW1 = dW1 + blk.map_stack(lambda V: np.pad(V, pad))
-
-    return _Increment(da, psi0, dW1, du, dv, dw)
+    M0[:m, :m] = 0.0
+    M0z = M0[m:, m:]
+    if np.any(M0z):
+        gap = float(np.linalg.norm(family.R @ M0z + M0z @ family.R))
+        gap /= float(np.linalg.norm(M0z))
+        diagnostics["zero_block_parity_gap"] = max(
+            diagnostics.get("zero_block_parity_gap", 0.0), gap)
+    plus_basis, A = ctx.plus_basis, ctx.versal_cols
+    sol, *_ = np.linalg.lstsq(A, M0.ravel(), rcond=None)
+    resid = float(np.linalg.norm(A @ sol - M0.ravel()))
+    if resid > config.versal_tol * (1.0 + float(np.linalg.norm(M0))):
+        raise VersalObstruction(
+            f"zero-mode w-linear block off the orbit + unfolding span by {resid:.3e}")
+    W1_0 = np.eye(q) + sum((sol[i] * P for i, P in enumerate(plus_basis)), np.zeros((q, q)))
+    dW1 = (FourierSeries.constant(n, W1_0, N)
+           + solve_commutator(_drop_k0(R_lin), omega0, T))
+    return _Increment(da, psi0, dW1, du, dv, sol[len(plus_basis):])
 
 
 def _compose(a, W0, W1, inc: _Increment):
@@ -294,26 +266,23 @@ def _compose(a, W0, W1, inc: _Increment):
 
 
 def _setup(family, omega0, mu0, config) -> _Setup:
+    m = family.m
     omega0 = np.asarray(omega0, dtype=float).reshape(family.n)
     mu0 = np.asarray(mu0, dtype=float).reshape(family.s)
     Q = family.Q_at(omega0, mu0)
-    Qrev = RevMatrix(Q, family.inv) if family.d else None
     dioph = config.dioph()
-    report = is_diophantine_pair(omega0, Qrev, dioph)
+    report = is_diophantine_pair(omega0, RevMatrix(Q, family.inv) if family.d else None, dioph)
     if not report.holds:
         raise SmallDivisor(report.worst_k, report.margin + config.gamma, config.gamma)
-    plus_basis, versal_cols = [], None
-    if family.d:
-        plus_basis = family.inv.gl_plus_basis()   # non-empty, since d > 0
-        versal_cols = np.stack([(P @ Q - Q @ P).ravel() for P in plus_basis]
-                               + [-D.ravel() for D in family.unfolding_directions(omega0, mu0)],
-                               axis=1)
+    Tm = np.zeros((family.q, family.q))   # diag(0, Q), unfolding directions likewise
+    Tm[m:, m:] = Q
+    T = RevMatrix(Tm, InvolutionStructure(family.S_w))
+    plus_basis = T.inv.gl_plus_basis()
+    cols = ([(P @ Tm - Tm @ P).ravel() for P in plus_basis]
+            + [-np.pad(Dz, (m, 0)).ravel() for Dz in family.unfolding_directions(omega0, mu0)])
     omega_const = FourierSeries.constant(family.n, omega0, family.order)
-    T = np.zeros((family.q, family.q))
-    if Q.size:
-        T[family.m:, family.m:] = Q
-    target_lin = FourierSeries.constant(family.n, T, family.order)
-    return _Setup(omega0, mu0, Q, Qrev, dioph, plus_basis, versal_cols,
+    target_lin = FourierSeries.constant(family.n, Tm, family.order)
+    return _Setup(omega0, mu0, Q, T, dioph, plus_basis, np.stack(cols, axis=1),
                   omega_const, target_lin)
 
 

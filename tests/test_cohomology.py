@@ -12,6 +12,7 @@ solvers must reproduce it bit for bit.
 import numpy as np
 import pytest
 
+from kamrev import cohomology
 from kamrev.cohomology import (COND_LIMIT, commutator_operator, solve_commutator,
                                solve_normal, solve_right, solve_scalar, verify_estimate)
 from kamrev.diophantine import DiophantineParams
@@ -25,6 +26,9 @@ OMEGA = np.array([1.0, GOLDEN])
 PARAMS = DiophantineParams(1.5, 1e-3, 24)
 INV2 = InvolutionStructure(np.diag([1.0, -1.0]))
 Q_ELLIPTIC = RevMatrix(np.array([[0.0, 1.04], [-1.0, 0.0]]), INV2)
+# the normalizer's target T = diag(0, Q) for one drift row and the elliptic plane
+T_SINGULAR = RevMatrix(np.pad(Q_ELLIPTIC.Q, ((1, 0), (1, 0))),
+                       InvolutionStructure(np.diag([-1.0, 1.0, -1.0])))
 
 
 def random_rhs(rng, n, shape, order, zero_average=True, kmax=None):
@@ -95,16 +99,22 @@ def test_solve_scalar_error_paths():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_solve_normal_matches_dense_oracle(seed):
+    """On Q_ELLIPTIC, and on T_SINGULAR with the k = 0 coefficient
+    (0, 0, 0.7), in the part of Fix(-S) that T maps Fix(S) onto, where the
+    oracle's least-squares solution is the Fix(S) one."""
     rng = np.random.default_rng(seed)
-    F = random_rhs(rng, 2, (2,), 12, zero_average=False)
-    Q = Q_ELLIPTIC
-    phi = solve_normal(F, OMEGA, Q)
-    dense = dense_solve(F, OMEGA,
-                        lambda k: 1j * np.dot(k, OMEGA) * np.eye(2) - Q.Q)
-    assert coeff_gap(phi, dense) < 1e-12
-    resid = phi.directional_derivative(OMEGA) \
-        - phi.map_values(lambda v: Q.Q @ v, shape=(2,)) - F
-    assert resid.majorant() < 1e-11 * max(F.majorant(), 1.0)
+    for Q, zero in ((Q_ELLIPTIC, None), (T_SINGULAR, np.array([0.0, 0.0, 0.7]))):
+        d = len(Q.Q)
+        F = random_rhs(rng, 2, (d,), 12, zero_average=zero is not None)
+        if zero is not None:
+            F = F + FourierSeries.constant(2, zero, 12)
+        phi = solve_normal(F, OMEGA, Q)
+        dense = dense_solve(F, OMEGA,
+                            lambda k: 1j * np.dot(k, OMEGA) * np.eye(d) - Q.Q)
+        assert coeff_gap(phi, dense) < 1e-12
+        resid = phi.directional_derivative(OMEGA) \
+            - phi.map_values(lambda v: Q.Q @ v, shape=(d,)) - F
+        assert resid.majorant() < 1e-11 * max(F.majorant(), 1.0)
 
 
 def test_solve_normal_matrix_valued_rhs():
@@ -137,6 +147,18 @@ def test_solve_normal_singular_zero_mode_falls_back_to_fix_range():
         solve_normal(bad, OMEGA, Q)
 
 
+def test_solve_normal_zero_mode_fallback_lets_other_errors_through(monkeypatch):
+    """Only the Fix-space solve's own refusals become a ZeroModeObstruction;
+    a bug inside it propagates as itself."""
+    def broken(Q, psi):
+        raise TypeError("broken fix-range solve")
+
+    monkeypatch.setattr(cohomology, "solve_fix_range", broken)
+    F = FourierSeries.constant(2, np.array([0.0, 0.0, 0.5]), 8)
+    with pytest.raises(TypeError, match="broken fix-range solve"):
+        solve_normal(F, OMEGA, T_SINGULAR)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_solve_right_matches_dense_oracle(seed):
     rng = np.random.default_rng(10 + seed)
@@ -160,19 +182,22 @@ def test_solve_right_needs_invertible_q_at_zero_mode():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_solve_commutator_matches_dense_oracle(seed):
+    """On Q_ELLIPTIC and on T_SINGULAR."""
     rng = np.random.default_rng(20 + seed)
-    F = random_rhs(rng, 2, (2, 2), 10)  # zero average: adjoint kernel at k=0
-    phi = solve_commutator(F, OMEGA, Q_ELLIPTIC)
-    dense = dense_solve(F, OMEGA,
-                        lambda k: _comm_block(float(np.dot(k, OMEGA))))
-    assert coeff_gap(phi, dense) < 1e-12
+    for Q in (Q_ELLIPTIC, T_SINGULAR):
+        d = len(Q.Q)
+        F = random_rhs(rng, 2, (d, d), 10)  # zero average: adjoint kernel at k=0
+        phi = solve_commutator(F, OMEGA, Q)
+        dense = dense_solve(F, OMEGA,
+                            lambda k: _comm_block(float(np.dot(k, OMEGA)), Q.Q))
+        assert coeff_gap(phi, dense) < 1e-12
 
 
-def _comm_block(div):
+def _comm_block(div, Qm):
     # C-order vec: Phi Q -> kron(I, Q^T), Q Phi -> kron(Q, I)
-    Qm = Q_ELLIPTIC.Q
-    return (1j * div * np.eye(4) + np.kron(np.eye(2), Qm.T)
-            - np.kron(Qm, np.eye(2)))
+    d = len(Qm)
+    return (1j * div * np.eye(d * d) + np.kron(np.eye(d), Qm.T)
+            - np.kron(Qm, np.eye(d)))
 
 
 def test_commutator_operator_matches_by_construction():

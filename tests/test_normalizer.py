@@ -1,20 +1,24 @@
-"""Newton normalization: conjugation, single sweeps, full runs, shifts.
+"""Normal-form iteration: conjugation, single sweeps, full runs, shifts.
 
 Oracles: pointwise pushforward identities for the conjugation; a hand-rolled
 zero-mode least-squares system for the parameter shift (closed form
-w = (1.04 * 0.4 - 0.6) * delta for the constructed z-linear perturbation).
+w = (1.04 * 0.4 - 0.6) * delta for the constructed z-linear perturbation);
+the per-block solve of one sweep for the one-normal-variable solve.
 """
 import numpy as np
 import pytest
 
 from conftest import MU0, OMEGA0, make_config, make_curve_family, make_golden_family, sine
+from kamrev.cohomology import solve_commutator, solve_normal, solve_right, solve_scalar
 from kamrev.errors import NoConvergence, SmallDivisor, TruncationOverflow
 from kamrev import fourier, ftaylor
 from kamrev.fourier import DUST_TOL, AngleShift, FourierSeries, fs_matmul
 from kamrev.ftaylor import FourierTaylor, WSubstitution, ft_matmul, ft_neumann_solve
-from kamrev.normalizer import (NormalizerConfig, _compose, _Increment, conjugate_field, normalize,
+from kamrev.normalizer import (NormalizerConfig, _compose, _drop_k0, _Increment, _measure,
+                               _setup, _solve_sweep, conjugate_field, normalize,
                                normalize_augmented)
-from kamrev.revsystem import ReversibleFamily, verify_torus
+from kamrev.revmat import RevMatrix
+from kamrev.revsystem import ReversibleFamily, ft_embed, verify_torus
 
 CFG8 = make_config(tol=1e-11)
 
@@ -194,9 +198,89 @@ def test_composition_shifts_the_transform_as_one_series(losses):
         assert got[1].trunc_loss >= 5e-12
 
 
-def test_newton_step_contracts_quadratically():
-    """One sweep from the identity transform: the residual it leaves is
-    quadratic in the one it started from."""
+def per_block_sweep(family, inst, Xx, Xw, res, ctx):
+    """A sweep as it was solved before w = (y, z) became one normal variable:
+    the y and z rows of the constant part by the scalar and normal solvers,
+    and the four blocks of the linear part by the scalar, right, normal and
+    commutator solvers, with the versal solve on the z-z block alone."""
+    n, m, q, s, d = family.n, family.m, family.q, family.s, family.d
+    N, D = family.order, family.degree
+    omega0, dioph = ctx.omega0, ctx.dioph
+    Q = RevMatrix(ctx.Q, family.inv) if d else None
+    r_y0 = res.r_w0.map_stack(lambda V: V[:, :m])
+    r_z0 = res.r_w0.map_stack(lambda V: V[:, m:])
+    dv = -r_y0.average()
+    b0 = solve_scalar(r_y0 + FourierSeries.constant(n, dv, N), omega0, dioph)
+    c0 = solve_normal(r_z0, omega0, Q) if d else FourierSeries(n, (0,), N)
+    psi0 = ft_embed(b0, q, 0) + ft_embed(c0, q, m)
+    coupling = fs_matmul(res.Axw, psi0)
+    du = -(res.r_x0 + coupling).average()
+    da = solve_scalar(res.r_x0 + coupling + FourierSeries.constant(n, du, N), omega0, dioph)
+    A_ft = FourierTaylor.from_series(da, q, D)
+    P0_ft = FourierTaylor.from_series(psi0, q, D)
+    K = (ft_matmul(Xw.grad_x(), A_ft) + ft_matmul(Xw.grad_w(), P0_ft)
+         - ft_matmul(P0_ft.grad_x(), Xx))
+    R_lin = res.r_ww + K.linear_w()
+    for J, dp in zip(inst.jacobians, np.concatenate([du, dv])):
+        if dp != 0.0:
+            R_lin = R_lin + J.linear_w() * dp
+
+    def block(rows, cols):
+        return R_lin.map_stack(lambda V: V[:, rows, cols])
+
+    y, z = slice(0, m), slice(m, q)
+    blocks = [(solve_scalar(_drop_k0(block(y, y)), omega0, dioph), 0, 0)]
+    dw = np.zeros(s)
+    if d:
+        M0 = block(z, z).average()
+        plus = family.inv.gl_plus_basis()
+        A = np.stack([(P @ Q.Q - Q.Q @ P).ravel() for P in plus]
+                     + [-Dz.ravel() for Dz in family.unfolding_directions(omega0, ctx.mu0)],
+                     axis=1)
+        sol, *_ = np.linalg.lstsq(A, M0.ravel(), rcond=None)
+        c2_0 = sum((sol[i] * P for i, P in enumerate(plus)), np.zeros((d, d)))
+        dw = sol[len(plus):]
+        blocks += [(solve_right(block(y, z), omega0, Q), 0, m),
+                   (solve_normal(block(z, y), omega0, Q), m, 0),
+                   (solve_commutator(_drop_k0(block(z, z)), omega0, Q)
+                    + FourierSeries.constant(n, c2_0, N), m, m)]
+    dW1 = FourierSeries.constant(n, np.eye(q), N)
+    for blk, r, c in blocks:
+        pad = [(0, 0), (r, q - r - blk.shape[0]), (c, q - c - blk.shape[1])]
+        dW1 = dW1 + blk.map_stack(lambda V: np.pad(V, pad))
+    return _Increment(da, psi0, dW1, du, dv, dw)
+
+
+@pytest.mark.parametrize("case", ["golden", "drift"])
+def test_one_normal_variable_sweep_equals_the_per_block_solves(case):
+    """One sweep from the identity transform, on the golden family (m = 1,
+    p = 1) and on the drift family (m = 1, p = 0): da, psi0 and dW1 agree
+    with ``per_block_sweep`` coefficient by coefficient within 1e-15 of the
+    majorant of the per-block increment, and du, dv and dw within 1e-15."""
+    if case == "golden":
+        fam, omega0, mu0 = small_family(1e-3, seed=1), OMEGA0, MU0
+    else:
+        fam = make_curve_family(delta=1e-4, order=8)
+        omega0, mu0 = fam.omega_star, np.zeros(0)
+    config = make_config(tol=1e-11)
+    ctx = _setup(fam, omega0, mu0, config)
+    inst = fam.instantiate(ctx.omega0, np.zeros(fam.m), ctx.mu0)
+    res = _measure(inst.Xx, inst.Xw, ctx)
+    got = _solve_sweep(fam, inst, inst.Xx, inst.Xw, res, ctx, config, {})
+    want = per_block_sweep(fam, inst, inst.Xx, inst.Xw, res, ctx)
+    for g, w in zip(got[:3], want[:3]):
+        assert w.majorant() > 0
+        assert np.abs((g - w).V).max(initial=0.0) <= 1e-15 * w.majorant()
+    for g, w in zip(got[3:], want[3:]):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max(initial=0.0) <= 1e-15
+
+
+def test_one_sweep_cuts_the_residual_tenfold():
+    """One sweep from the identity transform at a residual above 1e-5 leaves
+    under a tenth of it, and at most 1e6 times its square.  That bound holds
+    at the observed orders 1.5-1.7 as well as at 2 (here r1 / r0^2 = 112),
+    so it does not show quadratic convergence."""
     fam = small_family(1e-3, seed=2)
     with pytest.raises(NoConvergence) as exc:
         normalize(fam, OMEGA0, MU0, make_config(tol=1e-11, max_iter=1))
@@ -216,7 +300,12 @@ def test_normalize_zero_perturbation_is_identity():
     assert (res.W1 - FourierSeries.constant(2, np.eye(3), fam.order)).majorant() == 0.0
 
 
-def test_normalize_converges_with_quadratic_history():
+def test_normalize_converges_to_the_normal_form():
+    """Convergence to the tolerance, each residual at most 1e6 times the
+    square of the one before (or the tolerance), a bound that the observed
+    orders 1.5-1.7 meet here as well as order 2 would; then the normalized
+    field has the normal form, the y-y average dust stays below 1e-12 and
+    the transform is small."""
     fam = small_family(1e-4, seed=1)
     res = normalize(fam, OMEGA0, MU0, CFG8)
     hist = res.residual_history
